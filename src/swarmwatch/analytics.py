@@ -215,7 +215,10 @@ def fit_power_law(
     quantile (guaranteeing at least two tail points), alpha by maximum
     likelihood given the cutoff, and the p-value by refitting synthetic
     samples drawn from the fitted model above the cutoff and from the data
-    below it. Deterministic for a fixed seed.
+    below it. The p-value is the share of replicates whose KS distance
+    reaches the observed one, among those not skipped for being constant;
+    it is nan when every replicate was skipped (or ``bootstraps`` is 0).
+    Deterministic for a fixed seed.
     """
     x = np.asarray(list(samples), dtype=np.int64)
     if len(x) < 50:
@@ -229,7 +232,7 @@ def fit_power_law(
     body = x[x < xmin]
     n = len(x)
     p_tail = n_tail / n
-    exceed = 0
+    exceed = ran = 0
     for b in range(bootstraps):
         rng = np.random.default_rng([seed, b])
         tail_mask = rng.random(n) < p_tail
@@ -240,7 +243,8 @@ def fit_power_law(
         if k:
             syn[n - k :] = sampler.draw(rng, k)
         if syn.min() == syn.max():
-            continue
+            continue  # a constant replicate has no fit; it counts in neither tally
+        ran += 1
         _, _, ks_syn, _ = _fit_tail(syn, xmin_quantile, alpha_range)
         if ks_syn >= ks_obs:
             exceed += 1
@@ -248,7 +252,7 @@ def fit_power_law(
         alpha=alpha,
         x_min=xmin,
         ks_statistic=ks_obs,
-        p_value=exceed / bootstraps if bootstraps else float("nan"),
+        p_value=exceed / ran if ran else float("nan"),
         n_tail=n_tail,
         bootstraps=bootstraps,
     )
@@ -280,18 +284,20 @@ def codec_share(source: RecordSource) -> list[ShareRow]:
 
 @dataclass(frozen=True)
 class GeoDb:
-    """Offline CIDR-to-country table resolved by longest prefix."""
+    """Offline CIDR-to-country table resolved by longest prefix; IPv4 and
+    IPv6 prefixes are kept apart and each matches only its own version."""
 
     entries: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        tables: dict[int, dict[int, str]] = {}
+        # IP version -> prefix length -> network address -> country
+        tables: dict[int, dict[int, dict[int, str]]] = {4: {}, 6: {}}
         for cidr, country in self.entries:
             net = ipaddress.ip_network(cidr, strict=True)
-            tables.setdefault(net.prefixlen, {})[int(net.network_address)] = country
-        object.__setattr__(self, "_tables", tables)
+            tables[net.version].setdefault(net.prefixlen, {})[int(net.network_address)] = country
+        # per version, (prefix length, table) pairs, longest prefix first
         object.__setattr__(
-            self, "_prefix_lens", sorted(tables, reverse=True)
+            self, "_tables", {v: sorted(t.items(), reverse=True) for v, t in tables.items()}
         )
 
     def __len__(self) -> int:
@@ -318,24 +324,25 @@ class GeoDb:
 
     def lookup(self, ip: str) -> str | None:
         try:
-            addr = int(ipaddress.ip_address(ip))
+            addr = ipaddress.ip_address(ip)
         except ValueError:
             return None
-        for plen in self._prefix_lens:
-            masked = (addr >> (32 - plen)) << (32 - plen)
-            hit = self._tables[plen].get(masked)
+        value = int(addr)
+        for plen, table in self._tables[addr.version]:
+            shift = addr.max_prefixlen - plen
+            hit = table.get(value >> shift << shift)
             if hit is not None:
                 return hit
         return None
 
 
-_IP4_RE = re.compile(r"/ip4/([0-9.]+)(?:/|$)")
+_IP_RE = re.compile(r"/ip[46]/([0-9A-Fa-f.:]+)(?:/|$)")
 
 UNRESOLVED_COUNTRY = "??"
 
 
 def _address_ip(address: str) -> str | None:
-    m = _IP4_RE.search(address)
+    m = _IP_RE.search(address)
     if m:
         return m.group(1)
     return address if re.fullmatch(r"[0-9.]+", address) else None

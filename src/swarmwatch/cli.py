@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, analytics, estimators, netsim, pipeline, probes
@@ -52,19 +52,6 @@ _USAGE_ERRORS = (
 NS = 1_000_000_000
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to every subcommand's outputs."""
-
-    tool_version: str
-    subcommand: str
-    config: dict
-    config_digest: str
-    input_digests: dict[str, str]
-    outputs: list[str]
-    duration_s: float
-
-
 def _sha256_file(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -79,13 +66,20 @@ def _config_digest(config: dict) -> str:
 
 
 class _Manifest:
-    def __init__(self, subcommand: str, config: dict, out_dir: Path):
+    """Reproducibility record written next to every subcommand's outputs.
+
+    Creates the output directory and digests the given inputs up front."""
+
+    def __init__(self, subcommand: str, config: dict, out_dir, inputs=()):
         self.started = time.monotonic()
         self.subcommand = subcommand
         self.config = config
-        self.out_dir = out_dir
+        self.out_dir = Path(out_dir)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
+        for path in inputs:
+            self.add_input(path)
 
     def add_input(self, path) -> None:
         p = Path(path)
@@ -95,24 +89,34 @@ class _Manifest:
         self.outputs.append(str(path))
 
     def write(self) -> Path:
-        manifest = RunManifest(
-            tool_version=__version__,
-            subcommand=self.subcommand,
-            config=self.config,
-            config_digest=_config_digest(self.config),
-            input_digests=self.inputs,
-            outputs=sorted(self.outputs),
-            duration_s=round(time.monotonic() - self.started, 6),
-        )
+        doc = {
+            "tool_version": __version__,
+            "subcommand": self.subcommand,
+            "config": self.config,
+            "config_digest": _config_digest(self.config),
+            "input_digests": self.inputs,
+            "outputs": sorted(self.outputs),
+            "duration_s": round(time.monotonic() - self.started, 6),
+        }
         path = self.out_dir / "manifest.json"
-        path.write_text(json.dumps(asdict(manifest), indent=2) + "\n")
+        path.write_text(json.dumps(doc, indent=2) + "\n")
         return path
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _load_world(args, subcommand: str):
+    """The config-driven verbs' common start: read the config JSON, apply
+    the ``--seed``/``--duration-s`` overrides, decode, open the manifest,
+    then build the network and run it for the configured duration.
+
+    Returns (network, run result, manifest)."""
+    raw = json.loads(Path(args.config).read_text())
+    if isinstance(raw, dict):  # anything else is rejected by config_from_dict
+        overrides = {"seed": args.seed, "duration_s": getattr(args, "duration_s", None)}
+        raw.update((k, v) for k, v in overrides.items() if v is not None)
+    cfg = netsim.config_from_dict(raw)
+    manifest = _Manifest(subcommand, netsim.config_to_dict(cfg), args.out, [args.config])
+    net = netsim.build_network(cfg)
+    return net, netsim.run(net), manifest
 
 
 def _print_table(headers: list[str], rows: list[list]) -> None:
@@ -142,20 +146,8 @@ def _load_marked_trace(paths, dup_window_s: float, rebroadcast_window_s: float):
 
 
 def cmd_simulate(args) -> int:
-    raw_cfg = json.loads(Path(args.config).read_text())
-    if args.seed is not None:
-        raw_cfg["seed"] = args.seed
-    if args.duration_s is not None:
-        raw_cfg["duration_s"] = args.duration_s
-    try:
-        cfg = netsim.config_from_dict(raw_cfg)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
-    out = _out_dir(args)
-    manifest = _Manifest("simulate", netsim.config_to_dict(cfg), out)
-    manifest.add_input(args.config)
-    net = netsim.build_network(cfg)
-    traces, conns, gt = netsim.run(net)
+    net, (traces, conns, gt), manifest = _load_world(args, "simulate")
+    out = manifest.out_dir
     record_counts = {}
     for name in sorted(traces):
         trace_path = out / f"trace_{name}.csv"
@@ -183,7 +175,7 @@ def cmd_simulate(args) -> int:
     manifest.add_output(gt_path)
     manifest.write()
     print(
-        f"simulated {gt.n_total} nodes for {cfg.duration_s}s: "
+        f"simulated {gt.n_total} nodes for {net.cfg.duration_s}s: "
         f"{sum(record_counts.values())} trace records across "
         f"{len(record_counts)} monitors -> {out}"
     )
@@ -195,15 +187,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_unify(args) -> int:
-    out = _out_dir(args)
     config = {
         "inputs": list(args.traces),
         "dup_window_s": args.dup_window_s,
         "rebroadcast_window_s": args.rebroadcast_window_s,
     }
-    manifest = _Manifest("unify", config, out)
-    for path in args.traces:
-        manifest.add_input(path)
+    manifest = _Manifest("unify", config, args.out, args.traces)
+    out = manifest.out_dir
     marked = _load_marked_trace(args.traces, args.dup_window_s, args.rebroadcast_window_s)
     out_path = out / "unified.csv"
     write_trace(marked.records, out_path)
@@ -231,7 +221,6 @@ def _write_share_csv(path: Path, label: str, rows) -> None:
 
 
 def cmd_analyze(args) -> int:
-    out = _out_dir(args)
     config = {
         "report": args.report,
         "inputs": list(args.traces),
@@ -243,9 +232,8 @@ def cmd_analyze(args) -> int:
         "bootstraps": args.bootstraps,
         "seed": args.seed,
     }
-    manifest = _Manifest("analyze", config, out)
-    for path in args.traces:
-        manifest.add_input(path)
+    manifest = _Manifest("analyze", config, args.out, args.traces)
+    out = manifest.out_dir
 
     if args.report == "codec-share":
         records = [rec for path in args.traces for rec in read_trace(path)]
@@ -363,9 +351,8 @@ def _stats_from_args(args, manifest: _Manifest) -> estimators.PeerSetStats | dic
 
 
 def cmd_estimate(args) -> int:
-    out = _out_dir(args)
-    config = {"method": args.method}
-    manifest = _Manifest("estimate", config, out)
+    manifest = _Manifest("estimate", {"method": args.method}, args.out)
+    out = manifest.out_dir
     if args.method == "dht-min":
         if not args.samples:
             raise ConfigError("dht-min needs --samples (a JSON list of distances)")
@@ -407,10 +394,10 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_probe_gateways(args) -> int:
-    raw_cfg = json.loads(Path(args.config).read_text())
-    if args.seed is not None:
-        raw_cfg["seed"] = args.seed
-    cfg = netsim.config_from_dict(raw_cfg)
+    # the configured duration is the warm-up before probing
+    net, _, manifest = _load_world(args, "probe-gateways")
+    out = manifest.out_dir
+    cfg = net.cfg
     if cfg.gateway_cache_hit_ratio > 0:
         print(
             "warning: gateway_cache_hit_ratio > 0; bait rounds answered from "
@@ -418,11 +405,6 @@ def cmd_probe_gateways(args) -> int:
             "stall (probe with a hit ratio of 0)",
             file=sys.stderr,
         )
-    out = _out_dir(args)
-    manifest = _Manifest("probe-gateways", netsim.config_to_dict(cfg), out)
-    manifest.add_input(args.config)
-    net = netsim.build_network(cfg)
-    netsim.run(net)  # warm-up per the configured duration
     results = []
     for i, dns_name in enumerate(sorted(net.gateways)):
         results.append(
@@ -461,12 +443,10 @@ def cmd_probe_gateways(args) -> int:
 
 
 def cmd_idw(args) -> int:
-    out = _out_dir(args)
     cid = Cid.from_string(args.cid)
     config = {"cid": args.cid, "inputs": list(args.traces)}
-    manifest = _Manifest("idw", config, out)
-    for path in args.traces:
-        manifest.add_input(path)
+    manifest = _Manifest("idw", config, args.out, args.traces)
+    out = manifest.out_dir
     marked = _load_marked_trace(args.traces, args.dup_window_s, args.rebroadcast_window_s)
     wanters = probes.idw(marked, cid)
     path = out / "idw.csv"
@@ -482,12 +462,10 @@ def cmd_idw(args) -> int:
 
 
 def cmd_tnw(args) -> int:
-    out = _out_dir(args)
     target = NodeId.from_hex(args.peer)
     config = {"peer": args.peer, "inputs": list(args.traces)}
-    manifest = _Manifest("tnw", config, out)
-    for path in args.traces:
-        manifest.add_input(path)
+    manifest = _Manifest("tnw", config, args.out, args.traces)
+    out = manifest.out_dir
     marked = _load_marked_trace(args.traces, args.dup_window_s, args.rebroadcast_window_s)
     wants = probes.tnw(marked, target)
     path = out / "tnw.csv"
@@ -503,15 +481,8 @@ def cmd_tnw(args) -> int:
 
 
 def cmd_tpi(args) -> int:
-    raw_cfg = json.loads(Path(args.config).read_text())
-    if args.seed is not None:
-        raw_cfg["seed"] = args.seed
-    cfg = netsim.config_from_dict(raw_cfg)
-    out = _out_dir(args)
-    manifest = _Manifest("tpi", netsim.config_to_dict(cfg), out)
-    manifest.add_input(args.config)
-    net = netsim.build_network(cfg)
-    netsim.run(net)
+    net, _, manifest = _load_world(args, "tpi")
+    out = manifest.out_dir
     target = NodeId.from_hex(args.target)
     if target not in net.nodes:
         raise ConfigError("target node id not present in the simulated network")

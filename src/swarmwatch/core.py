@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence, Union
+from typing import IO, Iterable, Sequence, Union
 
 from .errors import TraceParseError
 
@@ -287,10 +287,6 @@ def read_trace(source: PathOrStream) -> list[TraceRecord]:
         return [_parse_trace_row(row, i) for i, row in enumerate(reader, start=2)]
     finally:
         _finish(stream, owned)
-
-
-def iter_trace(source: PathOrStream) -> Iterator[TraceRecord]:
-    yield from read_trace(source)
 
 
 def write_conn_events(events: Iterable[ConnEvent], sink: PathOrStream) -> None:

@@ -15,6 +15,7 @@ logs and the monitoring-coverage ratio.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
@@ -216,15 +217,11 @@ def peer_set_stats(
             if any(start < t1 and end > t0 for start, end in intervals)
         )
         sets[monitor] = seen
-        counts = []
-        for t in instants:
-            counts.append(
-                sum(
-                    1
-                    for intervals in spans.values()
-                    if any(start <= t < end for start, end in intervals)
-                )
-            )
+        # a peer's intervals are disjoint, so the peers connected at t are
+        # the intervals started by t less those also ended by t
+        starts = sorted(start for ivs in spans.values() for start, _ in ivs)
+        ends = sorted(end for ivs in spans.values() for _, end in ivs)
+        counts = [bisect_right(starts, t) - bisect_right(ends, t) for t in instants]
         w_per_monitor[monitor] = sum(counts) / len(counts)
     monitors = sorted(sets)
     union: set[NodeId] = set()

@@ -18,10 +18,11 @@ from __future__ import annotations
 import bisect
 import heapq
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from random import Random
-from typing import Callable, Mapping, Union
+from types import UnionType
+from typing import Callable, Mapping, Union, get_args, get_origin, get_type_hints
 
 from .core import (
     ID_SPACE,
@@ -117,16 +118,17 @@ class SimConfig:
     record_messages: bool = False
 
     def validate(self) -> None:
-        counts = (self.n_dht_servers, self.n_clients, self.n_gateways, self.n_monitors)
-        if any(c < 0 for c in counts):
-            raise ConfigError("node counts must be non-negative")
+        for name in ("n_dht_servers", "n_clients", "n_gateways", "n_monitors",
+                     "catalog_size", "cache_capacity_blocks"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative")
         dmin, dmax = self.degree_range
         if dmin < 0 or dmin > dmax:
             raise ConfigError("degree_range must satisfy 0 <= min <= max")
         n_regular = self.n_dht_servers + self.n_clients + self.n_gateways
         if dmax > 0 and n_regular > 0 and dmax >= n_regular:
             raise ConfigError(
-                f"max degree {dmax} impossible with {n_regular} regular nodes"
+                f"degree_range: max degree {dmax} impossible with {n_regular} regular nodes"
             )
         for name, frac in [
             ("unresolvable_fraction", self.unresolvable_fraction),
@@ -135,108 +137,120 @@ class SimConfig:
         ]:
             if not 0.0 <= frac <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1]")
-        if self.catalog_size < 0 or self.cache_capacity_blocks < 0:
-            raise ConfigError("sizes must be non-negative")
         if self.rebroadcast_interval_s <= 0:
-            raise ConfigError("rebroadcast interval must be positive")
+            raise ConfigError("rebroadcast_interval_s must be positive")
         if self.workload not in ("poisson", "uniform"):
-            raise ConfigError(f"unknown workload {self.workload!r}")
+            raise ConfigError(f"workload must be 'poisson' or 'uniform', not {self.workload!r}")
         if self.gateway_group_sizes is not None:
             if sum(self.gateway_group_sizes) != self.n_gateways:
                 raise ConfigError("gateway_group_sizes must sum to n_gateways")
             if any(s < 1 for s in self.gateway_group_sizes):
-                raise ConfigError("gateway groups need at least one node")
+                raise ConfigError("gateway_group_sizes: every group needs at least one node")
         if self.churn is not None and (
             self.churn.mean_session_s <= 0 or self.churn.mean_offline_s <= 0
         ):
-            raise ConfigError("churn means must be positive")
+            raise ConfigError("churn.mean_session_s and churn.mean_offline_s must be positive")
 
 
-def _sampler_to_dict(s: PopularitySampler) -> dict:
-    if isinstance(s, ZipfPopularity):
-        return {"kind": "zipf", "exponent": s.exponent}
-    if isinstance(s, LogNormalPopularity):
-        return {"kind": "lognormal", "mu": s.mu, "sigma": s.sigma}
-    return {"kind": "uniform"}
+# popularity-sampler kinds, as named in config files
+_SAMPLERS: dict[str, type] = {
+    "zipf": ZipfPopularity,
+    "lognormal": LogNormalPopularity,
+    "uniform": UniformPopularity,
+}
+_SAMPLER_KINDS = {cls: kind for kind, cls in _SAMPLERS.items()}
 
 
-def _sampler_from_dict(d: dict) -> PopularitySampler:
-    kind = d.get("kind", "uniform")
-    if kind == "zipf":
-        return ZipfPopularity(float(d.get("exponent", 1.0)))
-    if kind == "lognormal":
-        return LogNormalPopularity(float(d.get("mu", 0.0)), float(d.get("sigma", 1.0)))
-    if kind == "uniform":
-        return UniformPopularity()
-    raise ConfigError(f"unknown popularity sampler {kind!r}")
+def _encode(value):
+    if is_dataclass(value):
+        doc = {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+        kind = _SAMPLER_KINDS.get(type(value))
+        return doc if kind is None else {"kind": kind, **doc}
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
 
 
 def config_to_dict(cfg: SimConfig) -> dict:
-    d = {
-        "n_dht_servers": cfg.n_dht_servers,
-        "n_clients": cfg.n_clients,
-        "n_gateways": cfg.n_gateways,
-        "n_monitors": cfg.n_monitors,
-        "degree_range": list(cfg.degree_range),
-        "catalog_size": cfg.catalog_size,
-        "popularity_sampler": _sampler_to_dict(cfg.popularity_sampler),
-        "request_rate_per_node": cfg.request_rate_per_node,
-        "rebroadcast_interval_s": cfg.rebroadcast_interval_s,
-        "unresolvable_fraction": cfg.unresolvable_fraction,
-        "cache_capacity_blocks": cfg.cache_capacity_blocks,
-        "gateway_cache_hit_ratio": cfg.gateway_cache_hit_ratio,
-        "churn": (
-            {"mean_session_s": cfg.churn.mean_session_s,
-             "mean_offline_s": cfg.churn.mean_offline_s}
-            if cfg.churn
-            else None
-        ),
-        "duration_s": cfg.duration_s,
-        "seed": cfg.seed,
-        "broadcast_timeout_s": cfg.broadcast_timeout_s,
-        "want_block_timeout_s": cfg.want_block_timeout_s,
-        "latency_range_s": list(cfg.latency_range_s),
-        "monitor_coverage": cfg.monitor_coverage,
-        "gateway_group_sizes": (
-            list(cfg.gateway_group_sizes) if cfg.gateway_group_sizes else None
-        ),
-        "broken_gateway_names": list(cfg.broken_gateway_names),
-        "gateway_http_rate": cfg.gateway_http_rate,
-        "codec_weights": [list(p) for p in cfg.codec_weights] if cfg.codec_weights else None,
-        "country_weights": [list(p) for p in cfg.country_weights] if cfg.country_weights else None,
-        "catalog_replication": cfg.catalog_replication,
-        "workload": cfg.workload,
-        "distinct_items_per_node": cfg.distinct_items_per_node,
-        "record_messages": cfg.record_messages,
-    }
-    return d
+    """JSON-ready form of ``cfg``; ``config_from_dict`` reads it back."""
+    return _encode(cfg)
+
+
+def _type_error(where: str, expected: str, value) -> ConfigError:
+    return ConfigError(
+        f"config field {where}: expected {expected}, got {type(value).__name__} {value!r}"
+    )
+
+
+def _decode(tp, value, where: str):
+    """Check ``value`` against the declared type ``tp`` and convert JSON
+    lists and objects into tuples and dataclasses."""
+    if tp is PopularitySampler:
+        if type(value) in _SAMPLER_KINDS:
+            return value
+        if not isinstance(value, Mapping):
+            raise _type_error(where, "an object", value)
+        body = dict(value)
+        kind = body.pop("kind", "uniform")
+        cls = _SAMPLERS.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise ConfigError(f"config field {where}: unknown popularity sampler {kind!r}")
+        return _decode_dataclass(cls, body, where)
+    if is_dataclass(tp):
+        return _decode_dataclass(tp, value, where)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):  # "X | None"
+        if value is None:
+            return None
+        (inner,) = (a for a in args if a is not type(None))
+        return _decode(inner, value, where)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise _type_error(where, "a list", value)
+        types = args[:1] * len(value) if args[1:] == (...,) else args
+        if len(types) != len(value):
+            raise ConfigError(
+                f"config field {where}: expected {len(types)} items, got {len(value)}"
+            )
+        return tuple(
+            _decode(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(types, value))
+        )
+    # bool is an int subclass, but never a valid count or quantity
+    accepted = (int, float) if tp is float else tp
+    if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
+        raise _type_error(where, tp.__name__, value)
+    return float(value) if tp is float else value
+
+
+def _decode_dataclass(cls, value, where: str):
+    if isinstance(value, cls):
+        return value
+    if not isinstance(value, Mapping):
+        raise _type_error(where, "an object", value)
+    prefix = f"{where}." if where else ""
+    declared = fields(cls)
+    unknown = sorted(set(value) - {f.name for f in declared})
+    if unknown:
+        raise ConfigError(f"unknown config fields: {[prefix + k for k in unknown]}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in declared:
+        if f.name in value:
+            kwargs[f.name] = _decode(hints[f.name], value[f.name], prefix + f.name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"config field {prefix + f.name} is missing")
+    return cls(**kwargs)
 
 
 def config_from_dict(d: Mapping) -> SimConfig:
-    kwargs = dict(d)
-    unknown = set(kwargs) - set(SimConfig.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    if "degree_range" in kwargs:
-        kwargs["degree_range"] = tuple(kwargs["degree_range"])
-    if "latency_range_s" in kwargs:
-        kwargs["latency_range_s"] = tuple(kwargs["latency_range_s"])
-    if kwargs.get("popularity_sampler") is None:
-        kwargs.pop("popularity_sampler", None)
-    elif not isinstance(
-        kwargs["popularity_sampler"],
-        (ZipfPopularity, UniformPopularity, LogNormalPopularity),
-    ):
-        kwargs["popularity_sampler"] = _sampler_from_dict(kwargs["popularity_sampler"])
-    if kwargs.get("churn") is not None and not isinstance(kwargs["churn"], ChurnConfig):
-        kwargs["churn"] = ChurnConfig(**kwargs["churn"])
-    for key in ("gateway_group_sizes", "broken_gateway_names"):
-        if kwargs.get(key) is not None:
-            kwargs[key] = tuple(kwargs[key])
-    for key in ("codec_weights", "country_weights"):
-        if kwargs.get(key) is not None:
-            kwargs[key] = tuple((str(a), float(b)) for a, b in kwargs[key])
-    cfg = SimConfig(**kwargs)
+    """Decode and validate a config dict, such as one read from JSON.
+
+    Every field is checked against its declared type; a wrong type, an
+    unknown or missing field, or a malformed list raises ``ConfigError``
+    naming the field."""
+    if not isinstance(d, Mapping):
+        raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
+    cfg = _decode_dataclass(SimConfig, d, "")
     cfg.validate()
     return cfg
 
@@ -252,7 +266,6 @@ class SimNode:
     store: set[Cid] = field(default_factory=set)  # pinned, provider-served blocks
     cache: "OrderedDict[Cid, None]" = field(default_factory=OrderedDict)
     wants_from: dict[NodeId, dict[Cid, RequestType]] = field(default_factory=dict)
-    sessions: dict[Cid, list[NodeId]] = field(default_factory=dict)
     monitor_name: str | None = None
     dns_name: str | None = None
     resume_peers: list[NodeId] = field(default_factory=list)
@@ -584,7 +597,6 @@ class Network:
         h._pending_answers.discard(src)
         if src not in h.session:
             h.session.append(src)
-            self.nodes[at].sessions.setdefault(cid, []).append(src)
         if h._target is None:
             self._send_want_block(h, src)
 
@@ -651,7 +663,6 @@ class Network:
         self.ground_truth.requests_issued.append(
             IssuedRequest(self.now_ns, requester, cid, "broadcast")
         )
-        node.sessions.setdefault(cid, [])
         self._broadcast_want(h, initial=True)
         self._schedule(
             int(self.cfg.broadcast_timeout_s * NS), lambda: self._broadcast_timeout(h)
@@ -1131,14 +1142,6 @@ def node_request(net: Network, node: NodeId, cid: Cid) -> RequestHandle:
     return h
 
 
-def dht_provide(net: Network, node: NodeId, cid: Cid) -> None:
-    net.provide(node, cid)
-
-
-def dht_find_providers(net: Network, cid: Cid) -> set[NodeId]:
-    return net.find_providers(cid)
-
-
 def sample_min_distance(net: Network, target: NodeId) -> float:
     """Minimum normalized XOR distance from ``target`` to any online DHT
     server; the raw observable behind the DHT-based size estimator."""
@@ -1151,11 +1154,3 @@ def sample_min_distance(net: Network, target: NodeId) -> float:
         raise ValueError("network has no online DHT servers")
     t = target.value
     return min(v ^ t for v in ids) / ID_SPACE
-
-
-def gateway_http_request(net: Network, dns_name: str, cid: Cid) -> GatewayResult:
-    return net.gateway_http_request(dns_name, cid)
-
-
-def purge_cache(net: Network, node: NodeId, cid: Cid | None = None) -> None:
-    net.purge_cache(node, cid)

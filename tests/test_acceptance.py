@@ -26,9 +26,7 @@ from swarmwatch.netsim import (
     NodeKind,
     SimConfig,
     build_network,
-    dht_provide,
     node_request,
-    purge_cache,
     run,
     sample_min_distance,
 )
@@ -179,7 +177,7 @@ def test_criterion_07_protocol_fidelity():
     for peer, lat in ((p2, 0.02), (p3, 0.05), (p4, 0.04)):
         net.connect(r, peer, latency_s=lat)
     cid = hash_content(b"acceptance-block", RAW)
-    dht_provide(net, p2, cid)
+    net.provide(p2, cid)
     h = node_request(net, r, cid)
     net.run_for(2.0)
     assert h.provider == p2
@@ -325,7 +323,7 @@ def test_criterion_10_attack_soundness():
     prober = net.add_node(NodeKind.DHT_CLIENT)
     net.connect(target, provider, latency_s=0.01)
     cid = hash_content(b"lifecycle", RAW)
-    dht_provide(net, provider, cid)
+    net.provide(provider, cid)
     agreements = 0
     steps = 0
 
@@ -339,7 +337,7 @@ def test_criterion_10_attack_soundness():
     check()                       # never fetched: negative
     node_request(net, target, cid)
     check()                       # fetched: positive
-    purge_cache(net, target, cid)
+    net.purge_cache(target, cid)
     check()                       # purged: negative again
     node_request(net, target, cid)
     check()                       # re-fetched: positive

@@ -153,6 +153,24 @@ class TestFitPowerLaw:
         fit = fit_power_law(x, bootstraps=10, seed=0)
         assert fit.n_tail >= 2
 
+    # 49 ones and one 2: the only cutoff candidate is 1, so every replicate
+    # draws all 50 values from the fitted law, whose exponent is pinned
+    NEARLY_CONSTANT = [1] * 49 + [2]
+
+    def test_all_replicates_constant_gives_nan(self):
+        # at alpha = 30, P(X = 1) = 1 - 1e-9: every replicate is all ones
+        fit = fit_power_law(self.NEARLY_CONSTANT, bootstraps=20, alpha_range=(30.0, 30.0))
+        assert np.isnan(fit.p_value)
+
+    def test_constant_replicates_leave_the_denominator(self):
+        # at alpha = 7 about two thirds of the replicates are all ones and
+        # are skipped. A replicate that is not has at least one value above
+        # 1, so its empirical P(X = 1) is at most the observed 0.98 and its
+        # KS distance at least the observed one: every replicate that ran
+        # exceeds, and p is exactly 1.
+        fit = fit_power_law(self.NEARLY_CONSTANT, bootstraps=60, alpha_range=(7.0, 7.0))
+        assert fit.p_value == 1.0
+
 
 class TestCodecShare:
     def test_single_codec(self):
@@ -207,6 +225,25 @@ class TestGeoShare:
     def test_empty_db_errors(self):
         with pytest.raises(ValueError):
             geo_share([rec(0, PEERS[0], CIDS[0])], GeoDb.from_pairs([]))
+
+    def test_ipv4_and_ipv6_prefixes_together(self):
+        db = GeoDb.from_pairs([("10.0.0.0/8", "US"), ("2001:db8:1::/48", "XX")])
+        assert db.lookup("10.200.0.1") == "US"
+        assert db.lookup("2001:db8:1:ffff::1") == "XX"
+        assert db.lookup("2001:db8:2::1") is None
+        assert db.lookup("11.0.0.1") is None
+        # an IPv4 address never matches an IPv6 prefix with equal bits
+        assert GeoDb.from_pairs([("::/8", "V6")]).lookup("0.0.0.1") is None
+
+    def test_ipv6_multiaddr(self):
+        db = GeoDb.from_pairs([("10.0.0.0/8", "US"), ("2001:db8:1::/48", "XX")])
+        records = [
+            rec(0, PEERS[0], CIDS[0], address="/ip6/2001:db8:1::7/tcp/4001"),
+            rec(1, PEERS[1], CIDS[0], address="/ip4/10.0.0.7/tcp/4001"),
+            rec(2, PEERS[2], CIDS[0], address="/ip6/2001:db8:2::7/udp/4001/quic"),
+        ]
+        rows = geo_share(records, db)
+        assert sorted((r.label, r.count) for r in rows) == [("??", 1), ("US", 1), ("XX", 1)]
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "geo.csv"

@@ -298,3 +298,34 @@ class TestCliContract:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert "swarmwatch" in capsys.readouterr().out
+
+
+CONFIG_VERBS = {
+    "simulate": [],
+    "probe-gateways": [],
+    "tpi": ["--target", "ab" * 32, "--cid", "raw:" + "00" * 32],
+}
+BAD_FIELDS = {
+    "string_count": ({"n_dht_servers": "5"}, "n_dht_servers"),
+    "string_duration": ({"duration_s": "1.0"}, "duration_s"),
+    "churn_missing_key": ({"churn": {"mean_session_s": 60.0}}, "churn.mean_offline_s"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_FIELDS))
+@pytest.mark.parametrize("verb", sorted(CONFIG_VERBS))
+def test_bad_config_field_exits_2_naming_it(tmp_path, capsys, verb, bad):
+    patch, field_name = BAD_FIELDS[bad]
+    path = write_cfg(tmp_path, dict(SIM_CFG, **patch))
+    argv = [verb, "--config", str(path), "--out", str(tmp_path / "x"), *CONFIG_VERBS[verb]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert field_name in err
+
+
+def test_config_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "sim.json"
+    path.write_text("[1, 2]")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert "JSON object" in capsys.readouterr().err

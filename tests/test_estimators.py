@@ -247,6 +247,29 @@ class TestPeerSetStats:
         expect_w = sum(alive(t) for t in (30, 40, 50, 60)) / 4
         assert stats.w_per_monitor["m0"] == pytest.approx(expect_w)
 
+    def test_counts_match_interval_scan(self):
+        # reference: at each sample instant, scan every peer's intervals
+        for seed in range(30):
+            rng = random.Random(seed)
+            events, spans = [], []
+            for i in range(40):
+                t = rng.randrange(0, 50)
+                while rng.random() < 0.8:
+                    end = t + rng.choice([0, 60, rng.randrange(1, 300)])
+                    events.append(_ev(t, "m0", NodeId(i + 1), CONNECT))
+                    if rng.random() < 0.3:
+                        spans.append((t, math.inf))
+                        break
+                    events.append(_ev(end, "m0", NodeId(i + 1), DISCONNECT))
+                    spans.append((t, end))
+                    t = end + rng.choice([0, rng.randrange(1, 200)])
+            t0 = rng.randrange(0, 100)
+            t1 = t0 + rng.randrange(1, 600)
+            stats = peer_set_stats({"m0": events}, (t0 * NS, t1 * NS), sample_interval_s=7.5)
+            instants = [t0 + 7.5 * k for k in range(math.ceil((t1 - t0) / 7.5))]
+            counts = [sum(start <= t < end for start, end in spans) for t in instants]
+            assert stats.w_per_monitor["m0"] == sum(counts) / len(counts)
+
     def test_alternation_enforced(self):
         p = NodeId(1)
         with pytest.raises(ValueError):

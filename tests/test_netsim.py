@@ -1,4 +1,7 @@
+import json
 import random
+import re
+from dataclasses import fields
 
 import pytest
 from scipy import stats
@@ -7,6 +10,7 @@ from swarmwatch.core import RAW, NodeId, RequestType, hash_content
 from swarmwatch.errors import ConfigError, UnknownGatewayError
 from swarmwatch.netsim import (
     ChurnConfig,
+    LogNormalPopularity,
     NodeKind,
     RequestStatus,
     SimConfig,
@@ -14,11 +18,7 @@ from swarmwatch.netsim import (
     build_network,
     config_from_dict,
     config_to_dict,
-    dht_find_providers,
-    dht_provide,
-    gateway_http_request,
     node_request,
-    purge_cache,
     run,
     sample_min_distance,
 )
@@ -95,6 +95,50 @@ class TestBuildNetwork:
         with pytest.raises(ConfigError):
             config_from_dict({"n_dht_servres": 3})
 
+    def test_config_dict_lists_every_field(self):
+        cfg = SimConfig(
+            n_dht_servers=4,
+            degree_range=(1, 3),
+            popularity_sampler=LogNormalPopularity(0.5, 2.0),
+            latency_range_s=(0.02, 0.05),
+            broken_gateway_names=("gw0.example",),
+            country_weights=(("US", 3.0), ("DE", 1.0)),
+            workload="uniform",
+            record_messages=True,
+        )
+        doc = config_to_dict(cfg)
+        assert list(doc) == [f.name for f in fields(SimConfig)]
+        assert doc["popularity_sampler"] == {"kind": "lognormal", "mu": 0.5, "sigma": 2.0}
+        assert doc["country_weights"] == [["US", 3.0], ["DE", 1.0]]
+        assert config_from_dict(json.loads(json.dumps(doc))) == cfg
+
+    def test_int_accepted_for_float_field(self):
+        cfg = config_from_dict({"duration_s": 30, "latency_range_s": [0, 1]})
+        assert cfg.duration_s == 30.0 and isinstance(cfg.duration_s, float)
+        assert cfg.latency_range_s == (0.0, 1.0)
+
+    @pytest.mark.parametrize("doc, field_name", [
+        ({"n_dht_servers": "5"}, "n_dht_servers"),
+        ({"n_dht_servers": 5.0}, "n_dht_servers"),
+        ({"n_dht_servers": True}, "n_dht_servers"),
+        ({"record_messages": 1}, "record_messages"),
+        ({"degree_range": [1, 2, 3]}, "degree_range"),
+        ({"degree_range": 4}, "degree_range"),
+        ({"codec_weights": [["raw"]]}, "codec_weights[0]"),
+        ({"codec_weights": [["raw", "0.5"]]}, "codec_weights[0][1]"),
+        ({"churn": {"mean_session_s": 60.0}}, "churn.mean_offline_s"),
+        ({"churn": {"mean_session_s": 1.0, "mean_offline_s": 1.0, "x": 1}}, "churn.x"),
+        ({"churn": 5}, "churn"),
+        ({"popularity_sampler": {"kind": "pareto"}}, "popularity_sampler"),
+        ({"popularity_sampler": {"kind": "zipf", "exponent": "1"}},
+         "popularity_sampler.exponent"),
+        ({"popularity_sampler": {"kind": "uniform", "exponent": 1.0}},
+         "popularity_sampler.exponent"),
+    ])
+    def test_bad_field_names_itself(self, doc, field_name):
+        with pytest.raises(ConfigError, match=re.escape(field_name)):
+            config_from_dict(doc)
+
 
 class TestRun:
     def test_zero_duration_empty_traces(self):
@@ -160,7 +204,7 @@ class TestNodeRequest:
         for peer, lat in ((p2, 0.02), (p3, 0.05), (p4, 0.04)):
             net.connect(r, peer, latency_s=lat)
         cid = hash_content(b"popular", RAW)
-        dht_provide(net, p2, cid)
+        net.provide(p2, cid)
         h = node_request(net, r, cid)
         net.run_for(2.0)
         assert h.status is RequestStatus.FETCHED and h.provider == p2
@@ -177,7 +221,7 @@ class TestNodeRequest:
         far = net.add_node(NodeKind.DHT_SERVER)
         net.connect(r, bystander, latency_s=0.02)
         cid = hash_content(b"remote", RAW)
-        dht_provide(net, far, cid)
+        net.provide(far, cid)
         h = node_request(net, r, cid)
         assert h.status is RequestStatus.FETCHED
         assert h.provider == far
@@ -193,7 +237,7 @@ class TestNodeRequest:
         net.connect(a, p, latency_s=0.01)
         net.connect(a, b, latency_s=0.01)
         cid = hash_content(b"shared", RAW)
-        dht_provide(net, p, cid)
+        net.provide(p, cid)
         assert node_request(net, a, cid).status is RequestStatus.FETCHED
         h = node_request(net, b, cid)
         assert h.status is RequestStatus.FETCHED
@@ -203,24 +247,24 @@ class TestNodeRequest:
 class TestDht:
     def test_no_providers_empty(self):
         net = scripted_net()
-        assert dht_find_providers(net, hash_content(b"x", RAW)) == set()
+        assert net.find_providers(hash_content(b"x", RAW)) == set()
 
     def test_single_provider(self):
         net = scripted_net()
         p = net.add_node(NodeKind.DHT_SERVER)
         cid = hash_content(b"y", RAW)
-        dht_provide(net, p, cid)
-        assert dht_find_providers(net, cid) == {p}
+        net.provide(p, cid)
+        assert net.find_providers(cid) == {p}
 
     def test_offline_provider_filtered(self):
         net = scripted_net()
         p = net.add_node(NodeKind.DHT_SERVER)
         cid = hash_content(b"z", RAW)
-        dht_provide(net, p, cid)
+        net.provide(p, cid)
         net.set_offline(p)
-        assert dht_find_providers(net, cid) == set()
+        assert net.find_providers(cid) == set()
         net.set_online(p)
-        assert dht_find_providers(net, cid) == {p}
+        assert net.find_providers(cid) == {p}
 
 
 class TestMinDistance:
@@ -300,7 +344,7 @@ class TestGateways:
     def test_unknown_dns_name(self):
         net = scripted_net()
         with pytest.raises(UnknownGatewayError):
-            gateway_http_request(net, "nope.example", hash_content(b"q", RAW))
+            net.gateway_http_request("nope.example", hash_content(b"q", RAW))
 
     def test_broken_gateway_still_requests(self):
         cfg = SimConfig(
@@ -322,18 +366,18 @@ class TestCache:
         p = net.add_node(NodeKind.DHT_SERVER)
         net.connect(r, p, latency_s=0.01)
         cid = hash_content(b"c", RAW)
-        dht_provide(net, p, cid)
+        net.provide(p, cid)
         node_request(net, r, cid)
         assert net.nodes[r].has_block(cid)
         assert net.ground_truth.cached(r, cid, net.now_ns)
-        purge_cache(net, r, cid)
+        net.purge_cache(r, cid)
         assert not net.nodes[r].has_block(cid)
         assert not net.ground_truth.cached(r, cid, net.now_ns)
 
     def test_purge_all_on_empty_is_noop(self):
         net = scripted_net()
         r = net.add_node(NodeKind.DHT_CLIENT)
-        purge_cache(net, r)
+        net.purge_cache(r)
         assert len(net.nodes[r].cache) == 0
 
     def test_lru_eviction_removes_oldest(self):
@@ -343,7 +387,7 @@ class TestCache:
         net.connect(r, p, latency_s=0.01)
         cids = [hash_content(bytes([i]), RAW) for i in range(3)]
         for cid in cids:
-            dht_provide(net, p, cid)
+            net.provide(p, cid)
             node_request(net, r, cid)
         cache = net.nodes[r].cache
         assert cids[0] not in cache
@@ -439,7 +483,7 @@ class TestWantPersistence:
         node_request(net, r, cid)  # unresolvable for now
         assert net.nodes[p].wants_from[r][cid] is RequestType.WANT_HAVE
         # provider appears later; the 30 s re-broadcast finds it
-        dht_provide(net, p, cid)
+        net.provide(p, cid)
         net.run_for(35.0)
         assert cid not in net.nodes[p].wants_from.get(r, {})
 

@@ -6,9 +6,7 @@ from swarmwatch.netsim import (
     NodeKind,
     SimConfig,
     build_network,
-    dht_provide,
     node_request,
-    purge_cache,
     run,
 )
 from swarmwatch.pipeline import mark_flags, unify
@@ -48,7 +46,7 @@ class TestIdw:
             net.connect(x, m, latency_s=0.02)
             net.connect(x, p, latency_s=0.01)
         cid = hash_content(b"wanted", RAW)
-        dht_provide(net, p, cid)
+        net.provide(p, cid)
         node_request(net, a, cid)
         net.run_for(10.0)
         node_request(net, b, cid)
@@ -68,7 +66,7 @@ class TestIdw:
         net.connect(a, p, latency_s=0.01)
         net.connect(hidden, p, latency_s=0.01)
         cid = hash_content(b"wanted", RAW)
-        dht_provide(net, p, cid)
+        net.provide(p, cid)
         node_request(net, a, cid)
         node_request(net, hidden, cid)
         net.run_for(5.0)
@@ -102,7 +100,7 @@ class TestTnw:
         net.connect(a, p, latency_s=0.01)
         cids = [hash_content(bytes([i]), RAW) for i in range(5)]
         for cid in cids:
-            dht_provide(net, p, cid)
+            net.provide(p, cid)
         for cid in cids:
             node_request(net, a, cid)
             net.run_for(1.0)
@@ -130,7 +128,7 @@ class TestTpi:
         prober = net.add_node(NodeKind.DHT_CLIENT)
         net.connect(target, provider, latency_s=0.01)
         cid = hash_content(b"sensitive", RAW)
-        dht_provide(net, provider, cid)
+        net.provide(provider, cid)
         return net, target, prober, cid
 
     def test_fetched_then_positive(self):
@@ -146,7 +144,7 @@ class TestTpi:
         net, target, prober, cid = self.make_world()
         node_request(net, target, cid)
         assert tpi(net, prober, target, cid) is True
-        purge_cache(net, target, cid)
+        net.purge_cache(target, cid)
         assert tpi(net, prober, target, cid) is False
         node_request(net, target, cid)
         assert tpi(net, prober, target, cid) is True
@@ -162,7 +160,7 @@ class TestTpi:
         checks = []
         node_request(net, target, cid)
         checks.append((tpi(net, prober, target, cid), net.ground_truth.cached(target, cid, net.now_ns)))
-        purge_cache(net, target, cid)
+        net.purge_cache(target, cid)
         checks.append((tpi(net, prober, target, cid), net.ground_truth.cached(target, cid, net.now_ns)))
         node_request(net, target, cid)
         checks.append((tpi(net, prober, target, cid), net.ground_truth.cached(target, cid, net.now_ns)))
