@@ -13,24 +13,15 @@ from __future__ import annotations
 import ipaddress
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import zeta
 
 from .core import Cid, NodeId, RequestType, TraceRecord
 from .errors import DegenerateSampleError
-from .pipeline import UnifiedTrace
 
 _NS = 1_000_000_000
-
-RecordSource = Union[UnifiedTrace, Iterable[TraceRecord]]
-
-
-def _records(source: RecordSource) -> Sequence[TraceRecord]:
-    if isinstance(source, UnifiedTrace):
-        return source.records
-    return list(source)
 
 
 @dataclass(frozen=True)
@@ -51,7 +42,7 @@ class PopularityTable:
         return sorted(self.urp.values(), reverse=True)
 
 
-def popularity(source: RecordSource, drop_flagged: bool = True) -> PopularityTable:
+def popularity(source: Iterable[TraceRecord], drop_flagged: bool = True) -> PopularityTable:
     """Tally raw and unique request popularity per cid.
 
     Cancels never count. With ``drop_flagged`` (the default), records
@@ -61,7 +52,7 @@ def popularity(source: RecordSource, drop_flagged: bool = True) -> PopularityTab
     rrp: dict[Cid, int] = {}
     wanters: dict[Cid, set[NodeId]] = {}
     t_lo = t_hi = None
-    for r in _records(source):
+    for r in source:
         if r.request_type is RequestType.CANCEL:
             continue
         if drop_flagged and r.flags:
@@ -265,10 +256,10 @@ class ShareRow:
     share_pct: float
 
 
-def codec_share(source: RecordSource) -> list[ShareRow]:
+def codec_share(source: Iterable[TraceRecord]) -> list[ShareRow]:
     """Requests by cid codec, from raw records; cancels excluded, flags ignored."""
     counts: dict[str, int] = {}
-    for r in _records(source):
+    for r in source:
         if r.request_type is RequestType.CANCEL:
             continue
         name = r.cid.codec.name
@@ -349,7 +340,7 @@ def _address_ip(address: str) -> str | None:
 
 
 def geo_share(
-    source: RecordSource, db: GeoDb, drop_flagged: bool = True
+    source: Iterable[TraceRecord], db: GeoDb, drop_flagged: bool = True
 ) -> list[ShareRow]:
     """Requests by origin country over deduplicated, non-cancel records.
 
@@ -359,7 +350,7 @@ def geo_share(
     if len(db) == 0:
         raise ValueError("geo database is empty")
     counts: dict[str, int] = {}
-    for r in _records(source):
+    for r in source:
         if r.request_type is RequestType.CANCEL:
             continue
         if drop_flagged and r.flags:
@@ -388,7 +379,7 @@ NON_GATEWAY_GROUP = "non-gateway"
 
 
 def rate_timeseries(
-    source: RecordSource,
+    source: Iterable[TraceRecord],
     bucket_s: float = 3600.0,
     group_by: str = "request_type",
     group_map: Mapping[NodeId, str] | None = None,
@@ -407,7 +398,7 @@ def rate_timeseries(
         raise ValueError(f"unknown group_by: {group_by!r}")
     bucket_ns = int(bucket_s * _NS)
     counts: dict[tuple[int, str], int] = {}
-    for r in _records(source):
+    for r in source:
         if r.request_type is RequestType.CANCEL:
             continue
         if drop_flagged and r.flags:

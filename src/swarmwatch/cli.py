@@ -133,12 +133,11 @@ def _load_marked_trace(paths, dup_window_s: float, rebroadcast_window_s: float):
     for path in paths:
         for rec in read_trace(path):
             by_monitor.setdefault(rec.monitor, []).append(rec)
-    unified = pipeline.unify(
-        by_monitor,
+    return pipeline.mark_flags(
+        pipeline.unify(by_monitor),
         window_dup_s=dup_window_s,
         window_rebroadcast_s=rebroadcast_window_s,
     )
-    return pipeline.mark_flags(unified)
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,9 @@ import hashlib
 import io
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Sequence, Union
 
@@ -29,15 +30,18 @@ FLAG_INTER_MONITOR_DUPLICATE = 0x1
 FLAG_REBROADCAST = 0x2
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class NodeId:
-    """A 256-bit overlay identifier, uniformly distributed when generated."""
+class NodeId(int):
+    """A 256-bit overlay identifier, uniformly distributed when generated.
 
-    value: int
+    A plain int underneath: hashing, equality and ordering are the int's,
+    so a NodeId compares equal to the int of the same value."""
 
-    def __post_init__(self):
-        if not 0 <= self.value < ID_SPACE:
+    __slots__ = ()
+
+    def __new__(cls, value: int) -> "NodeId":
+        if not 0 <= value < ID_SPACE:
             raise ValueError("node id out of 256-bit range")
+        return super().__new__(cls, value)
 
     @classmethod
     def generate(cls, rng: random.Random) -> "NodeId":
@@ -49,18 +53,14 @@ class NodeId:
 
     @property
     def hex(self) -> str:
-        return f"{self.value:064x}"
+        return f"{self:064x}"
 
     def pos(self) -> float:
         """Normalized position of the id in [0, 1)."""
-        return self.value / ID_SPACE
+        return self / ID_SPACE
 
     def xor(self, other: "NodeId") -> "NodeId":
-        return NodeId(self.value ^ other.value)
-
-    def xor_pos(self, other: "NodeId") -> float:
-        """Normalized XOR distance to ``other``, in [0, 1)."""
-        return (self.value ^ other.value) / ID_SPACE
+        return NodeId(self ^ other)
 
     def __repr__(self) -> str:
         return f"NodeId({self.hex[:8]}..)"
@@ -77,16 +77,15 @@ _CODEC_NAMES = {
 _CODEC_CODES = {name: code for code, name in _CODEC_NAMES.items()}
 
 
-@dataclass(frozen=True, slots=True)
-class Codec:
-    """Content-encoding tag of a Cid. Known codecs get readable names;
-    anything else round-trips as ``codec-0x<code>``."""
+class Codec(int):
+    """Content-encoding tag of a Cid, a plain int code. Known codecs get
+    readable names; anything else round-trips as ``codec-0x<code>``."""
 
-    code: int
+    __slots__ = ()
 
     @property
     def name(self) -> str:
-        return _CODEC_NAMES.get(self.code, f"codec-0x{self.code:x}")
+        return _CODEC_NAMES.get(self, f"codec-0x{self:x}")
 
     @classmethod
     def from_name(cls, name: str) -> "Codec":
@@ -109,16 +108,23 @@ DIGEST_BITS = 256
 DIGEST_BYTES = DIGEST_BITS // 8
 
 
-@dataclass(frozen=True, slots=True)
-class Cid:
-    """Content address: codec tag plus the 256-bit hash of the content."""
+class Cid(tuple):
+    """Content address: the ``(codec, digest)`` pair of a codec tag and the
+    256-bit hash of the content. A plain tuple underneath, so a Cid
+    compares equal to the tuple of the same pair."""
 
-    codec: Codec
-    digest: bytes
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.digest) != DIGEST_BYTES:
+    def __new__(cls, codec: Codec, digest: bytes) -> "Cid":
+        if len(digest) != DIGEST_BYTES:
             raise ValueError("digest must be 32 bytes")
+        return super().__new__(cls, (codec, digest))
+
+    def __getnewargs__(self):  # for pickle and copy: tuple's passes the pair as one argument
+        return tuple(self)
+
+    codec = property(itemgetter(0))
+    digest = property(itemgetter(1))
 
     @property
     def digest_hex(self) -> str:
@@ -179,7 +185,10 @@ class TraceRecord:
         return bool(self.flags & FLAG_REBROADCAST)
 
     def with_flags(self, flags: int) -> "TraceRecord":
-        return replace(self, flags=flags)
+        return TraceRecord(
+            self.timestamp_ns, self.monitor, self.peer, self.address,
+            self.request_type, self.cid, flags,
+        )
 
 
 @dataclass(frozen=True, slots=True)

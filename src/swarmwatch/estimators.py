@@ -18,6 +18,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -55,15 +56,13 @@ def estimate_two_monitor(p1: int, p2: int, intersection: int) -> SizeEstimate:
     return SizeEstimate(p1 * p2 / intersection, EstimatorMethod.TWO_MONITOR)
 
 
-def _log_binom(n: float, k: float) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
 def coupon_density(n_total: int, w: int, r: int, m: int) -> float:
     """P[m distinct peers after r independent draws of w without replacement].
 
-    Evaluated in log space with signed accumulation so it stays finite for
-    populations up to ~1e5.
+    Built draw by draw: the overlap of a new draw with the current union is
+    hypergeometric, so each draw's union-size distribution is a sum of
+    positive terms over the previous one. No term cancels, so the density
+    stays accurate and normalised for any population.
     """
     if r < 1 or w < 0:
         raise ValueError("need r >= 1 and w >= 0")
@@ -71,19 +70,29 @@ def coupon_density(n_total: int, w: int, r: int, m: int) -> float:
         raise ValueError("draw size exceeds population")
     if not (w <= m <= min(n_total, r * w)):
         raise ValueError(f"m={m} outside feasible range [{w}, {min(n_total, r * w)}]")
-    if w == 0:
-        return 1.0 if m == 0 else 0.0
-    ln_prefix = _log_binom(n_total, m) - r * _log_binom(n_total, w)
-    terms = []
-    for k in range(w, m + 1):
-        ln_t = _log_binom(m, k) + r * _log_binom(k, w)
-        sign = -1.0 if (m - k) % 2 else 1.0
-        terms.append((ln_t, sign))
-    peak = max(ln_t for ln_t, _ in terms)
-    acc = sum(sign * math.exp(ln_t - peak) for ln_t, sign in terms)
-    if acc <= 0.0:
-        return 0.0
-    return min(1.0, math.exp(ln_prefix + peak + math.log(acc)))
+    return _union_size_pmf(n_total, w, r)[m - w]
+
+
+@lru_cache(maxsize=64)
+def _union_size_pmf(n_total: int, w: int, r: int) -> tuple[float, ...]:
+    """P[union size is u] after r draws of w from n_total, for u = w ...
+    min(n_total, r * w); cached, since a likelihood scan reads every u."""
+    log_fact = [math.lgamma(i + 1) for i in range(n_total + 1)]
+
+    def log_comb(n: int, k: int) -> float:
+        return log_fact[n] - log_fact[k] - log_fact[n - k]
+
+    log_draws = log_comb(n_total, w)
+    pmf = {w: 1.0}
+    for _ in range(r - 1):
+        nxt: dict[int, float] = {}
+        for u, p in pmf.items():
+            # k of the w new peers fall inside the current union of u
+            for k in range(max(0, w - (n_total - u)), min(w, u) + 1):
+                q = math.exp(log_comb(u, k) + log_comb(n_total - u, w - k) - log_draws)
+                nxt[u + w - k] = nxt.get(u + w - k, 0.0) + p * q
+        pmf = nxt
+    return tuple(pmf.get(u, 0.0) for u in range(w, min(n_total, r * w) + 1))
 
 
 def solve_coupon_mle(

@@ -408,7 +408,7 @@ class GatewayResult:
 
 
 def _pair(a: NodeId, b: NodeId) -> tuple[NodeId, NodeId]:
-    return (a, b) if a.value <= b.value else (b, a)
+    return (a, b) if a <= b else (b, a)
 
 
 class Network:
@@ -420,7 +420,8 @@ class Network:
         self.rng = Random(cfg.seed)
         self.now_ns = 0
         self._seq = 0
-        self._heap: list[tuple[int, int, Callable[[], None]]] = []
+        # events: (time, insertion sequence, method, its arguments)
+        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self.nodes: dict[NodeId, SimNode] = {}
         self._latency_ns: dict[tuple[NodeId, NodeId], int] = {}
         self.dht: dict[Cid, set[NodeId]] = {}
@@ -508,17 +509,17 @@ class Network:
     # ------------------------------------------------------------------
     # event queue
 
-    def _schedule(self, delay_ns: int, fn: Callable[[], None]) -> None:
-        heapq.heappush(self._heap, (self.now_ns + int(delay_ns), self._seq, fn))
+    def _schedule(self, delay_ns: int, fn: Callable[..., None], *args) -> None:
+        heapq.heappush(self._heap, (self.now_ns + int(delay_ns), self._seq, fn, args))
         self._seq += 1
 
     def run_for(self, duration_s: float) -> None:
         end = self.now_ns + int(duration_s * NS)
         heap = self._heap
         while heap and heap[0][0] <= end:
-            t, _, fn = heapq.heappop(heap)
+            t, _, fn, args = heapq.heappop(heap)
             self.now_ns = t
-            fn()
+            fn(*args)
         self.now_ns = end
 
     def _advance_until(self, pred: Callable[[], bool], horizon_ns: int) -> bool:
@@ -526,9 +527,9 @@ class Network:
         while heap and heap[0][0] <= horizon_ns:
             if pred():
                 return True
-            t, _, fn = heapq.heappop(heap)
+            t, _, fn, args = heapq.heappop(heap)
             self.now_ns = t
-            fn()
+            fn(*args)
         if pred():
             return True
         self.now_ns = max(self.now_ns, horizon_ns)
@@ -539,18 +540,16 @@ class Network:
 
     def _send(self, src: NodeId, dst: NodeId, kind: str, cid: Cid) -> None:
         lat = self._latency_ns.get(_pair(src, dst))
-        if lat is None:
+        if lat is not None:
+            self._schedule(lat, self._deliver, src, dst, kind, cid)
+
+    def _deliver(self, src: NodeId, dst: NodeId, kind: str, cid: Cid) -> None:
+        s, d = self.nodes[src], self.nodes[dst]
+        if not (s.online and d.online and dst in s.peers):
             return
-
-        def deliver() -> None:
-            s, d = self.nodes[src], self.nodes[dst]
-            if not (s.online and d.online and dst in s.peers):
-                return
-            if self.message_log is not None:
-                self.message_log.append(Message(self.now_ns, src, dst, kind, cid))
-            self._dispatch(d, src, kind, cid)
-
-        self._schedule(lat, deliver)
+        if self.message_log is not None:
+            self.message_log.append(Message(self.now_ns, src, dst, kind, cid))
+        self._dispatch(d, src, kind, cid)
 
     def _dispatch(self, node: SimNode, src: NodeId, kind: str, cid: Cid) -> None:
         if kind in ("want_have", "want_block", "cancel"):
@@ -664,9 +663,7 @@ class Network:
             IssuedRequest(self.now_ns, requester, cid, "broadcast")
         )
         self._broadcast_want(h, initial=True)
-        self._schedule(
-            int(self.cfg.broadcast_timeout_s * NS), lambda: self._broadcast_timeout(h)
-        )
+        self._schedule(int(self.cfg.broadcast_timeout_s * NS), self._broadcast_timeout, h)
         self._schedule_rebroadcast(h, 1)
         return h
 
@@ -686,7 +683,7 @@ class Network:
 
     def _schedule_rebroadcast(self, h: RequestHandle, k: int) -> None:
         t_next = h.t_start_ns + k * int(self.cfg.rebroadcast_interval_s * NS)
-        self._schedule(max(0, t_next - self.now_ns), lambda: self._rebroadcast_tick(h, k))
+        self._schedule(max(0, t_next - self.now_ns), self._rebroadcast_tick, h, k)
 
     def _rebroadcast_tick(self, h: RequestHandle, k: int) -> None:
         if h.done:
@@ -707,10 +704,7 @@ class Network:
         h._tried.add(target)
         h._notified.add(target)
         self._send(h.requester, target, "want_block", h.cid)
-        self._schedule(
-            int(self.cfg.want_block_timeout_s * NS),
-            lambda: self._fetch_timeout(h, target),
-        )
+        self._schedule(int(self.cfg.want_block_timeout_s * NS), self._fetch_timeout, h, target)
 
     def _fetch_timeout(self, h: RequestHandle, target: NodeId) -> None:
         if h.done or h._target != target:
@@ -729,9 +723,7 @@ class Network:
         if contacted == 0 and h._target is None:
             h.idle = True
         else:
-            self._schedule(
-                int(self.cfg.broadcast_timeout_s * NS), lambda: self._idle_check(h)
-            )
+            self._schedule(int(self.cfg.broadcast_timeout_s * NS), self._idle_check, h)
 
     def _idle_check(self, h: RequestHandle) -> None:
         if not h.done and h._target is None:
@@ -823,12 +815,12 @@ class Network:
             return
         self.set_offline(nid)
         delay = self.rng.expovariate(1.0 / self.cfg.churn.mean_offline_s)
-        self._schedule(int(delay * NS), lambda: self._churn_on(nid))
+        self._schedule(int(delay * NS), self._churn_on, nid)
 
     def _churn_on(self, nid: NodeId) -> None:
         self.set_online(nid)
         delay = self.rng.expovariate(1.0 / self.cfg.churn.mean_session_s)
-        self._schedule(int(delay * NS), lambda: self._churn_off(nid))
+        self._schedule(int(delay * NS), self._churn_off, nid)
 
     # ------------------------------------------------------------------
     # gateways
@@ -1054,7 +1046,7 @@ class Network:
     def _start_churn(self) -> None:
         for nid in sorted(self.regular_ids()):
             delay = self.rng.expovariate(1.0 / self.cfg.churn.mean_session_s)
-            self._schedule(int(delay * NS), lambda nid=nid: self._churn_off(nid))
+            self._schedule(int(delay * NS), self._churn_off, nid)
 
     def _schedule_workload(self, duration_s: float) -> None:
         cfg = self.cfg
@@ -1079,19 +1071,13 @@ class Network:
                 else:
                     items = [self._sample_item() for _ in times]
                 for t, idx in zip(times, items):
-                    self._schedule(
-                        int(t * NS),
-                        lambda nid=nid, idx=idx: self._workload_request(nid, idx),
-                    )
+                    self._schedule(int(t * NS), self._workload_request, nid, idx)
         if cfg.gateway_http_rate > 0 and self.catalog and self.gateways:
             for dns_name in sorted(self.gateways):
                 t = self.rng.expovariate(cfg.gateway_http_rate)
                 while t < duration_s:
                     idx = self._sample_item()
-                    self._schedule(
-                        int(t * NS),
-                        lambda d=dns_name, i=idx: self._workload_gateway(d, i),
-                    )
+                    self._schedule(int(t * NS), self._workload_gateway, dns_name, idx)
                     t += self.rng.expovariate(cfg.gateway_http_rate)
 
     def _workload_request(self, nid: NodeId, item_idx: int) -> None:
@@ -1145,12 +1131,7 @@ def node_request(net: Network, node: NodeId, cid: Cid) -> RequestHandle:
 def sample_min_distance(net: Network, target: NodeId) -> float:
     """Minimum normalized XOR distance from ``target`` to any online DHT
     server; the raw observable behind the DHT-based size estimator."""
-    ids = [
-        n.id.value
-        for n in net.nodes.values()
-        if n.online and n.kind in _DHT_SERVER_KINDS
-    ]
+    ids = [n.id for n in net.nodes.values() if n.online and n.kind in _DHT_SERVER_KINDS]
     if not ids:
         raise ValueError("network has no online DHT servers")
-    t = target.value
-    return min(v ^ t for v in ids) / ID_SPACE
+    return min(v ^ target for v in ids) / ID_SPACE

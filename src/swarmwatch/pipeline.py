@@ -3,15 +3,16 @@
 Two sliding-window rules populate the flag bits: a cross-monitor window
 (default 5 s) marks the same want seen by different monitors, and a larger
 per-monitor window (default 31 s) marks periodic re-broadcasts of wants
-that never resolved. Duplicate marking runs first; a record may carry both
-bits, mirroring the inherent ambiguity between shifted re-broadcasts and
+that never resolved. Both rules read one table of the last time each
+monitor saw each want, in one pass; a record may carry both bits,
+mirroring the inherent ambiguity between shifted re-broadcasts and
 genuine inter-monitor duplicates.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -28,13 +29,6 @@ DEFAULT_REBROADCAST_WINDOW_S = 31.0
 
 _NS = 1_000_000_000
 
-# records match when source node, request type, and target cid all agree
-_Key = tuple[NodeId, RequestType, Cid]
-
-
-def _match_key(r: TraceRecord) -> _Key:
-    return (r.peer, r.request_type, r.cid)
-
 
 @dataclass(frozen=True)
 class UnifiedTrace:
@@ -43,8 +37,6 @@ class UnifiedTrace:
 
     records: tuple[TraceRecord, ...]
     provenance: tuple[str, ...]
-    window_dup_s: float = DEFAULT_DUP_WINDOW_S
-    window_rebroadcast_s: float = DEFAULT_REBROADCAST_WINDOW_S
 
     def __len__(self) -> int:
         return len(self.records)
@@ -52,15 +44,9 @@ class UnifiedTrace:
     def __iter__(self):
         return iter(self.records)
 
-    def with_records(self, records: Iterable[TraceRecord]) -> "UnifiedTrace":
-        return replace(self, records=tuple(records))
-
 
 def unify(
     traces: Mapping[str, Sequence[TraceRecord]] | Iterable[Sequence[TraceRecord]],
-    *,
-    window_dup_s: float = DEFAULT_DUP_WINDOW_S,
-    window_rebroadcast_s: float = DEFAULT_REBROADCAST_WINDOW_S,
 ) -> UnifiedTrace:
     """K-way merge of per-monitor traces by timestamp. Drops nothing.
 
@@ -84,57 +70,43 @@ def unify(
             (r.timestamp_ns, r.monitor, i, r) for i, r in enumerate(seq)
         )
     merged = tuple(entry[3] for entry in heapq.merge(*streams, key=lambda e: e[:3]))
-    return UnifiedTrace(
-        records=merged,
-        provenance=tuple(sorted(monitors)),
-        window_dup_s=window_dup_s,
-        window_rebroadcast_s=window_rebroadcast_s,
-    )
+    return UnifiedTrace(records=merged, provenance=tuple(sorted(monitors)))
 
 
-def mark_inter_monitor_duplicates(trace: UnifiedTrace) -> UnifiedTrace:
-    """Set the duplicate bit on every record preceded, within the window,
-    by a matching record from a *different* monitor. The earliest record of
-    a duplicate group stays unflagged. Idempotent."""
-    window_ns = int(trace.window_dup_s * _NS)
-    last_seen: dict[_Key, dict[str, int]] = {}
+def mark_flags(
+    trace: UnifiedTrace,
+    *,
+    window_dup_s: float = DEFAULT_DUP_WINDOW_S,
+    window_rebroadcast_s: float = DEFAULT_REBROADCAST_WINDOW_S,
+) -> UnifiedTrace:
+    """Set both flag bits in one pass over the records; other bits are kept.
+
+    Records match when source node, request type and cid all agree. The
+    duplicate bit goes on a record preceded, within ``window_dup_s``, by a
+    matching record from a *different* monitor, so the earliest record of
+    a duplicate group stays unflagged. The re-broadcast bit goes on a
+    record within ``window_rebroadcast_s`` of the previous matching record
+    from the *same* monitor; chains extend through flagged members, so a
+    periodic re-broadcast train is flagged entirely except for its first
+    record. Idempotent.
+    """
+    dup_ns = int(window_dup_s * _NS)
+    reb_ns = int(window_rebroadcast_s * _NS)
+    # (peer, request type, cid) -> monitor -> time it last saw that want
+    last_seen: dict[tuple[NodeId, RequestType, Cid], dict[str, int]] = {}
     out = []
     for r in trace.records:
-        key = _match_key(r)
-        seen = last_seen.setdefault(key, {})
-        dup = any(
-            mon != r.monitor and r.timestamp_ns - ts <= window_ns
-            for mon, ts in seen.items()
-        )
-        flags = (r.flags & ~FLAG_INTER_MONITOR_DUPLICATE) | (
-            FLAG_INTER_MONITOR_DUPLICATE if dup else 0
-        )
+        t, monitor = r.timestamp_ns, r.monitor
+        seen = last_seen.setdefault((r.peer, r.request_type, r.cid), {})
+        flags = r.flags & ~(FLAG_INTER_MONITOR_DUPLICATE | FLAG_REBROADCAST)
+        prev = seen.get(monitor)
+        if prev is not None and t - prev <= reb_ns:
+            flags |= FLAG_REBROADCAST
+        if any(m != monitor and t - ts <= dup_ns for m, ts in seen.items()):
+            flags |= FLAG_INTER_MONITOR_DUPLICATE
         out.append(r if flags == r.flags else r.with_flags(flags))
-        seen[r.monitor] = r.timestamp_ns
-    return trace.with_records(out)
-
-
-def mark_rebroadcasts(trace: UnifiedTrace) -> UnifiedTrace:
-    """Set the re-broadcast bit on every record within the window of the
-    previous matching record from the *same* monitor. Chains extend through
-    flagged members, so a periodic re-broadcast train is flagged entirely
-    except for its first record. Idempotent."""
-    window_ns = int(trace.window_rebroadcast_s * _NS)
-    last_seen: dict[tuple[str, _Key], int] = {}
-    out = []
-    for r in trace.records:
-        key = (r.monitor, _match_key(r))
-        prev = last_seen.get(key)
-        reb = prev is not None and r.timestamp_ns - prev <= window_ns
-        flags = (r.flags & ~FLAG_REBROADCAST) | (FLAG_REBROADCAST if reb else 0)
-        out.append(r if flags == r.flags else r.with_flags(flags))
-        last_seen[key] = r.timestamp_ns
-    return trace.with_records(out)
-
-
-def mark_flags(trace: UnifiedTrace) -> UnifiedTrace:
-    """Apply both marking passes, duplicates first."""
-    return mark_rebroadcasts(mark_inter_monitor_duplicates(trace))
+        seen[monitor] = t
+    return UnifiedTrace(tuple(out), trace.provenance)
 
 
 def filter_trace(
@@ -154,4 +126,4 @@ def filter_trace(
             or (drop_cancels and r.request_type is RequestType.CANCEL)
         )
     ]
-    return trace.with_records(out)
+    return UnifiedTrace(tuple(out), trace.provenance)

@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 
 from .core import RAW, Cid, NodeId, RequestType, TraceRecord, hash_content
 from .netsim import Network
-from .pipeline import UnifiedTrace
 
 NS = 1_000_000_000
 
@@ -25,7 +24,7 @@ NS = 1_000_000_000
 BAIT_CID_CONFIDENCE = 1.0 - 2.0**-128
 
 
-def idw(trace: UnifiedTrace | Iterable[TraceRecord], cid: Cid) -> dict[NodeId, int]:
+def idw(trace: Iterable[TraceRecord], cid: Cid) -> dict[NodeId, int]:
     """Identify data wanters: peers with a non-flagged want for ``cid``,
     each mapped to its first-seen timestamp."""
     first_seen: dict[NodeId, int] = {}
@@ -38,7 +37,7 @@ def idw(trace: UnifiedTrace | Iterable[TraceRecord], cid: Cid) -> dict[NodeId, i
 
 
 def tnw(
-    trace: UnifiedTrace | Iterable[TraceRecord], target: NodeId
+    trace: Iterable[TraceRecord], target: NodeId
 ) -> list[tuple[int, RequestType, Cid]]:
     """Track node wants: the target's non-flagged want records in time
     order. Cancels and re-broadcasts are dropped, so the list approximates
@@ -144,7 +143,7 @@ class CrossRefEntry:
 
 def cross_reference(
     results: Sequence[GatewayProbeResult],
-    observations: UnifiedTrace | Iterable[TraceRecord],
+    observations: Iterable[TraceRecord],
 ) -> list[CrossRefEntry]:
     """Join probe-discovered node ids against the addresses monitors saw
     them use. Flags identities seen at several addresses and addresses

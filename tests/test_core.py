@@ -1,4 +1,6 @@
+import copy
 import io
+import pickle
 import random
 
 import pytest
@@ -62,6 +64,24 @@ def test_codec_names():
     assert Codec(0xABCD).name == "codec-0xabcd"
     with pytest.raises(ValueError):
         Codec.from_name("nonsense")
+
+
+def test_ids_are_plain_values():
+    # a NodeId or Codec is an int, a Cid a (codec, digest) tuple: equal to,
+    # hashed and ordered like the plain value, and surviving pickle and copy
+    n, c = NodeId(7), hash_content(b"x", RAW)
+    assert n == 7 and hash(n) == hash(7) and sorted([NodeId(9), n]) == [7, 9]
+    assert RAW == 0x55 and c == (RAW, c.digest) and hash(c) == hash((0x55, c.digest))
+    assert sorted([hash_content(b"y", DAG_CBOR), c])[0] == c
+    for value in (n, RAW, c):
+        for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert clone == value and type(clone) is type(value)
+    with pytest.raises(ValueError):
+        NodeId(ID_SPACE)
+    with pytest.raises(ValueError):
+        NodeId(-1)
+    with pytest.raises(ValueError):
+        Cid(RAW, bytes(31))
 
 
 def test_node_id_pos_range():

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -19,6 +20,13 @@ from swarmwatch.estimators import (
 )
 
 NS = 1_000_000_000
+
+
+def exact_coupon_density(n: int, w: int, r: int, m: int) -> Fraction:
+    """Exact P[union of r draws of w from n has m peers], by inclusion-exclusion
+    over the peers of a fixed m-set in integers: no rounding, no cancellation."""
+    onto = sum((-1) ** (m - k) * math.comb(m, k) * math.comb(k, w) ** r for k in range(w, m + 1))
+    return Fraction(math.comb(n, m) * onto, math.comb(n, w) ** r)
 
 
 class TestTwoMonitor:
@@ -86,6 +94,25 @@ class TestCouponDensity:
         for n, w, r in [(6, 2, 3), (10, 3, 2), (30, 4, 4)]:
             s = sum(coupon_density(n, w, r, m) for m in range(w, min(n, r * w) + 1))
             assert s == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n, w, r", [(100, 20, 3), (200, 40, 3), (3000, 400, 4)])
+    def test_normalizes_inside_promised_domain(self, n, w, r):
+        s = sum(coupon_density(n, w, r, m) for m in range(w, min(n, r * w) + 1))
+        assert s == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n, w, r", [(100, 20, 3), (200, 40, 3), (40, 7, 5)])
+    def test_matches_exact_oracle(self, n, w, r):
+        for m in range(w, min(n, r * w) + 1):
+            exact = exact_coupon_density(n, w, r, m)
+            assert coupon_density(n, w, r, m) == pytest.approx(float(exact), rel=1e-9, abs=1e-300)
+
+    @given(n=st.integers(1, 60), w=st.integers(1, 15), r=st.integers(1, 5), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_exact_oracle_property(self, n, w, r, data):
+        w = min(w, n)
+        m = data.draw(st.integers(w, min(n, r * w)))
+        exact = exact_coupon_density(n, w, r, m)
+        assert coupon_density(n, w, r, m) == pytest.approx(float(exact), rel=1e-9, abs=1e-300)
 
     def test_large_population_no_overflow(self):
         p = coupon_density(100_000, 700, 2, 1300)

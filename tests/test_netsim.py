@@ -279,7 +279,7 @@ class TestMinDistance:
         net.add_node(NodeKind.DHT_SERVER, node_id=a)
         net.add_node(NodeKind.DHT_SERVER, node_id=b)
         t = NodeId(0b0010 << 200)
-        expect = min(a.value ^ t.value, b.value ^ t.value) / (1 << 256)
+        expect = min(a ^ t, b ^ t) / (1 << 256)
         assert sample_min_distance(net, t) == expect
 
     def test_no_servers_errors(self):

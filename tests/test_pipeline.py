@@ -11,13 +11,7 @@ from swarmwatch.core import (
     TraceRecord,
     hash_content,
 )
-from swarmwatch.pipeline import (
-    filter_trace,
-    mark_flags,
-    mark_inter_monitor_duplicates,
-    mark_rebroadcasts,
-    unify,
-)
+from swarmwatch.pipeline import filter_trace, mark_flags, unify
 
 from helpers import NS, brute_force_flags, synthetic_records
 
@@ -74,11 +68,11 @@ class TestUnify:
 
 class TestDuplicateMarking:
     def test_two_monitor_window(self):
-        t = mark_inter_monitor_duplicates(unify({"m0": [rec(0, "m0")], "m1": [rec(3, "m1")]}))
+        t = mark_flags(unify({"m0": [rec(0, "m0")], "m1": [rec(3, "m1")]}))
         assert [r.is_duplicate for r in t] == [False, True]
 
     def test_outside_window_not_flagged(self):
-        t = mark_inter_monitor_duplicates(unify({"m0": [rec(0, "m0")], "m1": [rec(6, "m1")]}))
+        t = mark_flags(unify({"m0": [rec(0, "m0")], "m1": [rec(6, "m1")]}))
         assert [r.is_duplicate for r in t] == [False, False]
 
     def test_same_monitor_never_bit0(self):
@@ -91,22 +85,22 @@ class TestDuplicateMarking:
         assert by_time[2].monitor == "m0" and by_time[2].is_rebroadcast
 
     def test_equal_timestamps_earliest_by_tiebreak_unflagged(self):
-        t = mark_inter_monitor_duplicates(unify({"m0": [rec(1, "m0")], "m1": [rec(1, "m1")]}))
+        t = mark_flags(unify({"m0": [rec(1, "m0")], "m1": [rec(1, "m1")]}))
         assert [(r.monitor, r.is_duplicate) for r in t] == [("m0", False), ("m1", True)]
 
 
 class TestRebroadcastMarking:
     def test_periodic_chain_flags_all_but_first(self):
         records = [rec(t, "m0") for t in (0, 30, 60, 90)]
-        t = mark_rebroadcasts(unify({"m0": records}))
+        t = mark_flags(unify({"m0": records}))
         assert [r.is_rebroadcast for r in t] == [False, True, True, True]
 
     def test_gap_beyond_window_breaks_chain(self):
-        t = mark_rebroadcasts(unify({"m0": [rec(0, "m0"), rec(40, "m0")]}))
+        t = mark_flags(unify({"m0": [rec(0, "m0"), rec(40, "m0")]}))
         assert [r.is_rebroadcast for r in t] == [False, False]
 
     def test_cross_monitor_never_extends_chain(self):
-        t = mark_rebroadcasts(unify({"m0": [rec(0, "m0")], "m1": [rec(20, "m1")]}))
+        t = mark_flags(unify({"m0": [rec(0, "m0")], "m1": [rec(20, "m1")]}))
         assert [r.is_rebroadcast for r in t] == [False, False]
 
     def test_two_monitor_stream_matches_brute_force(self):
@@ -128,9 +122,19 @@ class TestAgainstBruteForce:
         once = mark_flags(unify([records]))
         twice = mark_flags(once)
         assert list(once) == list(twice)
-        assert list(mark_inter_monitor_duplicates(mark_inter_monitor_duplicates(once))) == list(
-            mark_inter_monitor_duplicates(once)
-        )
+
+    @pytest.mark.parametrize("dup_s, reb_s", [(0.0, 0.0), (10.0, 31.0), (5.0, 120.0)])
+    def test_window_keywords(self, dup_s, reb_s):
+        records = synthetic_records(600, seed=3)
+        t = mark_flags(unify([records]), window_dup_s=dup_s, window_rebroadcast_s=reb_s)
+        assert [r.flags for r in t] == brute_force_flags(records, dup_s, reb_s)
+
+    def test_other_flag_bits_kept(self):
+        # only the duplicate and re-broadcast bits are cleared and set
+        records = synthetic_records(300, seed=6)
+        extra = [r.with_flags(0x4 | 0x3 * (i % 2)) for i, r in enumerate(records)]
+        t = mark_flags(unify([extra]))
+        assert [r.flags for r in t] == [0x4 | f for f in brute_force_flags(records)]
 
 
 @given(seed=st.integers(0, 10_000), order_seed=st.integers(0, 10_000))
