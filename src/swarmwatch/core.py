@@ -16,7 +16,8 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
+from itertools import islice
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Sequence, Union
 
@@ -238,104 +239,139 @@ def _finish(stream, owned: bool):
         stream.detach()
 
 
+# value -> member tables: a dict look-up instead of an Enum call per row
+REQUEST_TYPE_BY_VALUE = {m.value: m for m in RequestType}
+_CONN_KIND_BY_VALUE = {m.value: m for m in ConnEventKind}
+
+# Lines are joined and written in batches of this many.
+_WRITE_BATCH = 512
+
+
+def _csv_text(value: str) -> str:
+    """``value`` as ``csv.writer`` (excel dialect) writes it as one of
+    several fields: quoted, with inner quotes doubled, only when it holds
+    a comma, a quote or a line break."""
+    if "," in value or '"' in value or "\r" in value or "\n" in value:
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+class _Memo(dict):
+    """``memo[key]`` is ``fn(key)``, computed on the first look-up of each
+    key; an exception from ``fn`` propagates and stores nothing."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _write_lines(stream, header: Sequence[str], lines: Iterable[str]) -> None:
+    stream.write(",".join(header) + "\r\n")
+    lines = iter(lines)
+    while batch := "".join(islice(lines, _WRITE_BATCH)):
+        stream.write(batch)
+
+
+def _read_rows(stream, header: Sequence[str]):
+    """Check the header, then yield ``(line number, row)`` for every row
+    of exactly ``len(header)`` fields; any other row raises."""
+    reader = csv.reader(stream)
+    try:
+        first = next(reader)
+    except StopIteration:
+        raise TraceParseError("empty file, missing header", 1)
+    if first != header:
+        raise TraceParseError(f"unexpected header {first!r}", 1)
+    width = len(header)
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != width:
+            raise TraceParseError(f"expected {width} fields, got {len(row)}", lineno)
+        yield lineno, row
+
+
 def write_trace(records: Iterable[TraceRecord], sink: PathOrStream) -> None:
+    """Write ``records`` as an excel-dialect CSV: fields quoted only where
+    needed, CRLF line ends, byte-identical to ``csv.writer``'s output."""
+    text = _Memo(_csv_text)
+    peer_text = _Memo(attrgetter("hex"))
+    cid_text = _Memo(lambda cid: f"{_csv_text(cid.codec.name)},{cid.digest_hex}")
     stream, owned = _open_for(sink, "w")
     try:
-        writer = csv.writer(stream)
-        writer.writerow(TRACE_HEADER)
-        for r in records:
-            writer.writerow(
-                [
-                    r.timestamp_ns,
-                    r.monitor,
-                    r.peer.hex,
-                    r.address,
-                    r.request_type.value,
-                    r.cid.codec.name,
-                    r.cid.digest_hex,
-                    r.flags,
-                ]
-            )
+        _write_lines(stream, TRACE_HEADER, (
+            f"{r.timestamp_ns},{text[r.monitor]},{peer_text[r.peer]},{text[r.address]},"
+            f"{r.request_type._value_},{cid_text[r.cid]},{r.flags}\r\n"
+            for r in records
+        ))
     finally:
         _finish(stream, owned)
 
 
-def _parse_trace_row(row: Sequence[str], lineno: int) -> TraceRecord:
-    if len(row) != len(TRACE_HEADER):
-        raise TraceParseError(
-            f"expected {len(TRACE_HEADER)} fields, got {len(row)}", lineno
-        )
-    try:
-        rtype = RequestType(row[4])
-    except ValueError:
-        raise TraceParseError(f"unknown request_type token {row[4]!r}", lineno)
-    try:
-        return TraceRecord(
-            timestamp_ns=int(row[0]),
-            monitor=row[1],
-            peer=NodeId.from_hex(row[2]),
-            address=row[3],
-            request_type=rtype,
-            cid=Cid(Codec.from_name(row[5]), bytes.fromhex(row[6])),
-            flags=int(row[7]),
-        )
-    except (ValueError, TypeError) as exc:
-        raise TraceParseError(str(exc), lineno)
-
-
 def read_trace(source: PathOrStream) -> list[TraceRecord]:
+    """Read a trace written by ``write_trace``. Each distinct peer, cid,
+    monitor and address is parsed once per file: records that repeat one
+    share the same object."""
+    strings: dict[str, str] = {}
+    peers = _Memo(NodeId.from_hex)
+    cids = _Memo(lambda pair: Cid(Codec.from_name(pair[0]), bytes.fromhex(pair[1])))
+    out = []
     stream, owned = _open_for(source, "r")
     try:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceParseError("empty file, missing header", 1)
-        if header != TRACE_HEADER:
-            raise TraceParseError(f"unexpected header {header!r}", 1)
-        return [_parse_trace_row(row, i) for i, row in enumerate(reader, start=2)]
+        for lineno, (ts, monitor, peer_hex, address, rtype, codec, digest, flags) in \
+                _read_rows(stream, TRACE_HEADER):
+            request_type = REQUEST_TYPE_BY_VALUE.get(rtype)
+            if request_type is None:
+                raise TraceParseError(f"unknown request_type token {rtype!r}", lineno)
+            # fields parse in column order, so a malformed row reports its
+            # first bad field whether or not its ids were seen before
+            try:
+                ts, peer, cid, flags = int(ts), peers[peer_hex], cids[codec, digest], int(flags)
+            except (ValueError, TypeError) as exc:
+                raise TraceParseError(str(exc), lineno)
+            out.append(TraceRecord(
+                ts, strings.setdefault(monitor, monitor), peer,
+                strings.setdefault(address, address), request_type, cid, flags,
+            ))
+        return out
     finally:
         _finish(stream, owned)
 
 
 def write_conn_events(events: Iterable[ConnEvent], sink: PathOrStream) -> None:
+    """Write ``events`` in the same excel dialect as ``write_trace``."""
+    text = _Memo(_csv_text)
+    peer_text = _Memo(attrgetter("hex"))
     stream, owned = _open_for(sink, "w")
     try:
-        writer = csv.writer(stream)
-        writer.writerow(CONN_HEADER)
-        for e in events:
-            writer.writerow([e.timestamp_ns, e.monitor, e.peer.hex, e.kind.value])
+        _write_lines(stream, CONN_HEADER, (
+            f"{e.timestamp_ns},{text[e.monitor]},{peer_text[e.peer]},{e.kind._value_}\r\n"
+            for e in events
+        ))
     finally:
         _finish(stream, owned)
 
 
 def read_conn_events(source: PathOrStream) -> list[ConnEvent]:
+    """Read events written by ``write_conn_events``; like ``read_trace``,
+    events that repeat a peer or monitor share the same object."""
+    strings: dict[str, str] = {}
+    peers = _Memo(NodeId.from_hex)
+    out = []
     stream, owned = _open_for(source, "r")
     try:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceParseError("empty file, missing header", 1)
-        if header != CONN_HEADER:
-            raise TraceParseError(f"unexpected header {header!r}", 1)
-        out = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(CONN_HEADER):
-                raise TraceParseError(
-                    f"expected {len(CONN_HEADER)} fields, got {len(row)}", lineno
-                )
+        for lineno, (ts, monitor, peer_hex, kind) in _read_rows(stream, CONN_HEADER):
             try:
-                out.append(
-                    ConnEvent(
-                        timestamp_ns=int(row[0]),
-                        monitor=row[1],
-                        peer=NodeId.from_hex(row[2]),
-                        kind=ConnEventKind(row[3]),
-                    )
-                )
+                ts, peer = int(ts), peers[peer_hex]
+                event_kind = _CONN_KIND_BY_VALUE.get(kind)
+                if event_kind is None:
+                    event_kind = ConnEventKind(kind)  # raises, naming the token
             except ValueError as exc:
                 raise TraceParseError(str(exc), lineno)
+            out.append(ConnEvent(ts, strings.setdefault(monitor, monitor), peer, event_kind))
         return out
     finally:
         _finish(stream, owned)

@@ -26,6 +26,7 @@ from typing import Callable, Mapping, Union, get_args, get_origin, get_type_hint
 
 from .core import (
     ID_SPACE,
+    REQUEST_TYPE_BY_VALUE,
     Cid,
     Codec,
     ConnEvent,
@@ -552,8 +553,9 @@ class Network:
         self._dispatch(d, src, kind, cid)
 
     def _dispatch(self, node: SimNode, src: NodeId, kind: str, cid: Cid) -> None:
-        if kind in ("want_have", "want_block", "cancel"):
-            self._on_want(node, src, RequestType(kind), cid)
+        rtype = REQUEST_TYPE_BY_VALUE.get(kind)
+        if rtype is not None:
+            self._on_want(node, src, rtype, cid)
         elif kind == "have":
             self._on_have(node.id, src, cid)
         elif kind == "dont_have":

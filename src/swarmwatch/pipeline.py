@@ -92,18 +92,24 @@ def mark_flags(
     """
     dup_ns = int(window_dup_s * _NS)
     reb_ns = int(window_rebroadcast_s * _NS)
-    # (peer, request type, cid) -> monitor -> time it last saw that want
-    last_seen: dict[tuple[NodeId, RequestType, Cid], dict[str, int]] = {}
+    # (peer, request type value, cid) -> monitor -> time it last saw that
+    # want; keyed by the type's value, as an Enum member hashes in Python
+    last_seen: dict[tuple[NodeId, str, Cid], dict[str, int]] = {}
     out = []
     for r in trace.records:
         t, monitor = r.timestamp_ns, r.monitor
-        seen = last_seen.setdefault((r.peer, r.request_type, r.cid), {})
+        key = (r.peer, r.request_type._value_, r.cid)
+        seen = last_seen.get(key)
+        if seen is None:
+            seen = last_seen[key] = {}
         flags = r.flags & ~(FLAG_INTER_MONITOR_DUPLICATE | FLAG_REBROADCAST)
         prev = seen.get(monitor)
         if prev is not None and t - prev <= reb_ns:
             flags |= FLAG_REBROADCAST
-        if any(m != monitor and t - ts <= dup_ns for m, ts in seen.items()):
-            flags |= FLAG_INTER_MONITOR_DUPLICATE
+        for m, ts in seen.items():
+            if m != monitor and t - ts <= dup_ns:
+                flags |= FLAG_INTER_MONITOR_DUPLICATE
+                break
         out.append(r if flags == r.flags else r.with_flags(flags))
         seen[monitor] = t
     return UnifiedTrace(tuple(out), trace.provenance)

@@ -1,4 +1,6 @@
 import copy
+import csv
+import dataclasses
 import io
 import pickle
 import random
@@ -9,10 +11,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from swarmwatch.core import (
+    CONN_HEADER,
     DAG_CBOR,
     DAG_PROTOBUF,
     ID_SPACE,
     RAW,
+    TRACE_HEADER,
     Cid,
     Codec,
     ConnEvent,
@@ -122,6 +126,31 @@ def _random_record(rng: random.Random) -> TraceRecord:
     )
 
 
+# Monitor names and addresses that exercise every quoting rule of the excel
+# dialect: delimiter, quote, both line-break characters, non-ASCII text and
+# the empty string.
+_csv_texts = st.one_of(
+    st.just(""),
+    st.text(st.one_of(st.sampled_from(',"\r\n é漢😀'), st.characters()), max_size=8),
+)
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def _csv_writer_trace(records) -> bytes:
+    return _csv_writer_bytes(TRACE_HEADER, (
+        [r.timestamp_ns, r.monitor, r.peer.hex, r.address, r.request_type.value,
+         r.cid.codec.name, r.cid.digest_hex, r.flags]
+        for r in records
+    ))
+
+
 def test_trace_round_trip_empty():
     buf = io.BytesIO()
     write_trace([], buf)
@@ -156,6 +185,7 @@ def test_trace_round_trip_large_byte_identical():
     )
     buf1 = io.BytesIO()
     write_trace(records, buf1)
+    assert buf1.getvalue() == _csv_writer_trace(records)  # spans many write batches
     buf1.seek(0)
     recovered = read_trace(buf1)
     assert recovered == records
@@ -228,3 +258,149 @@ def test_conn_events_round_trip():
     write_conn_events(events, buf)
     buf.seek(0)
     assert read_conn_events(buf) == events
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_write_trace_matches_csv_writer(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    monitors = data.draw(st.lists(_csv_texts, min_size=1, max_size=3))
+    addresses = data.draw(st.lists(_csv_texts, min_size=1, max_size=4))
+    records = [
+        dataclasses.replace(
+            _random_record(rng), monitor=rng.choice(monitors), address=rng.choice(addresses)
+        )
+        for _ in range(data.draw(st.integers(0, 12)))
+    ]
+    buf = io.BytesIO()
+    write_trace(records, buf)
+    assert buf.getvalue() == _csv_writer_trace(records)
+    buf.seek(0)
+    assert read_trace(buf) == records
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_write_conn_events_matches_csv_writer(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    monitors = data.draw(st.lists(_csv_texts, min_size=1, max_size=3))
+    events = [
+        ConnEvent(rng.randrange(10**15), rng.choice(monitors), NodeId.generate(rng),
+                  rng.choice(list(ConnEventKind)))
+        for _ in range(data.draw(st.integers(0, 12)))
+    ]
+    buf = io.BytesIO()
+    write_conn_events(events, buf)
+    assert buf.getvalue() == _csv_writer_bytes(
+        CONN_HEADER, ([e.timestamp_ns, e.monitor, e.peer.hex, e.kind.value] for e in events)
+    )
+    buf.seek(0)
+    assert read_conn_events(buf) == events
+
+
+def test_read_trace_shares_repeated_ids():
+    rng = random.Random(12)
+    a, b = _random_record(rng), _random_record(rng)
+    records = [a, b, a, b, a]
+    buf = io.BytesIO()
+    write_trace(records, buf)
+    buf.seek(0)
+    got = read_trace(buf)
+    assert got == records
+    for x, y in ((got[0], got[2]), (got[0], got[4]), (got[1], got[3])):
+        assert x.peer is y.peer and x.cid is y.cid
+        assert x.monitor is y.monitor and x.address is y.address
+    assert got[0].peer is not got[1].peer and got[0].cid is not got[1].cid
+
+
+def test_read_conn_events_shares_repeated_ids():
+    peers = [NodeId(5), NodeId(2**255)]
+    events = [ConnEvent(i, "m0", NodeId(int(peers[i % 2])), ConnEventKind.CONNECT)
+              for i in range(4)]
+    buf = io.BytesIO()
+    write_conn_events(events, buf)
+    buf.seek(0)
+    got = read_conn_events(buf)
+    assert got == events
+    assert got[0].peer is got[2].peer and got[1].peer is got[3].peer
+    assert got[0].monitor is got[3].monitor
+
+
+def _reference_trace_error(text: str) -> tuple[str, int]:
+    """The message and line a row-at-a-time parser with no caches raises:
+    type first, then timestamp, peer, codec, digest and flags in order."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(TRACE_HEADER):
+            return f"expected {len(TRACE_HEADER)} fields, got {len(row)}", lineno
+        try:
+            RequestType(row[4])
+        except ValueError:
+            return f"unknown request_type token {row[4]!r}", lineno
+        try:
+            int(row[0]), NodeId.from_hex(row[2])
+            Cid(Codec.from_name(row[5]), bytes.fromhex(row[6]))
+            int(row[7])
+        except ValueError as exc:
+            return str(exc), lineno
+    raise AssertionError("reference parser found no error")
+
+
+_BAD_TRACE_FIELDS = {
+    "timestamp": (0, "12x"),
+    "peer": (2, "xyz"),
+    "peer range": (2, "1" + "0" * 64),
+    "type": (4, "want_maybe"),
+    "codec": (5, "bogus"),
+    "digest hex": (6, "zz"),
+    "digest length": (6, "ab" * 31),
+    "flags": (7, "one"),
+}
+
+
+@pytest.mark.parametrize("bad", [
+    ("timestamp",), ("peer",), ("peer range",), ("type",), ("codec",),
+    ("digest hex",), ("digest length",), ("flags",),
+    # several bad fields: the first in parse order is the one reported
+    ("timestamp", "peer"), ("type", "timestamp"), ("peer", "codec"),
+    ("codec", "digest hex"), ("digest length", "flags"), ("timestamp", "flags"),
+], ids="+".join)
+@pytest.mark.parametrize("repeat", [False, True], ids=["fresh", "after-same-ids"])
+def test_read_trace_errors_unchanged_by_caches(bad, repeat):
+    # row 3 is malformed; with ``repeat`` the valid row 2 before it has the
+    # same peer and cid, so its untouched ids are already cached
+    rng = random.Random(13)
+    rec = _random_record(rng)
+    buf = io.BytesIO()
+    write_trace([rec, rec if repeat else _random_record(rng)], buf)
+    lines = buf.getvalue().decode().split("\r\n")
+    fields = lines[1 if repeat else 2].split(",")
+    for name in bad:
+        index, value = _BAD_TRACE_FIELDS[name]
+        fields[index] = value
+    lines[2] = ",".join(fields)
+    text = "\r\n".join(lines)
+    message, line = _reference_trace_error(text)
+    with pytest.raises(TraceParseError) as exc:
+        read_trace(io.BytesIO(text.encode()))
+    assert exc.value.line == line == 3
+    assert str(exc.value) == f"line 3: {message}"
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (0, "t0", "invalid literal for int() with base 10: 't0'"),
+    (2, "xyz", "invalid literal for int() with base 16: 'xyz'"),
+    (3, "reconnect", "'reconnect' is not a valid ConnEventKind"),
+])
+def test_read_conn_events_errors_unchanged_by_caches(column, value, message):
+    peer = NodeId(77)
+    buf = io.BytesIO()
+    write_conn_events([ConnEvent(1, "m0", peer, ConnEventKind.CONNECT)] * 2, buf)
+    lines = buf.getvalue().decode().split("\r\n")
+    fields = lines[2].split(",")
+    fields[column] = value
+    lines[2] = ",".join(fields)
+    with pytest.raises(TraceParseError) as exc:
+        read_conn_events(io.BytesIO("\r\n".join(lines).encode()))
+    assert exc.value.line == 3
+    assert str(exc.value) == f"line 3: {message}"
