@@ -1,5 +1,6 @@
-"""Golden digests of the simulate verb on the README reference config, and
-of the analysis verbs run on the traces it writes.
+"""Golden digests of the simulate verb on the README reference config, of
+the analysis verbs run on the traces it writes, and of a small churn world
+with gateways and the message log on.
 
 The determinism tests compare two runs of the same build, so they cannot
 see a change in output. These digests pin the bytes themselves: a change
@@ -12,6 +13,8 @@ import json
 import pytest
 
 from swarmwatch.cli import main
+from swarmwatch.core import ConnEventKind, write_conn_events, write_trace
+from swarmwatch.netsim import build_network, config_from_dict, run
 
 # the reference config from README.md, run for 120 s instead of 600 s
 REFERENCE_CONFIG = {
@@ -82,6 +85,70 @@ ANALYSIS_GOLDEN = {
     ),
 }
 
+# A small world with churn, gateway traffic through the overlay and the
+# message log on. The reference world has no churn, so it never disconnects
+# a pair, reconnects one (reusing the pair's latency) or sends to a peer
+# that has left. Under this seed, nine messages go to peers that have left,
+# and five of those arrive after the pair has reconnected.
+CHURN_CONFIG = {
+    "n_dht_servers": 24,
+    "n_clients": 12,
+    "n_gateways": 3,
+    "gateway_group_sizes": [2, 1],
+    "n_monitors": 2,
+    "degree_range": [4, 8],
+    "catalog_size": 150,
+    "catalog_replication": 3,
+    "popularity_sampler": {"kind": "zipf", "exponent": 1.1},
+    "request_rate_per_node": 0.3,
+    "unresolvable_fraction": 0.3,
+    "gateway_cache_hit_ratio": 0.0,
+    "gateway_http_rate": 0.5,
+    "churn": {"mean_session_s": 8.0, "mean_offline_s": 4.0},
+    "latency_range_s": [0.05, 0.9],
+    "duration_s": 60.0,
+    "seed": 7,
+    "record_messages": True,
+}
+
+CHURN_GOLDEN_SHA256 = {
+    "messages": "b466c48d53111ceaddd2750efb0e694fae3877940eab58d70a5f155a966c0fec",
+    "summary": "25825c7fd0831bba0946332799be0e4046bf3b05108c5068935bbae32bd43e17",
+    "conn_m0.csv": "ca8871488cf134a253229a401273be60e61b7e0ae64cf9ab27928d127e077997",
+    "conn_m1.csv": "69c72a94cccf159997f83f276c58d04ecdbc3793a1c4c86001142e4834878ce5",
+    "trace_m0.csv": "c3f21e8ca652712536a946532bd4be0bb115a215547253f70011f80b8a079edc",
+    "trace_m1.csv": "334fdcb576a7626b9cee79b941f5056ee3f7a5eeec7ab858c869a6a3b51bd718",
+}
+
+CHURN_CID = "dag-pb:769094a6b01e939aad1b2df1afe2cbc5ae5c68a3da198ce45888ea82552bce54"
+CHURN_HIT_NODE = "010c4759482c9cbc43435cc52eae05cf96d0cc5fd4c28c2e7c26847f0316909e"
+CHURN_MISS_NODE = "0a097c976bf46c697d2caf82eeeacbe226e875555790f82ec1d3fcff2a3af4d4"
+
+# verb arguments (after --config) -> digests of its outputs on the churn
+# world; the tpi targets are an online node with the cid in its cache and
+# an online node without it, at the end of the warm-up
+CHURN_VERB_GOLDEN = {
+    "probe-gateways": (
+        ["probe-gateways"],
+        {
+            "gateways.csv": "9dc255418cccb7659c8e2f865035065bd538d92244774c35701fdce7bd2c1a1f",
+            "crossref.csv": "cc0179a8e9f81c160e13bfda113d9249584fd80bd5f4658277bb5476ecf3d9a2",
+        },
+    ),
+    "tpi-hit": (
+        ["tpi", "--target", CHURN_HIT_NODE, "--cid", CHURN_CID],
+        {"tpi.json": "a2fe9f499f93b4c04adbf3d33af8e447cd0630fd1112c0faffc8e402d450604a"},
+    ),
+    "tpi-miss": (
+        ["tpi", "--target", CHURN_MISS_NODE, "--cid", CHURN_CID],
+        {"tpi.json": "71396330b8ec691871472e73a6fc45bc708ae6702460626b809f75dc23a0460b"},
+    ),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 def _digests(out, names):
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
@@ -117,3 +184,43 @@ def test_analysis_outputs_are_pinned(world, verb, tmp_path):
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert _digests(tmp_path, golden) == golden
     assert _produced(tmp_path) == set(golden)
+
+
+@pytest.fixture(scope="module")
+def churn_world():
+    net = build_network(config_from_dict(CHURN_CONFIG))
+    run(net)
+    return net
+
+
+def test_churn_world_outputs_are_pinned(churn_world, tmp_path):
+    net = churn_world
+    for name in sorted(net.traces):
+        write_trace(net.traces[name], tmp_path / f"trace_{name}.csv")
+        write_conn_events(net.conn_events[name], tmp_path / f"conn_{name}.csv")
+    got = _digests(tmp_path, [n for n in CHURN_GOLDEN_SHA256 if n.endswith(".csv")])
+    got["messages"] = _sha256("".join(
+        f"{m.timestamp_ns},{m.src.hex},{m.dst.hex},{m.kind},{m.cid}\n" for m in net.message_log
+    ))
+    got["summary"] = _sha256(json.dumps(net.ground_truth.summary(), sort_keys=True))
+    assert got == CHURN_GOLDEN_SHA256
+    assert _produced(tmp_path) == set(got) - {"messages", "summary"}
+
+
+def test_churn_world_reconnects(churn_world):
+    # what the digests above are meant to cover: a monitor sees a peer connect,
+    # leave and connect again
+    for events in churn_world.conn_events.values():
+        connects = [e.peer for e in events if e.kind is ConnEventKind.CONNECT]
+        assert len(connects) > len(set(connects))
+
+
+@pytest.mark.parametrize("verb", sorted(CHURN_VERB_GOLDEN))
+def test_churn_world_verbs_are_pinned(verb, tmp_path):
+    args, golden = CHURN_VERB_GOLDEN[verb]
+    config = tmp_path / "churn.json"
+    config.write_text(json.dumps(CHURN_CONFIG))
+    out = tmp_path / "out"
+    assert main([args[0], "--config", str(config), *args[1:], "--out", str(out)]) == 0
+    assert _digests(out, golden) == golden
+    assert _produced(out) == set(golden)
