@@ -240,7 +240,7 @@ def _finish(stream, owned: bool):
 
 
 # value -> member tables: a dict look-up instead of an Enum call per row
-REQUEST_TYPE_BY_VALUE = {m.value: m for m in RequestType}
+_REQUEST_TYPE_BY_VALUE = {m.value: m for m in RequestType}
 _CONN_KIND_BY_VALUE = {m.value: m for m in ConnEventKind}
 
 # Lines are joined and written in batches of this many.
@@ -279,7 +279,9 @@ def _write_lines(stream, header: Sequence[str], lines: Iterable[str]) -> None:
 
 def _read_rows(stream, header: Sequence[str]):
     """Check the header, then yield ``(line number, row)`` for every row
-    of exactly ``len(header)`` fields; any other row raises."""
+    of exactly ``len(header)`` fields; any other row raises. The number is
+    that of the row's last physical line, so a quoted field holding a line
+    break moves the numbers of the rows after it."""
     reader = csv.reader(stream)
     try:
         first = next(reader)
@@ -288,10 +290,10 @@ def _read_rows(stream, header: Sequence[str]):
     if first != header:
         raise TraceParseError(f"unexpected header {first!r}", 1)
     width = len(header)
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if len(row) != width:
-            raise TraceParseError(f"expected {width} fields, got {len(row)}", lineno)
-        yield lineno, row
+            raise TraceParseError(f"expected {width} fields, got {len(row)}", reader.line_num)
+        yield reader.line_num, row
 
 
 def write_trace(records: Iterable[TraceRecord], sink: PathOrStream) -> None:
@@ -323,7 +325,7 @@ def read_trace(source: PathOrStream) -> list[TraceRecord]:
     try:
         for lineno, (ts, monitor, peer_hex, address, rtype, codec, digest, flags) in \
                 _read_rows(stream, TRACE_HEADER):
-            request_type = REQUEST_TYPE_BY_VALUE.get(rtype)
+            request_type = _REQUEST_TYPE_BY_VALUE.get(rtype)
             if request_type is None:
                 raise TraceParseError(f"unknown request_type token {rtype!r}", lineno)
             # fields parse in column order, so a malformed row reports its

@@ -16,17 +16,20 @@ traces and ground truth.
 from __future__ import annotations
 
 import bisect
-import heapq
 from collections import OrderedDict
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
+from functools import partial
+from heapq import heappop, heappush
+from itertools import count, repeat, starmap
 from random import Random
 from types import UnionType
 from typing import Callable, Mapping, Union, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from .core import (
     ID_SPACE,
-    REQUEST_TYPE_BY_VALUE,
     Cid,
     Codec,
     ConnEvent,
@@ -256,7 +259,7 @@ def config_from_dict(d: Mapping) -> SimConfig:
     return cfg
 
 
-@dataclass
+@dataclass(slots=True)
 class SimNode:
     id: NodeId
     kind: NodeKind
@@ -264,15 +267,27 @@ class SimNode:
     country: str = "ZZ"
     online: bool = True
     peers: set[NodeId] = field(default_factory=set)
+    # link latency to every peer this node was ever connected to; kept after
+    # a disconnect, so a reconnect reuses it and a message sent meanwhile
+    # still travels (and is dropped on arrival unless the pair reconnected)
+    latency_ns: dict[NodeId, int] = field(default_factory=dict)
     store: set[Cid] = field(default_factory=set)  # pinned, provider-served blocks
     cache: "OrderedDict[Cid, None]" = field(default_factory=OrderedDict)
     wants_from: dict[NodeId, dict[Cid, RequestType]] = field(default_factory=dict)
     monitor_name: str | None = None
     dns_name: str | None = None
     resume_peers: list[NodeId] = field(default_factory=list)
+    _sorted_peers: list[NodeId] | None = field(default=None, init=False, repr=False, compare=False)
 
     def has_block(self, cid: Cid) -> bool:
         return cid in self.store or cid in self.cache
+
+    def sorted_peers(self) -> list[NodeId]:
+        """``peers`` in id order; cached until the next connect or
+        disconnect, so callers must not mutate it."""
+        if self._sorted_peers is None:
+            self._sorted_peers = sorted(self.peers)
+        return self._sorted_peers
 
 
 @dataclass(frozen=True)
@@ -298,7 +313,7 @@ class RequestStatus(Enum):
     FETCHED = "fetched"
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestHandle:
     """Live view of one retrieval; mutated by the simulator as it runs."""
 
@@ -408,10 +423,6 @@ class GatewayResult:
         return self.handle is not None and self.handle.done
 
 
-def _pair(a: NodeId, b: NodeId) -> tuple[NodeId, NodeId]:
-    return (a, b) if a <= b else (b, a)
-
-
 class Network:
     """Simulation world: nodes, edges, provider records, and the event queue."""
 
@@ -420,11 +431,19 @@ class Network:
         self.cfg = cfg
         self.rng = Random(cfg.seed)
         self.now_ns = 0
-        self._seq = 0
+        self._seq = count()
         # events: (time, insertion sequence, method, its arguments)
         self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
+        # message kind -> handler(receiving node, sending node, cid)
+        self._handlers: dict[str, Callable[[SimNode, SimNode, Cid], None]] = {
+            "want_have": partial(self._on_want, RequestType.WANT_HAVE),
+            "want_block": partial(self._on_want, RequestType.WANT_BLOCK),
+            "cancel": partial(self._on_want, RequestType.CANCEL),
+            "have": self._on_have,
+            "dont_have": self._on_dont_have,
+            "block": self._on_block,
+        }
         self.nodes: dict[NodeId, SimNode] = {}
-        self._latency_ns: dict[tuple[NodeId, NodeId], int] = {}
         self.dht: dict[Cid, set[NodeId]] = {}
         self.catalog: list[CatalogItem] = []
         self.monitors: list[NodeId] = []
@@ -481,12 +500,12 @@ class Network:
             return
         na.peers.add(b)
         nb.peers.add(a)
-        key = _pair(a, b)
+        na._sorted_peers = nb._sorted_peers = None
         if latency_s is not None:
-            self._latency_ns[key] = int(latency_s * NS)
-        elif key not in self._latency_ns:
+            na.latency_ns[b] = nb.latency_ns[a] = int(latency_s * NS)
+        elif b not in na.latency_ns:
             lo, hi = self.cfg.latency_range_s
-            self._latency_ns[key] = int(self.rng.uniform(lo, hi) * NS)
+            na.latency_ns[b] = nb.latency_ns[a] = int(self.rng.uniform(lo, hi) * NS)
         self._log_conn(na, b, ConnEventKind.CONNECT)
         self._log_conn(nb, a, ConnEventKind.CONNECT)
 
@@ -496,6 +515,7 @@ class Network:
             return
         na.peers.discard(b)
         nb.peers.discard(a)
+        na._sorted_peers = nb._sorted_peers = None
         na.wants_from.pop(b, None)
         nb.wants_from.pop(a, None)
         self._log_conn(na, b, ConnEventKind.DISCONNECT)
@@ -511,14 +531,13 @@ class Network:
     # event queue
 
     def _schedule(self, delay_ns: int, fn: Callable[..., None], *args) -> None:
-        heapq.heappush(self._heap, (self.now_ns + int(delay_ns), self._seq, fn, args))
-        self._seq += 1
+        heappush(self._heap, (self.now_ns + int(delay_ns), next(self._seq), fn, args))
 
     def run_for(self, duration_s: float) -> None:
         end = self.now_ns + int(duration_s * NS)
         heap = self._heap
         while heap and heap[0][0] <= end:
-            t, _, fn, args = heapq.heappop(heap)
+            t, _, fn, args = heappop(heap)
             self.now_ns = t
             fn(*args)
         self.now_ns = end
@@ -528,7 +547,7 @@ class Network:
         while heap and heap[0][0] <= horizon_ns:
             if pred():
                 return True
-            t, _, fn, args = heapq.heappop(heap)
+            t, _, fn, args = heappop(heap)
             self.now_ns = t
             fn(*args)
         if pred():
@@ -539,78 +558,70 @@ class Network:
     # ------------------------------------------------------------------
     # messaging
 
-    def _send(self, src: NodeId, dst: NodeId, kind: str, cid: Cid) -> None:
-        lat = self._latency_ns.get(_pair(src, dst))
+    def _send(self, src: SimNode, dst: SimNode, kind: str, cid: Cid) -> None:
+        # None only for a pair that was never connected (see SimNode.latency_ns)
+        lat = src.latency_ns.get(dst.id)
         if lat is not None:
-            self._schedule(lat, self._deliver, src, dst, kind, cid)
+            heappush(
+                self._heap,
+                (self.now_ns + lat, next(self._seq), self._deliver, (src, dst, kind, cid)),
+            )
 
-    def _deliver(self, src: NodeId, dst: NodeId, kind: str, cid: Cid) -> None:
-        s, d = self.nodes[src], self.nodes[dst]
-        if not (s.online and d.online and dst in s.peers):
+    def _deliver(self, src: SimNode, dst: SimNode, kind: str, cid: Cid) -> None:
+        if not (src.online and dst.online and dst.id in src.peers):
             return
         if self.message_log is not None:
-            self.message_log.append(Message(self.now_ns, src, dst, kind, cid))
-        self._dispatch(d, src, kind, cid)
+            self.message_log.append(Message(self.now_ns, src.id, dst.id, kind, cid))
+        self._handlers[kind](dst, src, cid)
 
-    def _dispatch(self, node: SimNode, src: NodeId, kind: str, cid: Cid) -> None:
-        rtype = REQUEST_TYPE_BY_VALUE.get(kind)
-        if rtype is not None:
-            self._on_want(node, src, rtype, cid)
-        elif kind == "have":
-            self._on_have(node.id, src, cid)
-        elif kind == "dont_have":
-            self._on_dont_have(node.id, src, cid)
-        elif kind == "block":
-            self._on_block(node.id, src, cid)
-
-    def _on_want(self, node: SimNode, src: NodeId, rtype: RequestType, cid: Cid) -> None:
+    def _on_want(self, rtype: RequestType, node: SimNode, src: SimNode, cid: Cid) -> None:
         if node.kind is NodeKind.MONITOR:
             self.traces[node.monitor_name].append(
                 TraceRecord(
                     timestamp_ns=self.now_ns,
                     monitor=node.monitor_name,
-                    peer=src,
-                    address=self.nodes[src].address,
+                    peer=src.id,
+                    address=src.address,
                     request_type=rtype,
                     cid=cid,
                 )
             )
         if rtype is RequestType.CANCEL:
-            node.wants_from.get(src, {}).pop(cid, None)
+            node.wants_from.get(src.id, {}).pop(cid, None)
             return
-        node.wants_from.setdefault(src, {})[cid] = rtype
+        node.wants_from.setdefault(src.id, {})[cid] = rtype
         if rtype is RequestType.WANT_HAVE:
             answer = "have" if node.has_block(cid) else "dont_have"
-            self._send(node.id, src, answer, cid)
+            self._send(node, src, answer, cid)
         elif rtype is RequestType.WANT_BLOCK:
             if node.has_block(cid):
-                self._send(node.id, src, "block", cid)
+                self._send(node, src, "block", cid)
             # no negative response; the requester's timeout handles absence
 
-    def _on_have(self, at: NodeId, src: NodeId, cid: Cid) -> None:
-        key = (at, src, cid)
+    def _on_have(self, node: SimNode, src: SimNode, cid: Cid) -> None:
+        key = (node.id, src.id, cid)
         if key in self._probe_waits:
             self._probe_waits[key] = True
             return
-        h = self._requests.get((at, cid))
+        h = self._requests.get((node.id, cid))
         if h is None or h.done:
             return
-        h._pending_answers.discard(src)
-        if src not in h.session:
-            h.session.append(src)
+        h._pending_answers.discard(src.id)
+        if src.id not in h.session:
+            h.session.append(src.id)
         if h._target is None:
-            self._send_want_block(h, src)
+            self._send_want_block(h, src.id)
 
-    def _on_dont_have(self, at: NodeId, src: NodeId, cid: Cid) -> None:
-        key = (at, src, cid)
+    def _on_dont_have(self, node: SimNode, src: SimNode, cid: Cid) -> None:
+        key = (node.id, src.id, cid)
         if key in self._probe_waits:
             self._probe_waits[key] = False
             return
-        h = self._requests.get((at, cid))
+        h = self._requests.get((node.id, cid))
         if h is None or h.done:
             return
-        if src in h._pending_answers:
-            h._pending_answers.discard(src)
+        if src.id in h._pending_answers:
+            h._pending_answers.discard(src.id)
             if (
                 not h._pending_answers
                 and not h.session
@@ -619,18 +630,23 @@ class Network:
             ):
                 self._dht_step(h)
 
-    def _on_block(self, at: NodeId, src: NodeId, cid: Cid) -> None:
-        h = self._requests.get((at, cid))
+    def _on_block(self, node: SimNode, src: SimNode, cid: Cid) -> None:
+        h = self._requests.get((node.id, cid))
         if h is None or h.done:
             return
         h.status = RequestStatus.FETCHED
-        h.provider = src
+        h.provider = src.id
         h.t_done_ns = self.now_ns
-        node = self.nodes[at]
         self._cache_insert(node, cid)
         # withdraw the want everywhere it was announced and still stands
-        for p in sorted(h._notified & node.peers):
-            self._send(at, p, "cancel", cid)
+        notified, nodes = h._notified, self.nodes
+        for p in node.sorted_peers():
+            if p in notified:
+                self._send(node, nodes[p], "cancel", cid)
+        # a fetched request never reads its announcement sets again; they hold
+        # a whole peer set each, so let them go
+        h._pending_answers.clear()
+        notified.clear()
 
     # ------------------------------------------------------------------
     # retrieval state machine
@@ -671,15 +687,16 @@ class Network:
 
     def _broadcast_want(self, h: RequestHandle, initial: bool) -> None:
         node = self.nodes[h.requester]
-        peers = sorted(node.peers)
+        peers = node.sorted_peers()
         if initial:
             self.ground_truth.want_emissions_initial += 1
             h._pending_answers = set(peers)
         else:
             self.ground_truth.want_emissions_rebroadcast += 1
         h._notified.update(peers)
+        nodes = self.nodes
         for p in peers:
-            self._send(h.requester, p, "want_have", h.cid)
+            self._send(node, nodes[p], "want_have", h.cid)
         if initial and not peers:
             self._dht_step(h)
 
@@ -705,7 +722,7 @@ class Network:
         h._target = target
         h._tried.add(target)
         h._notified.add(target)
-        self._send(h.requester, target, "want_block", h.cid)
+        self._send(self.nodes[h.requester], self.nodes[target], "want_block", h.cid)
         self._schedule(int(self.cfg.want_block_timeout_s * NS), self._fetch_timeout, h, target)
 
     def _fetch_timeout(self, h: RequestHandle, target: NodeId) -> None:
@@ -742,7 +759,7 @@ class Network:
             self.connect(h.requester, p)
         h._notified.update(new)
         for p in new:
-            self._send(h.requester, p, "want_have", h.cid)
+            self._send(node, self.nodes[p], "want_have", h.cid)
         return len(new)
 
     # ------------------------------------------------------------------
@@ -796,7 +813,7 @@ class Network:
         node = self.nodes[nid]
         if not node.online:
             return
-        node.resume_peers = sorted(node.peers)
+        node.resume_peers = node.sorted_peers()
         for p in node.resume_peers:
             self.disconnect(nid, p)
         node.wants_from.clear()
@@ -857,7 +874,7 @@ class Network:
             self.connect(prober, target)
         key = (prober, target, cid)
         self._probe_waits[key] = None
-        self._send(prober, target, "want_have", cid)
+        self._send(pn, tn, "want_have", cid)
         self._advance_until(
             lambda: self._probe_waits[key] is not None,
             self.now_ns + int(timeout_s * NS),
@@ -938,21 +955,26 @@ class Network:
             # parity repair; may leave one node a single step outside the range
             i = rng.randrange(n)
             targets[i] += -1 if targets[i] > dmin else 1
-        need = targets[:]
+        # Each step joins the node of most remaining need to the next k in
+        # (need descending, fresh random tie) order. lexsort is stable, so
+        # equal keys keep index order, as a stable sort over range(n) did.
+        need = np.array(targets, dtype=np.int64)
+        draw = rng.random
         while True:
-            tie = [rng.random() for _ in range(n)]
-            order = sorted(range(n), key=lambda i: (-need[i], tie[i]))
+            tie = np.fromiter(starmap(draw, repeat((), n)), np.float64, n)
+            order = np.lexsort((tie, -need))
             u = order[0]
-            k = need[u]
+            k = int(need[u])
             if k == 0:
                 break
-            partners = [v for v in order[1:] if need[v] > 0][:k]
-            if len(partners) < k:
+            if n - 1 < k or need[order[k]] == 0:
                 raise ConfigError("degree sequence not realizable, lower the range")
+            partners = order[1 : k + 1]
             need[u] = 0
-            for v in partners:
-                self.connect(regular[u], regular[v])
-                need[v] -= 1
+            need[partners] -= 1
+            a = regular[u]
+            for v in partners.tolist():
+                self.connect(a, regular[v])
 
     def _build_gateway_groups(self, gateway_nodes: list[NodeId]) -> None:
         sizes = self.cfg.gateway_group_sizes or tuple([1] * len(gateway_nodes))

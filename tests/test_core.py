@@ -228,6 +228,37 @@ def test_trace_parse_error_names_line(tmp_path):
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("tail, message", [
+    (",x\r\n", "invalid literal for int() with base 10: 'x'"),
+    (",0,extra\r\n", f"expected {len(TRACE_HEADER)} fields, got {len(TRACE_HEADER) + 1}"),
+], ids=["bad-flags", "extra-field"])
+def test_trace_parse_error_counts_physical_lines(tail, message):
+    # both records' quoted address holds a line break, so the second record
+    # spans lines 4 and 5 of the file; its error names line 5, not record 3
+    rng = random.Random(8)
+    records = [dataclasses.replace(_random_record(rng), address="/dns/a\nb", flags=0)
+               for _ in range(2)]
+    buf = io.BytesIO()
+    write_trace(records, buf)
+    text = buf.getvalue().decode()
+    assert text.count('"/dns/a\nb"') == 2 and text.endswith(",0\r\n")
+    with pytest.raises(TraceParseError) as exc:
+        read_trace(io.BytesIO((text[: -len(",0\r\n")] + tail).encode()))
+    assert exc.value.line == 5
+    assert str(exc.value) == f"line 5: {message}"
+
+
+def test_conn_event_parse_error_counts_physical_lines():
+    events = [ConnEvent(1, "m\n0", NodeId(77), ConnEventKind.CONNECT)] * 2
+    buf = io.BytesIO()
+    write_conn_events(events, buf)
+    text = buf.getvalue().decode()
+    assert text.endswith(",connect\r\n")
+    with pytest.raises(TraceParseError) as exc:
+        read_conn_events(io.BytesIO(text.replace(",connect\r\n", ",reconnect\r\n").encode()))
+    assert exc.value.line == 3
+
+
 def test_trace_parse_error_unknown_request_type(tmp_path):
     path = tmp_path / "bad.csv"
     rng = random.Random(8)

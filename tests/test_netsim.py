@@ -11,6 +11,7 @@ from swarmwatch.errors import ConfigError, UnknownGatewayError
 from swarmwatch.netsim import (
     ChurnConfig,
     LogNormalPopularity,
+    Network,
     NodeKind,
     RequestStatus,
     SimConfig,
@@ -519,3 +520,106 @@ class TestChurn:
             assert prev != e.kind, "connect/disconnect must alternate"
             states[e.peer] = e.kind
         assert any(e.kind.value == "disconnect" for e in conns["m0"])
+
+
+def _reference_degree_graph(net, regular):
+    """The sort-per-step builder the vectorised one replaced, kept as its
+    oracle: re-sort every node by (need descending, fresh random tie) on
+    each step and join the first node to the next ``k`` with need left."""
+    dmin, dmax = net.cfg.degree_range
+    n = len(regular)
+    if dmax == 0 or n < 2:
+        if dmin > 0 and n >= 1:
+            raise ConfigError("positive degree impossible with fewer than 2 nodes")
+        return
+    rng = net.rng
+    targets = [rng.randint(dmin, dmax) for _ in range(n)]
+    if sum(targets) % 2:
+        i = rng.randrange(n)
+        targets[i] += -1 if targets[i] > dmin else 1
+    need = targets[:]
+    while True:
+        tie = [rng.random() for _ in range(n)]
+        order = sorted(range(n), key=lambda i: (-need[i], tie[i]))
+        u = order[0]
+        k = need[u]
+        if k == 0:
+            break
+        partners = [v for v in order[1:] if need[v] > 0][:k]
+        if len(partners) < k:
+            raise ConfigError("degree sequence not realizable, lower the range")
+        need[u] = 0
+        for v in partners:
+            net.connect(regular[u], regular[v])
+            need[v] -= 1
+
+
+def _build_outcome(cfg):
+    """What a build leaves behind that the graph builder decides: each
+    node's peers and link latencies, and the random state after the whole
+    build (catalog and gateways draw after the graph). A ConfigError is
+    returned as its message."""
+    try:
+        net = build_network(cfg)
+    except ConfigError as exc:
+        return str(exc)
+    links = {nid: sorted(node.latency_ns.items()) for nid, node in net.nodes.items()}
+    peers = {nid: sorted(node.peers) for nid, node in net.nodes.items()}
+    return peers, links, net.rng.getstate()
+
+
+def _both_builders(cfg, monkeypatch):
+    new = _build_outcome(cfg)
+    with monkeypatch.context() as m:
+        m.setattr(Network, "_build_degree_graph", _reference_degree_graph)
+        old = _build_outcome(cfg)
+    return new, old
+
+
+# (servers, clients, gateways, degree range): the benchmark's range, a
+# sparse one, a fixed odd degree over an odd node count (the sum of targets
+# is odd, so the parity repair runs on every seed), and a world just one
+# node larger than its maximum degree
+BUILDER_WORLDS = [
+    (60, 30, 4, (8, 14)),
+    (25, 14, 1, (1, 3)),
+    (30, 10, 1, (5, 5)),
+    (10, 4, 1, (8, 14)),
+]
+
+
+@pytest.mark.parametrize("servers, clients, gateways, degree", BUILDER_WORLDS,
+                         ids=["8-14", "1-3", "5-5-odd", "n-just-above-dmax"])
+def test_degree_graph_matches_sort_per_step_builder(servers, clients, gateways, degree,
+                                                    monkeypatch):
+    built = 0
+    for seed in range(20):
+        cfg = SimConfig(n_dht_servers=servers, n_clients=clients, n_gateways=gateways,
+                        n_monitors=1, degree_range=degree, catalog_size=20, seed=seed)
+        new, old = _both_builders(cfg, monkeypatch)
+        assert new == old, f"seed {seed}"
+        if not isinstance(new, str):
+            built += 1
+            if degree == (5, 5):
+                # the parity repair lifted one node to degree 6
+                assert sorted(len(p) for p in new[0].values())[-1] == 6
+    assert built > 0
+
+
+def test_degree_graph_matches_on_larger_world(monkeypatch):
+    cfg = SimConfig(n_dht_servers=300, n_clients=100, degree_range=(20, 40), seed=3)
+    new, old = _both_builders(cfg, monkeypatch)
+    assert not isinstance(new, str) and new == old
+
+
+def test_degree_graph_failures_match_sort_per_step_builder(monkeypatch):
+    # tiny worlds with wide ranges: some degree sequences are not realizable
+    outcomes = set()
+    for n in range(3, 9):
+        for dmin in range(0, n - 1):
+            for seed in range(6):
+                cfg = SimConfig(n_dht_servers=n, degree_range=(dmin, n - 1), seed=seed)
+                new, old = _both_builders(cfg, monkeypatch)
+                assert new == old, (n, dmin, seed)
+                outcomes.add("raised" if isinstance(new, str) else "built")
+    assert outcomes == {"raised", "built"}
