@@ -1,6 +1,7 @@
 """Golden digests of the simulate verb on the README reference config, of
-the analysis verbs run on the traces it writes, and of a small churn world
-with gateways and the message log on.
+the analysis verbs run on the traces it writes, of the estimate verb run
+on its connection logs, and of a small churn world with gateways and the
+message log on.
 
 The determinism tests compare two runs of the same build, so they cannot
 see a change in output. These digests pin the bytes themselves: a change
@@ -75,6 +76,10 @@ ANALYSIS_GOLDEN = {
         ["analyze", "--report", "rate-timeseries", "--bucket-s", "10"],
         {"rate_timeseries.csv": "3e0b64e2a69b17c17e34542e62df0198b87ff4370ad578b8121f898eaf1625b5"},
     ),
+    "power-law": (
+        ["analyze", "--report", "power-law", "--bootstraps", "20"],
+        {"power_law.json": "dabdef898aeeaf0296aea7154be9f9b5def9f2c76857bda76640f09244cd6cfb"},
+    ),
     "idw": (
         ["idw", "--cid", TOP_CID],
         {"idw.csv": "d815efb78ca78726a2893242653f0755f4ceac29bd9a6a0757862bf137b1fb3a"},
@@ -83,6 +88,13 @@ ANALYSIS_GOLDEN = {
         ["tnw", "--peer", TOP_PEER],
         {"tnw.csv": "142d2c0bdaff72f278eab50f322418e83407ed30541198b9f390d3bb203be9eb"},
     ),
+}
+
+# estimate method -> digest of estimate.json from the golden world's
+# connection logs over its first 120 s
+ESTIMATE_GOLDEN = {
+    "two-monitor": "b9bd6ffc93e4b817d14381ebdef719107b318da10b8c7ed567c3a33748219516",
+    "coupon": "0918063e151827e964a13367bf5a8526e011f3046352bfb78a9e1a00b4cafdfe",
 }
 
 # A small world with churn, gateway traffic through the overlay and the
@@ -182,6 +194,17 @@ def test_analysis_outputs_are_pinned(world, verb, tmp_path):
     traces = [str(world / "trace_m0.csv"), str(world / "trace_m1.csv")]
     argv = [args[0], *traces, *(a.format(world=world) for a in args[1:])]
     assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert _digests(tmp_path, golden) == golden
+    assert _produced(tmp_path) == set(golden)
+
+
+@pytest.mark.parametrize("method", sorted(ESTIMATE_GOLDEN))
+def test_estimate_outputs_are_pinned(world, method, tmp_path):
+    conns = [str(world / "conn_m0.csv"), str(world / "conn_m1.csv")]
+    argv = ["estimate", "--method", method, "--conn-events", *conns,
+            "--window-start-s", "0", "--window-end-s", "120", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    golden = {"estimate.json": ESTIMATE_GOLDEN[method]}
     assert _digests(tmp_path, golden) == golden
     assert _produced(tmp_path) == set(golden)
 
