@@ -101,6 +101,9 @@ def _log_zeta_slope(alpha: np.ndarray, q: np.ndarray, h: float = 1e-5) -> np.nda
 # escape into a tiny deep tail where arbitrarily steep "power laws" fit
 # any decaying distribution.
 DEFAULT_ALPHA_RANGE = (1.5, 3.5)
+# Candidate cutoffs are the unique sample values up to this quantile of them,
+# so the tail the fit sees never shrinks to the few largest values.
+XMIN_QUANTILE = 0.9
 
 
 def _alpha_mle(
@@ -128,11 +131,7 @@ def _alpha_mle(
     return np.clip(0.5 * (lo + hi), alpha_range[0], alpha_range[1])
 
 
-def _fit_tail(
-    x: np.ndarray,
-    xmin_quantile: float = 0.9,
-    alpha_range: tuple[float, float] = DEFAULT_ALPHA_RANGE,
-):
+def _fit_tail(x: np.ndarray, alpha_range: tuple[float, float]):
     """Scan candidate cutoffs, fit alpha at each, keep the minimal-KS one.
 
     Returns (alpha, xmin, ks, n_tail).
@@ -144,7 +143,7 @@ def _fit_tail(
     # suffix sums of log x over the tail starting at each unique value
     tail_log_sum = np.cumsum((counts * log_u)[::-1])[::-1]
     tail_n = n - np.concatenate(([0], cum[:-1]))
-    cap = np.quantile(u, xmin_quantile)
+    cap = np.quantile(u, XMIN_QUANTILE)
     cand = np.nonzero((u <= cap) & (tail_n >= 2) & (np.arange(len(u)) < len(u) - 1))[0]
     if len(cand) == 0:
         cand = np.array([0])
@@ -197,19 +196,18 @@ def fit_power_law(
     bootstraps: int = 250,
     seed: int = 0,
     *,
-    xmin_quantile: float = 0.9,
     alpha_range: tuple[float, float] = DEFAULT_ALPHA_RANGE,
 ) -> PowerLawFit:
     """Fit a discrete power law and bootstrap its goodness of fit.
 
-    The cutoff is searched over unique sample values up to the configured
-    quantile (guaranteeing at least two tail points), alpha by maximum
-    likelihood given the cutoff, and the p-value by refitting synthetic
-    samples drawn from the fitted model above the cutoff and from the data
-    below it. The p-value is the share of replicates whose KS distance
-    reaches the observed one, among those not skipped for being constant;
-    it is nan when every replicate was skipped (or ``bootstraps`` is 0).
-    Deterministic for a fixed seed.
+    The cutoff is searched over unique sample values up to their
+    ``XMIN_QUANTILE`` quantile (guaranteeing at least two tail points),
+    alpha by maximum likelihood given the cutoff, and the p-value by
+    refitting synthetic samples drawn from the fitted model above the
+    cutoff and from the data below it. The p-value is the share of
+    replicates whose KS distance reaches the observed one, among those not
+    skipped for being constant; it is nan when every replicate was skipped
+    (or ``bootstraps`` is 0). Deterministic for a fixed seed.
     """
     x = np.asarray(list(samples), dtype=np.int64)
     if len(x) < 50:
@@ -218,7 +216,7 @@ def fit_power_law(
         raise ValueError("samples must be positive integers")
     if x.min() == x.max():
         raise DegenerateSampleError("all samples are equal")
-    alpha, xmin, ks_obs, n_tail = _fit_tail(x, xmin_quantile, alpha_range)
+    alpha, xmin, ks_obs, n_tail = _fit_tail(x, alpha_range)
     sampler = _DiscretePowerLawSampler(alpha, xmin)
     body = x[x < xmin]
     n = len(x)
@@ -236,7 +234,7 @@ def fit_power_law(
         if syn.min() == syn.max():
             continue  # a constant replicate has no fit; it counts in neither tally
         ran += 1
-        _, _, ks_syn, _ = _fit_tail(syn, xmin_quantile, alpha_range)
+        _, _, ks_syn, _ = _fit_tail(syn, alpha_range)
         if ks_syn >= ks_obs:
             exceed += 1
     return PowerLawFit(
@@ -306,12 +304,16 @@ class GeoDb:
 
         stream, owned = _open_for(source, "r")
         try:
-            rows = [row for row in csv.reader(stream) if row]
+            reader = csv.reader(stream)
+            rows = [(reader.line_num, row) for row in reader if row]
         finally:
             _finish(stream, owned)
-        if rows and rows[0][:2] == ["cidr", "country"]:
+        if rows and rows[0][1][:2] == ["cidr", "country"]:
             rows = rows[1:]
-        return cls.from_pairs((row[0], row[1]) for row in rows)
+        for line, row in rows:
+            if len(row) < 2:
+                raise ValueError(f"geo db line {line}: expected cidr,country, got {row!r}")
+        return cls.from_pairs((row[0], row[1]) for _, row in rows)
 
     def lookup(self, ip: str) -> str | None:
         try:
@@ -339,9 +341,7 @@ def _address_ip(address: str) -> str | None:
     return address if re.fullmatch(r"[0-9.]+", address) else None
 
 
-def geo_share(
-    source: Iterable[TraceRecord], db: GeoDb, drop_flagged: bool = True
-) -> list[ShareRow]:
+def geo_share(source: Iterable[TraceRecord], db: GeoDb) -> list[ShareRow]:
     """Requests by origin country over deduplicated, non-cancel records.
 
     Unmatched or unparseable addresses land in the "??" bucket; they are
@@ -351,9 +351,7 @@ def geo_share(
         raise ValueError("geo database is empty")
     counts: dict[str, int] = {}
     for r in source:
-        if r.request_type is RequestType.CANCEL:
-            continue
-        if drop_flagged and r.flags:
+        if r.flags or r.request_type is RequestType.CANCEL:
             continue
         ip = _address_ip(r.address)
         country = db.lookup(ip) if ip else None

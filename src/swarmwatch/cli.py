@@ -46,7 +46,6 @@ _USAGE_ERRORS = (
     ProbeUnreachableError,
     FileNotFoundError,
     ValueError,
-    KeyError,
 )
 
 NS = 1_000_000_000
@@ -88,6 +87,25 @@ class _Manifest:
     def add_output(self, path) -> None:
         self.outputs.append(str(path))
 
+    def write_csv(self, name: str, header: list[str], rows) -> Path:
+        """Write ``header`` and ``rows`` to ``name`` in the output directory
+        as an excel-dialect CSV, and record the file as an output."""
+        path = self.out_dir / name
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        self.add_output(path)
+        return path
+
+    def write_json(self, name: str, doc) -> Path:
+        """Write ``doc`` to ``name`` in the output directory as indented
+        JSON, and record the file as an output."""
+        path = self.out_dir / name
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        self.add_output(path)
+        return path
+
     def write(self) -> Path:
         doc = {
             "tool_version": __version__,
@@ -98,9 +116,7 @@ class _Manifest:
             "outputs": sorted(self.outputs),
             "duration_s": round(time.monotonic() - self.started, 6),
         }
-        path = self.out_dir / "manifest.json"
-        path.write_text(json.dumps(doc, indent=2) + "\n")
-        return path
+        return self.write_json("manifest.json", doc)
 
 
 def _load_world(args, subcommand: str):
@@ -128,15 +144,17 @@ def _print_table(headers: list[str], rows: list[list]) -> None:
             print("  ".join("-" * w for w in widths))
 
 
-def _load_marked_trace(paths, dup_window_s: float, rebroadcast_window_s: float):
+def _load_marked_trace(args):
+    """Read ``args.traces``, unify them and mark flags with the windows
+    given on the command line."""
     by_monitor: dict[str, list] = {}
-    for path in paths:
+    for path in args.traces:
         for rec in read_trace(path):
             by_monitor.setdefault(rec.monitor, []).append(rec)
     return pipeline.mark_flags(
         pipeline.unify(by_monitor),
-        window_dup_s=dup_window_s,
-        window_rebroadcast_s=rebroadcast_window_s,
+        window_dup_s=args.dup_window_s,
+        window_rebroadcast_s=args.rebroadcast_window_s,
     )
 
 
@@ -156,12 +174,7 @@ def cmd_simulate(args) -> int:
         manifest.add_output(trace_path)
         manifest.add_output(conn_path)
         record_counts[name] = len(traces[name])
-    geodb_path = out / "geodb.csv"
-    with open(geodb_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cidr", "country"])
-        writer.writerows(net.geo_entries())
-    manifest.add_output(geodb_path)
+    manifest.write_csv("geodb.csv", ["cidr", "country"], net.geo_entries())
     gt_doc = gt.summary()
     gt_doc["gateway_map"] = {
         name: [nid.hex for nid in nodes] for name, nodes in gt.gateway_map.items()
@@ -169,9 +182,7 @@ def cmd_simulate(args) -> int:
     gt_doc["trace_records"] = record_counts
     gt_doc["conn_events"] = {name: len(conns[name]) for name in sorted(conns)}
     gt_doc["catalog_size"] = len(net.catalog)
-    gt_path = out / "ground_truth.json"
-    gt_path.write_text(json.dumps(gt_doc, indent=2) + "\n")
-    manifest.add_output(gt_path)
+    manifest.write_json("ground_truth.json", gt_doc)
     manifest.write()
     print(
         f"simulated {gt.n_total} nodes for {net.cfg.duration_s}s: "
@@ -192,9 +203,8 @@ def cmd_unify(args) -> int:
         "rebroadcast_window_s": args.rebroadcast_window_s,
     }
     manifest = _Manifest("unify", config, args.out, args.traces)
-    out = manifest.out_dir
-    marked = _load_marked_trace(args.traces, args.dup_window_s, args.rebroadcast_window_s)
-    out_path = out / "unified.csv"
+    marked = _load_marked_trace(args)
+    out_path = manifest.out_dir / "unified.csv"
     write_trace(marked.records, out_path)
     manifest.add_output(out_path)
     manifest.write()
@@ -211,12 +221,16 @@ def cmd_unify(args) -> int:
 # analyze
 
 
-def _write_share_csv(path: Path, label: str, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([label, "count", "share_pct"])
-        for row in rows:
-            writer.writerow([row.label, row.count, f"{row.share_pct:.4f}"])
+def _share_report(manifest: _Manifest, name: str, label: str, rows) -> None:
+    """Write share rows to ``name`` and print them as a table."""
+    manifest.write_csv(
+        name, [label, "count", "share_pct"],
+        ([r.label, r.count, f"{r.share_pct:.4f}"] for r in rows),
+    )
+    _print_table(
+        [label, "count", "share %"],
+        [[r.label, r.count, f"{r.share_pct:.2f}"] for r in rows],
+    )
 
 
 def cmd_analyze(args) -> int:
@@ -232,55 +246,33 @@ def cmd_analyze(args) -> int:
         "seed": args.seed,
     }
     manifest = _Manifest("analyze", config, args.out, args.traces)
-    out = manifest.out_dir
 
     if args.report == "codec-share":
         records = [rec for path in args.traces for rec in read_trace(path)]
-        rows = analytics.codec_share(records)
-        path = out / "codec_share.csv"
-        _write_share_csv(path, "codec", rows)
-        manifest.add_output(path)
-        _print_table(
-            ["codec", "count", "share %"],
-            [[r.label, r.count, f"{r.share_pct:.2f}"] for r in rows],
-        )
+        _share_report(manifest, "codec_share.csv", "codec", analytics.codec_share(records))
     elif args.report == "geo-share":
         if not args.geo_db:
             raise ConfigError("geo-share needs --geo-db")
         manifest.add_input(args.geo_db)
         db = analytics.GeoDb.from_csv(args.geo_db)
-        marked = _load_marked_trace(args.traces, args.dup_window_s, args.rebroadcast_window_s)
-        rows = analytics.geo_share(marked, db)
-        path = out / "geo_share.csv"
-        _write_share_csv(path, "country", rows)
-        manifest.add_output(path)
-        _print_table(
-            ["country", "count", "share %"],
-            [[r.label, r.count, f"{r.share_pct:.2f}"] for r in rows],
-        )
+        rows = analytics.geo_share(_load_marked_trace(args), db)
+        _share_report(manifest, "geo_share.csv", "country", rows)
     elif args.report == "popularity":
-        marked = _load_marked_trace(args.traces, args.dup_window_s, args.rebroadcast_window_s)
-        table = analytics.popularity(marked)
-        path = out / "popularity.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cid", "rrp", "urp"])
-            ordering = sorted(table.rrp, key=lambda c: (-table.rrp[c], str(c)))
-            for cid in ordering:
-                writer.writerow([str(cid), table.rrp[cid], table.urp[cid]])
-        manifest.add_output(path)
+        table = analytics.popularity(_load_marked_trace(args))
+        ordering = sorted(table.rrp, key=lambda c: (-table.rrp[c], str(c)))
+        path = manifest.write_csv(
+            "popularity.csv", ["cid", "rrp", "urp"],
+            ([str(cid), table.rrp[cid], table.urp[cid]] for cid in ordering),
+        )
         for score_name, scores in (("rrp", table.rrp_scores()), ("urp", table.urp_scores())):
-            if not scores:
-                continue
-            ecdf_path = out / f"{score_name}_ecdf.csv"
-            with open(ecdf_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["score", "cumulative_fraction"])
-                writer.writerows(analytics.ecdf(scores))
-            manifest.add_output(ecdf_path)
+            if scores:
+                manifest.write_csv(
+                    f"{score_name}_ecdf.csv", ["score", "cumulative_fraction"],
+                    analytics.ecdf(scores),
+                )
         print(f"{len(table)} distinct cids -> {path}")
     elif args.report == "rate-timeseries":
-        marked = _load_marked_trace(args.traces, args.dup_window_s, args.rebroadcast_window_s)
+        marked = _load_marked_trace(args)
         group_map = None
         if args.gateway_map:
             manifest.add_input(args.gateway_map)
@@ -293,22 +285,17 @@ def cmd_analyze(args) -> int:
             group_map=group_map,
             drop_flagged=args.group_by == "origin_group",
         )
-        path = out / "rate_timeseries.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bucket_start_ns", "group", "rate_per_s"])
-            for p in points:
-                writer.writerow([p.bucket_start_ns, p.group, f"{p.rate_per_s:.6f}"])
-        manifest.add_output(path)
+        path = manifest.write_csv(
+            "rate_timeseries.csv", ["bucket_start_ns", "group", "rate_per_s"],
+            ([p.bucket_start_ns, p.group, f"{p.rate_per_s:.6f}"] for p in points),
+        )
         print(f"{len(points)} bucketed rates -> {path}")
     elif args.report == "power-law":
-        marked = _load_marked_trace(args.traces, args.dup_window_s, args.rebroadcast_window_s)
+        marked = _load_marked_trace(args)
         table = analytics.popularity(marked)
         scores = table.rrp_scores() if args.score == "rrp" else table.urp_scores()
         fit = analytics.fit_power_law(scores, bootstraps=args.bootstraps, seed=args.seed)
-        path = out / "power_law.json"
-        path.write_text(json.dumps(asdict(fit), indent=2) + "\n")
-        manifest.add_output(path)
+        manifest.write_json("power_law.json", asdict(fit))
         verdict = "rejected" if fit.rejected else "not rejected"
         print(
             f"{args.score} power-law fit: alpha={fit.alpha:.3f} x_min={fit.x_min} "
@@ -324,10 +311,42 @@ def cmd_analyze(args) -> int:
 # estimate
 
 
-def _stats_from_args(args, manifest: _Manifest) -> estimators.PeerSetStats | dict:
+# the keys each method reads from a --stats document: "sizes" maps each of
+# two monitors to its peer count and "intersections" a monitor pair to the
+# peers both saw; "m" is the union size of "r" peer sets of mean size "w"
+_STATS_KEYS = {"two-monitor": ("sizes", "intersections"), "coupon": ("m", "r", "w")}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_stats(doc, method: str) -> dict:
+    """Return a --stats document after checking that every key ``method``
+    reads is present and typed; else raise ConfigError naming the key."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"--stats must hold a JSON object, got {type(doc).__name__}")
+    keys = _STATS_KEYS[method]
+    for key in keys:
+        if key not in doc:
+            raise ConfigError(f"--stats has no key {key!r} ({method} reads {', '.join(keys)})")
+        value = doc[key]
+        if method == "two-monitor":
+            ok = isinstance(value, dict) and value and all(map(_is_number, value.values()))
+            expected = "a non-empty object of numbers"
+        else:
+            ok, expected = _is_number(value), "a number"
+        if not ok:
+            raise ConfigError(
+                f"--stats key {key!r} must be {expected}, got {type(value).__name__}"
+            )
+    return doc
+
+
+def _stats_from_args(args, manifest: _Manifest) -> dict:
     if args.stats:
         manifest.add_input(args.stats)
-        return json.loads(Path(args.stats).read_text())
+        return _check_stats(json.loads(Path(args.stats).read_text()), args.method)
     if args.conn_events:
         if args.window_start_s is None or args.window_end_s is None:
             raise ConfigError("--conn-events needs --window-start-s and --window-end-s")
@@ -344,14 +363,12 @@ def _stats_from_args(args, manifest: _Manifest) -> estimators.PeerSetStats | dic
             "m": stats.union_size,
             "r": stats.r,
             "w": stats.w,
-            "w_per_monitor": stats.w_per_monitor,
         }
     raise ConfigError("estimate needs --stats or --conn-events (or --samples for dht-min)")
 
 
 def cmd_estimate(args) -> int:
     manifest = _Manifest("estimate", {"method": args.method}, args.out)
-    out = manifest.out_dir
     if args.method == "dht-min":
         if not args.samples:
             raise ConfigError("dht-min needs --samples (a JSON list of distances)")
@@ -365,7 +382,7 @@ def cmd_estimate(args) -> int:
             sizes = doc["sizes"]
             if len(sizes) != 2:
                 raise ConfigError("two-monitor method needs exactly two monitors")
-            (m1, p1), (m2, p2) = sorted(sizes.items())
+            (_, p1), (_, p2) = sorted(sizes.items())
             inter = next(iter(doc["intersections"].values()))
             est = estimators.estimate_two_monitor(p1, p2, inter)
             inputs = {"p1": p1, "p2": p2, "intersection": inter}
@@ -373,16 +390,13 @@ def cmd_estimate(args) -> int:
             m, r, w = doc["m"], doc["r"], doc["w"]
             est = estimators.solve_coupon_mle(m, r, w)
             inputs = {"m": m, "r": r, "w": w}
-    doc_out = {
+    manifest.write_json("estimate.json", {
         "method": est.method.value,
         "n_hat": est.n_hat,
         "inputs": inputs,
         "iterations": est.iterations,
         "residual": est.residual,
-    }
-    path = out / "estimate.json"
-    path.write_text(json.dumps(doc_out, indent=2) + "\n")
-    manifest.add_output(path)
+    })
     manifest.write()
     print(f"{est.method.value}: N = {est.n_hat:.2f}")
     return 0
@@ -395,7 +409,6 @@ def cmd_estimate(args) -> int:
 def cmd_probe_gateways(args) -> int:
     # the configured duration is the warm-up before probing
     net, _, manifest = _load_world(args, "probe-gateways")
-    out = manifest.out_dir
     cfg = net.cfg
     if cfg.gateway_cache_hit_ratio > 0:
         print(
@@ -404,32 +417,27 @@ def cmd_probe_gateways(args) -> int:
             "stall (probe with a hit ratio of 0)",
             file=sys.stderr,
         )
-    results = []
-    for i, dns_name in enumerate(sorted(net.gateways)):
-        results.append(
-            probes.probe_gateway(net, dns_name, net.monitors, seed=cfg.seed + i)
-        )
-    path = out / "gateways.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dns_name", "node_ids", "probes_sent", "http_ok", "http_failed"])
-        for res in results:
-            ids = "|".join(sorted(n.hex for n in res.discovered_node_ids))
-            ok = sum(res.http_succeeded)
-            writer.writerow([res.dns_name, ids, res.probes_sent, ok, len(res.http_succeeded) - ok])
-    manifest.add_output(path)
+    results = [
+        probes.probe_gateway(net, dns_name, net.monitors, seed=cfg.seed + i)
+        for i, dns_name in enumerate(sorted(net.gateways))
+    ]
+    manifest.write_csv(
+        "gateways.csv", ["dns_name", "node_ids", "probes_sent", "http_ok", "http_failed"],
+        (
+            [res.dns_name, "|".join(sorted(n.hex for n in res.discovered_node_ids)),
+             res.probes_sent, sum(res.http_succeeded), res.http_succeeded.count(False)]
+            for res in results
+        ),
+    )
     trace = pipeline.mark_flags(pipeline.unify(net.traces))
-    entries = probes.cross_reference(results, trace)
-    xref_path = out / "crossref.csv"
-    with open(xref_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "addresses", "dns_names", "multi_address", "shared_address"])
-        for e in entries:
-            writer.writerow(
-                [e.node.hex, "|".join(e.addresses), "|".join(e.dns_names),
-                 int(e.multi_address), int(e.shared_address)]
-            )
-    manifest.add_output(xref_path)
+    manifest.write_csv(
+        "crossref.csv", ["node_id", "addresses", "dns_names", "multi_address", "shared_address"],
+        (
+            [e.node.hex, "|".join(e.addresses), "|".join(e.dns_names),
+             int(e.multi_address), int(e.shared_address)]
+            for e in probes.cross_reference(results, trace)
+        ),
+    )
     manifest.write()
     _print_table(
         ["gateway", "nodes", "probes", "http ok"],
@@ -445,16 +453,11 @@ def cmd_idw(args) -> int:
     cid = Cid.from_string(args.cid)
     config = {"cid": args.cid, "inputs": list(args.traces)}
     manifest = _Manifest("idw", config, args.out, args.traces)
-    out = manifest.out_dir
-    marked = _load_marked_trace(args.traces, args.dup_window_s, args.rebroadcast_window_s)
-    wanters = probes.idw(marked, cid)
-    path = out / "idw.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["peer_id", "first_seen_ns"])
-        for peer in sorted(wanters):
-            writer.writerow([peer.hex, wanters[peer]])
-    manifest.add_output(path)
+    wanters = probes.idw(_load_marked_trace(args), cid)
+    path = manifest.write_csv(
+        "idw.csv", ["peer_id", "first_seen_ns"],
+        ([peer.hex, wanters[peer]] for peer in sorted(wanters)),
+    )
     manifest.write()
     print(f"{len(wanters)} wanters of {args.cid} -> {path}")
     return 0
@@ -464,16 +467,11 @@ def cmd_tnw(args) -> int:
     target = NodeId.from_hex(args.peer)
     config = {"peer": args.peer, "inputs": list(args.traces)}
     manifest = _Manifest("tnw", config, args.out, args.traces)
-    out = manifest.out_dir
-    marked = _load_marked_trace(args.traces, args.dup_window_s, args.rebroadcast_window_s)
-    wants = probes.tnw(marked, target)
-    path = out / "tnw.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp_ns", "request_type", "cid"])
-        for t, rtype, cid in wants:
-            writer.writerow([t, rtype.value, str(cid)])
-    manifest.add_output(path)
+    wants = probes.tnw(_load_marked_trace(args), target)
+    path = manifest.write_csv(
+        "tnw.csv", ["timestamp_ns", "request_type", "cid"],
+        ([t, rtype.value, str(cid)] for t, rtype, cid in wants),
+    )
     manifest.write()
     print(f"{len(wants)} wants by {args.peer[:12]}.. -> {path}")
     return 0
@@ -481,19 +479,13 @@ def cmd_tnw(args) -> int:
 
 def cmd_tpi(args) -> int:
     net, _, manifest = _load_world(args, "tpi")
-    out = manifest.out_dir
     target = NodeId.from_hex(args.target)
     if target not in net.nodes:
         raise ConfigError("target node id not present in the simulated network")
     cid = Cid.from_string(args.cid)
     prober = net.add_node(netsim.NodeKind.DHT_CLIENT)
     positive = probes.tpi(net, prober, target, cid)
-    path = out / "tpi.json"
-    path.write_text(
-        json.dumps({"target": args.target, "cid": args.cid, "cached": positive}, indent=2)
-        + "\n"
-    )
-    manifest.add_output(path)
+    manifest.write_json("tpi.json", {"target": args.target, "cid": args.cid, "cached": positive})
     manifest.write()
     print(f"tpi {args.target[:12]}.. {args.cid[:24]}..: {'HIT' if positive else 'MISS'}")
     return 0

@@ -27,6 +27,11 @@ from .errors import DegenerateSampleError, DisjointSamplesError
 
 _NS = 1_000_000_000
 
+# solve_coupon_mle bisects on [m, COUPON_N_MAX] until the bracket is within
+# COUPON_REL_TOL of its lower end
+COUPON_N_MAX = 1e12
+COUPON_REL_TOL = 1e-9
+
 
 class EstimatorMethod(Enum):
     TWO_MONITOR = "two-monitor"
@@ -95,18 +100,11 @@ def _union_size_pmf(n_total: int, w: int, r: int) -> tuple[float, ...]:
     return tuple(pmf.get(u, 0.0) for u in range(w, min(n_total, r * w) + 1))
 
 
-def solve_coupon_mle(
-    m: int,
-    r: int,
-    w: float,
-    *,
-    rel_tol: float = 1e-9,
-    n_max: float = 1e12,
-) -> SizeEstimate:
+def solve_coupon_mle(m: int, r: int, w: float) -> SizeEstimate:
     """Maximum-likelihood population size given the union of r draws of w.
 
     Solves N - N * (1 - m/N)^(1/r) - w = 0 by bracketed bisection on
-    [m, n_max]. ``w`` may be fractional (a mean connection count).
+    [m, COUPON_N_MAX]. ``w`` may be fractional (a mean connection count).
     """
     if r < 2:
         raise ValueError("need at least two draws")
@@ -127,11 +125,11 @@ def solve_coupon_mle(
     def f(n: float) -> float:
         return n - n * (1.0 - m / n) ** (1.0 / r) - w
 
-    lo, hi = float(m), float(n_max)
+    lo, hi = float(m), COUPON_N_MAX
     if f(hi) > 0:
-        raise DisjointSamplesError("no finite root below n_max")
+        raise DisjointSamplesError(f"no finite root below N = {COUPON_N_MAX:g}")
     iterations = 0
-    while hi - lo > rel_tol * max(1.0, lo):
+    while hi - lo > COUPON_REL_TOL * max(1.0, lo):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0:
             lo = mid

@@ -1,10 +1,11 @@
 """Deterministic discrete-event simulator of a content-addressed P2P swarm.
 
 Models the two-step retrieval strategy (broadcast a WANT_HAVE to every
-connected peer, fall back to a DHT provider lookup), want-list persistence,
-block caching with LRU eviction, periodic re-broadcast of unresolved wants,
-HTTP gateway frontends, node churn, and passive monitor nodes that accept
-all inbound connections and log every want they receive.
+connected peer, fall back to a DHT provider lookup), block caching with LRU
+eviction, HTTP gateway frontends, node churn, and passive monitor nodes that
+accept all inbound connections and log every want they receive. A requester
+keeps its unresolved want and re-broadcasts it periodically; nodes keep no
+record of their peers' wants, they only answer each one as it arrives.
 
 The DHT is modeled as a global provider-record table filtered by liveness;
 lookups are always correct. Per-link latency is sampled once per edge.
@@ -42,6 +43,8 @@ from .core import (
 from .errors import ConfigError, ProbeUnreachableError, UnknownGatewayError
 
 NS = 1_000_000_000
+# how long probe_want_have waits for the target's HAVE or DONT_HAVE
+PROBE_TIMEOUT_NS = 2 * NS
 
 
 class NodeKind(Enum):
@@ -273,7 +276,6 @@ class SimNode:
     latency_ns: dict[NodeId, int] = field(default_factory=dict)
     store: set[Cid] = field(default_factory=set)  # pinned, provider-served blocks
     cache: "OrderedDict[Cid, None]" = field(default_factory=OrderedDict)
-    wants_from: dict[NodeId, dict[Cid, RequestType]] = field(default_factory=dict)
     monitor_name: str | None = None
     dns_name: str | None = None
     resume_peers: list[NodeId] = field(default_factory=list)
@@ -516,8 +518,6 @@ class Network:
         na.peers.discard(b)
         nb.peers.discard(a)
         na._sorted_peers = nb._sorted_peers = None
-        na.wants_from.pop(b, None)
-        nb.wants_from.pop(a, None)
         self._log_conn(na, b, ConnEventKind.DISCONNECT)
         self._log_conn(nb, a, ConnEventKind.DISCONNECT)
 
@@ -586,10 +586,6 @@ class Network:
                     cid=cid,
                 )
             )
-        if rtype is RequestType.CANCEL:
-            node.wants_from.get(src.id, {}).pop(cid, None)
-            return
-        node.wants_from.setdefault(src.id, {})[cid] = rtype
         if rtype is RequestType.WANT_HAVE:
             answer = "have" if node.has_block(cid) else "dont_have"
             self._send(node, src, answer, cid)
@@ -816,7 +812,6 @@ class Network:
         node.resume_peers = node.sorted_peers()
         for p in node.resume_peers:
             self.disconnect(nid, p)
-        node.wants_from.clear()
         node.online = False
 
     def set_online(self, nid: NodeId) -> None:
@@ -844,7 +839,9 @@ class Network:
     # ------------------------------------------------------------------
     # gateways
 
-    def gateway_http_request(self, dns_name: str, cid: Cid, wait: bool = True) -> GatewayResult:
+    def gateway_http_request(self, dns_name: str, cid: Cid) -> GatewayResult:
+        """Serve from the gateway cache or start a retrieval on the group's
+        next backing node; the simulation does not advance here."""
         group = self.gateways.get(dns_name)
         if group is None:
             raise UnknownGatewayError(f"no gateway registered as {dns_name!r}")
@@ -853,18 +850,12 @@ class Network:
         backing = group.nodes[group.rr % len(group.nodes)]
         group.rr += 1
         h = self.request(backing, cid)
-        if wait and not h.settled_or_idle:
-            self._advance_until(
-                lambda: h.settled_or_idle, self.now_ns + 3600 * NS
-            )
         return GatewayResult(dns_name, backing, h, False, group.functional)
 
     # ------------------------------------------------------------------
     # probes
 
-    def probe_want_have(
-        self, prober: NodeId, target: NodeId, cid: Cid, timeout_s: float = 2.0
-    ) -> bool:
+    def probe_want_have(self, prober: NodeId, target: NodeId, cid: Cid) -> bool:
         pn, tn = self.nodes[prober], self.nodes[target]
         if not tn.online:
             raise ProbeUnreachableError("target is offline")
@@ -877,7 +868,7 @@ class Network:
         self._send(pn, tn, "want_have", cid)
         self._advance_until(
             lambda: self._probe_waits[key] is not None,
-            self.now_ns + int(timeout_s * NS),
+            self.now_ns + PROBE_TIMEOUT_NS,
         )
         return bool(self._probe_waits.pop(key))
 
@@ -1109,7 +1100,7 @@ class Network:
             self.request(nid, self.catalog[item_idx].cid)
 
     def _workload_gateway(self, dns_name: str, item_idx: int) -> None:
-        self.gateway_http_request(dns_name, self.catalog[item_idx].cid, wait=False)
+        self.gateway_http_request(dns_name, self.catalog[item_idx].cid)
 
     def run(self, duration_s: float | None = None):
         """Advance the world; returns (traces, conn events, ground truth)."""

@@ -17,11 +17,16 @@ from typing import Iterable, Sequence
 from .core import RAW, Cid, NodeId, RequestType, TraceRecord, hash_content
 from .netsim import Network
 
-NS = 1_000_000_000
-
 # Probability that a random 256-bit bait cid collides with organic traffic
 # is negligible; attribution confidence is bounded below by this constant.
 BAIT_CID_CONFIDENCE = 1.0 - 2.0**-128
+
+# simulated seconds a bait round waits for overlay wants after its HTTP request
+PROBE_WINDOW_S = 30.0
+# probe_gateway stops after this many rounds in a row find no new identity,
+PROBE_STALL_LIMIT = 5
+# or after this many rounds in all
+PROBE_MAX_ROUNDS = 200
 
 
 def idw(trace: Iterable[TraceRecord], cid: Cid) -> dict[NodeId, int]:
@@ -75,7 +80,6 @@ def probe_gateway_once(
     dns_name: str,
     monitors: Sequence[NodeId],
     rng: random.Random,
-    window_s: float = 30.0,
 ) -> tuple[Cid, set[NodeId], bool]:
     """One bait-block round: returns (bait cid, want senders, HTTP result)."""
     bait = hash_content(rng.randbytes(64), RAW)
@@ -83,8 +87,8 @@ def probe_gateway_once(
         net.provide(m, bait)
     start_at = {name: len(records) for name, records in net.traces.items()}
     t0 = net.now_ns
-    result = net.gateway_http_request(dns_name, bait, wait=False)
-    net.run_for(window_s)
+    result = net.gateway_http_request(dns_name, bait)
+    net.run_for(PROBE_WINDOW_S)
     senders: set[NodeId] = set()
     for name, records in net.traces.items():
         for r in records[start_at[name] :]:
@@ -98,25 +102,18 @@ def probe_gateway_once(
 
 
 def probe_gateway(
-    net: Network,
-    dns_name: str,
-    monitors: Sequence[NodeId],
-    seed: int,
-    *,
-    window_s: float = 30.0,
-    stall_limit: int = 5,
-    max_probes: int = 200,
+    net: Network, dns_name: str, monitors: Sequence[NodeId], seed: int
 ) -> GatewayProbeResult:
     """Probe a gateway until no new overlay identity shows up for
-    ``stall_limit`` consecutive rounds. Each round uses a fresh bait cid,
-    so rounds never cross-attribute."""
+    ``PROBE_STALL_LIMIT`` consecutive rounds (at most ``PROBE_MAX_ROUNDS``).
+    Each round uses a fresh bait cid, so rounds never cross-attribute."""
     rng = random.Random(seed)
     discovered: set[NodeId] = set()
     http: list[bool] = []
     stall = 0
     probes = 0
-    while stall < stall_limit and probes < max_probes:
-        _, senders, ok = probe_gateway_once(net, dns_name, monitors, rng, window_s)
+    while stall < PROBE_STALL_LIMIT and probes < PROBE_MAX_ROUNDS:
+        _, senders, ok = probe_gateway_once(net, dns_name, monitors, rng)
         probes += 1
         http.append(ok)
         if senders - discovered:

@@ -251,6 +251,12 @@ class TestGeoShare:
         db = GeoDb.from_csv(path)
         assert db.lookup("198.51.100.77") == "FR"
 
+    def test_csv_row_with_one_field_names_its_line(self, tmp_path):
+        path = tmp_path / "geo.csv"
+        path.write_text("cidr,country\n198.51.100.0/24,FR\n\n203.0.113.0/24\n")
+        with pytest.raises(ValueError, match="line 4"):
+            GeoDb.from_csv(path)
+
 
 class TestRateTimeseries:
     def test_uniform_rate(self):

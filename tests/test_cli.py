@@ -148,6 +148,14 @@ class TestAnalyze:
         text = (dest / "geo_share.csv").read_text()
         assert "US,4,100.0000" in text
 
+    def test_geo_db_row_with_one_field_exits_2(self, tmp_path, capsys):
+        trace = golden_trace(tmp_path)
+        db = tmp_path / "geo.csv"
+        db.write_text("cidr,country\n10.0.0.0/8\n")
+        assert main(["analyze", str(trace), "--report", "geo-share",
+                     "--geo-db", str(db), "--out", str(tmp_path / "rep")]) == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_geo_share_requires_db(self, tmp_path):
         trace = golden_trace(tmp_path)
         assert main(["analyze", str(trace), "--report", "geo-share",
@@ -213,6 +221,37 @@ class TestEstimate:
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(["estimate", "--method", "coupon",
                      "--out", str(tmp_path / "e")]) == 2
+
+    @pytest.mark.parametrize("method, doc, named", [
+        ("coupon", [1351, 2, 700], "JSON object"),
+        ("coupon", {"r": 2, "w": 700}, "'m'"),
+        ("coupon", {"m": "1351", "r": 2, "w": 700}, "'m'"),
+        ("coupon", {"m": 1351, "r": None, "w": 700}, "'r'"),
+        ("two-monitor", {"sizes": {"m0": 5, "m1": 6}}, "'intersections'"),
+        ("two-monitor", {"sizes": {"m0": 5, "m1": 6}, "intersections": {}}, "'intersections'"),
+        ("two-monitor", {"sizes": [5, 6], "intersections": {"m0|m1": 3}}, "'sizes'"),
+    ])
+    def test_bad_stats_exit_2_naming_the_key(self, tmp_path, capsys, method, doc, named):
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps(doc))
+        assert main(["estimate", "--method", method, "--stats", str(stats),
+                     "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --stats")
+        assert named in err
+
+    def test_internal_key_error_exits_1(self, tmp_path, capsys, monkeypatch):
+        from swarmwatch import estimators
+
+        def broken(m, r, w):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(estimators, "solve_coupon_mle", broken)
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps({"m": 1351, "r": 2, "w": 700}))
+        assert main(["estimate", "--method", "coupon", "--stats", str(stats),
+                     "--out", str(tmp_path / "e")]) == 1
+        assert "internal error: KeyError" in capsys.readouterr().err
 
 
 class TestProbesCli:

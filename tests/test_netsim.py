@@ -321,9 +321,7 @@ class TestGateways:
         run(net, 0.0)
         misses = 0
         for i in range(10_000):
-            res = net.gateway_http_request(
-                "gw0.example", net.catalog[i % 50].cid, wait=False
-            )
+            res = net.gateway_http_request("gw0.example", net.catalog[i % 50].cid)
             misses += not res.served_from_cache
         assert misses / 10_000 == pytest.approx(0.03, abs=0.01)
 
@@ -476,27 +474,28 @@ class TestInvariantsOnRandomRuns:
 
 class TestWantPersistence:
     def test_want_persists_until_cancel(self):
-        net = scripted_net()
+        # the requester keeps its unresolved want and re-broadcasts it; the
+        # peer answers each copy as it arrives and keeps no record of it
+        net = scripted_net(record_messages=True)
         r = net.add_node(NodeKind.DHT_CLIENT)
         p = net.add_node(NodeKind.DHT_SERVER)
         net.connect(r, p, latency_s=0.01)
         cid = hash_content(b"slow", RAW)
-        node_request(net, r, cid)  # unresolvable for now
-        assert net.nodes[p].wants_from[r][cid] is RequestType.WANT_HAVE
+        h = node_request(net, r, cid)  # unresolvable for now
+        assert h.idle
         # provider appears later; the 30 s re-broadcast finds it
         net.provide(p, cid)
         net.run_for(35.0)
-        assert cid not in net.nodes[p].wants_from.get(r, {})
+        assert h.status is RequestStatus.FETCHED
+        sent = [(m.timestamp_ns, m.kind) for m in net.message_log if m.src == r]
+        assert all(m.cid == cid for m in net.message_log)
+        assert [kind for _, kind in sent] == ["want_have", "want_have", "want_block", "cancel"]
+        assert sent[1][0] - sent[0][0] == 30 * NS
+        answers = [m.kind for m in net.message_log if m.src == p]
+        assert answers == ["dont_have", "have", "block"]
+        block_at = next(m.timestamp_ns for m in net.message_log if m.kind == "block")
+        assert sent[-1][0] > block_at
 
-    def test_want_cleared_on_disconnect(self):
-        net = scripted_net()
-        r = net.add_node(NodeKind.DHT_CLIENT)
-        p = net.add_node(NodeKind.DHT_SERVER)
-        net.connect(r, p, latency_s=0.01)
-        node_request(net, r, hash_content(b"gone", RAW))
-        assert net.nodes[p].wants_from.get(r)
-        net.disconnect(r, p)
-        assert not net.nodes[p].wants_from.get(r)
 
 
 class TestChurn:
