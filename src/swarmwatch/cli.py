@@ -312,8 +312,9 @@ def cmd_analyze(args) -> int:
 
 
 # the keys each method reads from a --stats document: "sizes" maps each of
-# two monitors to its peer count and "intersections" a monitor pair to the
-# peers both saw; "m" is the union size of "r" peer sets of mean size "w"
+# two monitors to its peer count and "intersections" maps "a|b", the two
+# names in sorted order, to the peers both saw; "m" is the union size of "r"
+# peer sets of mean size "w"
 _STATS_KEYS = {"two-monitor": ("sizes", "intersections"), "coupon": ("m", "r", "w")}
 
 
@@ -332,14 +333,12 @@ def _check_stats(doc, method: str) -> dict:
             raise ConfigError(f"--stats has no key {key!r} ({method} reads {', '.join(keys)})")
         value = doc[key]
         if method == "two-monitor":
-            ok = isinstance(value, dict) and value and all(map(_is_number, value.values()))
-            expected = "a non-empty object of numbers"
+            ok = isinstance(value, dict) and all(map(_is_number, value.values()))
+            expected = "an object of numbers"
         else:
             ok, expected = _is_number(value), "a number"
         if not ok:
-            raise ConfigError(
-                f"--stats key {key!r} must be {expected}, got {type(value).__name__}"
-            )
+            raise ConfigError(f"--stats key {key!r} must be {expected}, not {value!r}")
     return doc
 
 
@@ -382,8 +381,10 @@ def cmd_estimate(args) -> int:
             sizes = doc["sizes"]
             if len(sizes) != 2:
                 raise ConfigError("two-monitor method needs exactly two monitors")
-            (_, p1), (_, p2) = sorted(sizes.items())
-            inter = next(iter(doc["intersections"].values()))
+            (m1, p1), (m2, p2) = sorted(sizes.items())
+            inter = doc["intersections"].get(f"{m1}|{m2}")
+            if inter is None:
+                raise ConfigError(f"--stats key 'intersections' has no entry '{m1}|{m2}'")
             est = estimators.estimate_two_monitor(p1, p2, inter)
             inputs = {"p1": p1, "p2": p2, "intersection": inter}
         else:

@@ -228,9 +228,13 @@ class TestEstimate:
         ("coupon", {"m": "1351", "r": 2, "w": 700}, "'m'"),
         ("coupon", {"m": 1351, "r": None, "w": 700}, "'r'"),
         ("two-monitor", {"sizes": {"m0": 5, "m1": 6}}, "'intersections'"),
-        ("two-monitor", {"sizes": {"m0": 5, "m1": 6}, "intersections": {}}, "'intersections'"),
+        ("two-monitor", {"sizes": {"m0": 5, "m1": 6}, "intersections": {}}, "'m0|m1'"),
+        ("two-monitor", {"sizes": {"m0": 5, "m1": 6}, "intersections": {"x|y": 3}}, "'m0|m1'"),
+        ("two-monitor", {"sizes": {"m0": 5, "m1": 6}, "intersections": {"m0|m1": "3"}},
+         "'intersections'"),
         ("two-monitor", {"sizes": [5, 6], "intersections": {"m0|m1": 3}}, "'sizes'"),
-    ])
+    ], ids=["list", "no-m", "string-m", "null-r", "no-intersections", "empty-intersections",
+            "other-pair", "string-intersection", "list-sizes"])
     def test_bad_stats_exit_2_naming_the_key(self, tmp_path, capsys, method, doc, named):
         stats = tmp_path / "stats.json"
         stats.write_text(json.dumps(doc))
