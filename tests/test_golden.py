@@ -198,6 +198,31 @@ def test_analysis_outputs_are_pinned(world, verb, tmp_path):
     assert _produced(tmp_path) == set(golden)
 
 
+# power_law.json's fields on the golden world, as the bisection fitter gave
+# them. A fitter that changes alpha in its last digits changes the digest
+# above; these values bound how far it may move.
+POWER_LAW_VALUES = {
+    "alpha": 2.0502647852614473,
+    "x_min": 2,
+    "ks_statistic": 0.028337854115458305,
+    "p_value": 0.75,
+    "n_tail": 146,
+}
+
+
+def test_power_law_values_are_pinned(world, tmp_path):
+    traces = [str(world / "trace_m0.csv"), str(world / "trace_m1.csv")]
+    argv = ["analyze", *traces, "--report", "power-law", "--bootstraps", "20"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "power_law.json").read_text())
+    want = POWER_LAW_VALUES
+    assert doc["x_min"] == want["x_min"]
+    assert doc["n_tail"] == want["n_tail"]
+    assert doc["ks_statistic"] == pytest.approx(want["ks_statistic"], abs=1e-9)
+    assert doc["alpha"] == pytest.approx(want["alpha"], abs=1e-6)
+    assert doc["p_value"] == want["p_value"]
+
+
 @pytest.mark.parametrize("method", sorted(ESTIMATE_GOLDEN))
 def test_estimate_outputs_are_pinned(world, method, tmp_path):
     conns = [str(world / "conn_m0.csv"), str(world / "conn_m1.csv")]
