@@ -84,6 +84,8 @@ class PowerLawFit:
     p_value: float
     n_tail: int
     bootstraps: int
+    alpha_clamped: bool  # alpha sits on a bound of the exponent range
+    replicates_skipped: int  # constant bootstrap replicates, left out of p
 
     @property
     def rejected(self) -> bool:
@@ -101,67 +103,124 @@ def _log_zeta_slope(alpha: np.ndarray, q: np.ndarray, h: float = 1e-5) -> np.nda
 # escape into a tiny deep tail where arbitrarily steep "power laws" fit
 # any decaying distribution.
 DEFAULT_ALPHA_RANGE = (1.5, 3.5)
+# Spacing of the exponent grid the slope table is built on (the reference
+# procedure's grid is 1.5:0.01:3.5).
+ALPHA_STEP = 0.01
 # Candidate cutoffs are the unique sample values up to this quantile of them,
 # so the tail the fit sees never shrinks to the few largest values.
 XMIN_QUANTILE = 0.9
+# Bootstrap replicates refitted as one batch; bounds the memory of the KS scan.
+FIT_CHUNK = 16
 
 
-def _alpha_mle(
-    xmins: np.ndarray,
-    mean_log_tail: np.ndarray,
-    alpha_range: tuple[float, float],
-) -> np.ndarray:
-    """Solve d/da log zeta(a, xmin) = -mean(log x) per candidate by bisection,
-    clamped to the allowed exponent range."""
-    lo = np.full(xmins.shape, max(1.0005, alpha_range[0]))
-    hi = np.full(xmins.shape, max(2.0, alpha_range[0] + 0.5))
-    target = -mean_log_tail
-    # expand upper brackets until the objective changes sign (capped)
-    for _ in range(8):
-        need = _log_zeta_slope(hi, xmins) < target
-        if not need.any():
-            break
-        hi = np.where(need, hi * 2.0, hi)
-    hi = np.minimum(hi, 512.0)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = _log_zeta_slope(mid, xmins) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return np.clip(0.5 * (lo + hi), alpha_range[0], alpha_range[1])
+class _SlopeTable:
+    """d/da log zeta(a, x) at nodes ``ALPHA_STEP`` apart spanning
+    ``alpha_range``, one row per cutoff x, increasing along each row. One fit
+    shares one table; rows are added for cutoffs not met before."""
+
+    def __init__(self, alpha_range: tuple[float, float]):
+        self.alpha_range = alpha_range
+        lo, hi = alpha_range
+        # at least six grid points, so every row holds three slopes
+        n_grid = max(6, int(np.ceil((hi - lo) / ALPHA_STEP - 1e-9)) + 1)
+        self.grid = lo + ALPHA_STEP * np.arange(n_grid)
+        # the slopes sit at the midpoints of the grid's inner steps
+        self.nodes = self.grid[1:-2] + 0.5 * ALPHA_STEP
+        self.xs = np.empty(0)
+        self.slopes = np.empty((0, len(self.nodes)))
+
+    def rows(self, xmins: np.ndarray) -> np.ndarray:
+        """Row of each cutoff, after adding the cutoffs not in the table."""
+        new = np.setdiff1d(xmins, self.xs)
+        if len(new):
+            log_z = np.log(zeta(self.grid[None, :], new[:, None]))
+            mean = np.diff(log_z, axis=1) / ALPHA_STEP
+            # a step's mean slope exceeds the slope at its midpoint by
+            # ALPHA_STEP**2 / 24 times the slope's second derivative
+            slopes = mean[:, 1:-1] - np.diff(mean, n=2, axis=1) / 24
+            xs = np.concatenate((self.xs, new))
+            order = np.argsort(xs)
+            self.xs, self.slopes = xs[order], np.concatenate((self.slopes, slopes))[order]
+        return np.searchsorted(self.xs, xmins)
+
+    def alpha_mle(self, xmins: np.ndarray, mean_log_tail: np.ndarray) -> np.ndarray:
+        """Solve d/da log zeta(a, xmin) = -mean(log x) per candidate, clamped
+        to the allowed exponent range.
+
+        The root of the quadratic through the table's slopes around the
+        target's bracket is refined by one Newton step on ``_log_zeta_slope``
+        with the quadratic's curvature there.
+        """
+        row = self.rows(xmins)
+        target = -mean_log_tail
+        # searchsorted of each target in its row: the count of slopes below it
+        k = np.count_nonzero(self.slopes[row] < target[:, None], axis=1)
+        j = np.clip(k, 1, len(self.nodes) - 2)
+        s0, s1, s2 = (self.slopes[row, j + i] for i in (-1, 0, 1))
+        b = (s2 - s0) / (2 * ALPHA_STEP)
+        c = (s2 - 2 * s1 + s0) / (2 * ALPHA_STEP**2)
+        r = target - s1
+        # the root of s1 + b d + c d^2 = target nearest node j, in the stable form
+        d = 2 * r / (b + np.sqrt(np.maximum(b * b + 4 * c * r, 0.0)))
+        alpha = np.clip(self.nodes[j] + d, *self.alpha_range)
+        curvature = b + 2 * c * (alpha - self.nodes[j])
+        alpha -= (_log_zeta_slope(alpha, xmins) - target) / curvature
+        return np.clip(alpha, *self.alpha_range)
 
 
-def _fit_tail(x: np.ndarray, alpha_range: tuple[float, float]):
-    """Scan candidate cutoffs, fit alpha at each, keep the minimal-KS one.
+def _fit_tails(samples: Sequence[np.ndarray], table: _SlopeTable):
+    """Scan every sample's candidate cutoffs in one batch, fit alpha at each,
+    and keep each sample's first minimal-KS cutoff.
 
-    Returns (alpha, xmin, ks, n_tail).
+    Returns arrays (alpha, xmin, ks, n_tail), one entry per sample.
     """
-    n = len(x)
-    u, counts = np.unique(x, return_counts=True)
-    cum = np.cumsum(counts)
-    log_u = np.log(u.astype(np.float64))
-    # suffix sums of log x over the tail starting at each unique value
-    tail_log_sum = np.cumsum((counts * log_u)[::-1])[::-1]
-    tail_n = n - np.concatenate(([0], cum[:-1]))
-    cap = np.quantile(u, XMIN_QUANTILE)
-    cand = np.nonzero((u <= cap) & (tail_n >= 2) & (np.arange(len(u)) < len(u) - 1))[0]
-    if len(cand) == 0:
-        cand = np.array([0])
-    xmins = u[cand].astype(np.float64)
-    mean_log = tail_log_sum[cand] / tail_n[cand]
-    alphas = _alpha_mle(xmins, mean_log, alpha_range)
-    # model CDF at every unique value, per candidate, in one broadcast call
-    z_all = zeta(alphas[:, None], u[None, :].astype(np.float64) + 1.0)
-    z_base = zeta(alphas, xmins)
-    best = None
-    for row, j in enumerate(cand):
-        model_cdf = 1.0 - z_all[row, j:] / z_base[row]
-        below = cum[j - 1] if j > 0 else 0
-        emp_cdf = (cum[j:] - below) / tail_n[j]
-        ks = float(np.max(np.abs(emp_cdf - model_cdf)))
-        if best is None or ks < best[2]:
-            best = (float(alphas[row]), int(u[j]), ks, int(tail_n[j]))
-    return best
+    u_parts, cum_parts, cand_parts, tail_parts, mean_parts, sizes = [], [], [], [], [], []
+    offset = 0
+    for x in samples:
+        n = len(x)
+        u, counts = np.unique(x, return_counts=True)
+        cum = np.cumsum(counts)
+        log_u = np.log(u.astype(np.float64))
+        # suffix sums of log x over the tail starting at each unique value
+        tail_log_sum = np.cumsum((counts * log_u)[::-1])[::-1]
+        tail_n = n - np.concatenate(([0], cum[:-1]))
+        cap = np.quantile(u, XMIN_QUANTILE)
+        cand = np.nonzero((u <= cap) & (tail_n >= 2) & (np.arange(len(u)) < len(u) - 1))[0]
+        if len(cand) == 0:
+            cand = np.array([0])
+        u_parts.append(u)
+        cum_parts.append(cum)
+        cand_parts.append(cand + offset)
+        tail_parts.append(tail_n[cand])
+        mean_parts.append(tail_log_sum[cand] / tail_n[cand])
+        sizes.append((len(cand), offset + len(u)))
+        offset += len(u)
+    u_all = np.concatenate(u_parts)
+    cum_all = np.concatenate(cum_parts)
+    # each candidate's first column (its cutoff) and its sample's end column
+    first_col = np.concatenate(cand_parts)
+    n_cand, sample_end = np.array(sizes).T
+    end_col = np.repeat(sample_end, n_cand)
+    tail_n = np.concatenate(tail_parts)
+    xmins = u_all[first_col].astype(np.float64)
+    alphas = table.alpha_mle(xmins, np.concatenate(mean_parts))
+
+    # the KS triangle: candidate c covers columns first_col[c] .. end_col[c] - 1
+    length = end_col - first_col
+    seg = np.cumsum(length) - length
+    col = np.arange(seg[-1] + length[-1]) + np.repeat(first_col - seg, length)
+    model_cdf = 1.0 - zeta(np.repeat(alphas, length), u_all[col] + 1.0) / np.repeat(
+        zeta(alphas, xmins), length)
+    # the sample values below a cutoff, n - n_tail, are the tail CDF's zero
+    below = np.repeat(cum_all[end_col - 1] - tail_n, length)
+    emp_cdf = (cum_all[col] - below) / np.repeat(tail_n, length)
+    ks = np.maximum.reduceat(np.abs(emp_cdf - model_cdf), seg)
+
+    # first minimal-KS candidate of each sample (ties keep the smaller cutoff)
+    starts = np.cumsum(n_cand) - n_cand
+    minimal = np.flatnonzero(ks == np.repeat(np.minimum.reduceat(ks, starts), n_cand))
+    best = minimal[np.searchsorted(minimal, starts)]
+    return alphas[best], u_all[first_col[best]], ks[best], tail_n[best]
 
 
 class _DiscretePowerLawSampler:
@@ -206,8 +265,10 @@ def fit_power_law(
     refitting synthetic samples drawn from the fitted model above the
     cutoff and from the data below it. The p-value is the share of
     replicates whose KS distance reaches the observed one, among those not
-    skipped for being constant; it is nan when every replicate was skipped
-    (or ``bootstraps`` is 0). Deterministic for a fixed seed.
+    skipped for being constant (``replicates_skipped`` counts those); it is
+    nan when every replicate was skipped (or ``bootstraps`` is 0). The
+    replicates are refitted ``FIT_CHUNK`` at a time, sharing one slope table.
+    Deterministic for a fixed seed.
     """
     x = np.asarray(list(samples), dtype=np.int64)
     if len(x) < 50:
@@ -216,13 +277,18 @@ def fit_power_law(
         raise ValueError("samples must be positive integers")
     if x.min() == x.max():
         raise DegenerateSampleError("all samples are equal")
-    alpha, xmin, ks_obs, n_tail = _fit_tail(x, alpha_range)
+    if not 1.0 < alpha_range[0] <= alpha_range[1]:
+        raise ValueError(f"alpha_range must satisfy 1 < low <= high, got {alpha_range}")
+    table = _SlopeTable(alpha_range)
+    # the observed sample is a batch of one
+    alphas, xmins, kss, tails = _fit_tails([x], table)
+    alpha, xmin, ks_obs, n_tail = float(alphas[0]), int(xmins[0]), float(kss[0]), int(tails[0])
     sampler = _DiscretePowerLawSampler(alpha, xmin)
     body = x[x < xmin]
     n = len(x)
     p_tail = n_tail / n
-    exceed = ran = 0
-    for b in range(bootstraps):
+
+    def replicate(b: int) -> np.ndarray:
         rng = np.random.default_rng([seed, b])
         tail_mask = rng.random(n) < p_tail
         k = int(tail_mask.sum())
@@ -231,12 +297,17 @@ def fit_power_law(
             syn[: n - k] = rng.choice(body, size=n - k, replace=True)
         if k:
             syn[n - k :] = sampler.draw(rng, k)
-        if syn.min() == syn.max():
-            continue  # a constant replicate has no fit; it counts in neither tally
-        ran += 1
-        _, _, ks_syn, _ = _fit_tail(syn, alpha_range)
-        if ks_syn >= ks_obs:
-            exceed += 1
+        return syn
+
+    exceed = skipped = 0
+    for start in range(0, bootstraps, FIT_CHUNK):
+        chunk = [replicate(b) for b in range(start, min(start + FIT_CHUNK, bootstraps))]
+        # a constant replicate has no fit; it counts in neither tally
+        kept = [syn for syn in chunk if syn.min() != syn.max()]
+        skipped += len(chunk) - len(kept)
+        if kept:
+            exceed += int(np.count_nonzero(_fit_tails(kept, table)[2] >= ks_obs))
+    ran = bootstraps - skipped
     return PowerLawFit(
         alpha=alpha,
         x_min=xmin,
@@ -244,6 +315,8 @@ def fit_power_law(
         p_value=exceed / ran if ran else float("nan"),
         n_tail=n_tail,
         bootstraps=bootstraps,
+        alpha_clamped=alpha in alpha_range,
+        replicates_skipped=skipped,
     )
 
 

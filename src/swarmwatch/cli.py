@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import re
 import sys
 import time
 from dataclasses import asdict
@@ -233,6 +234,23 @@ def _share_report(manifest: _Manifest, name: str, label: str, rows) -> None:
     )
 
 
+_HEX_ID = re.compile(r"[0-9a-fA-F]{1,64}")
+
+
+def _read_gateway_map(path) -> dict[NodeId, str]:
+    """Read a --gateway-map file, a JSON object mapping peer ids in hex to
+    group names; raise ConfigError naming the first key that is not one."""
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ConfigError(f"--gateway-map must hold a JSON object, got {type(doc).__name__}")
+    for key, group in doc.items():
+        if not _HEX_ID.fullmatch(key):
+            raise ConfigError(f"--gateway-map key {key!r} is not a peer id in hex")
+        if not isinstance(group, str):
+            raise ConfigError(f"--gateway-map key {key!r} must map to a group name, not {group!r}")
+    return {NodeId.from_hex(k): v for k, v in doc.items()}
+
+
 def cmd_analyze(args) -> int:
     config = {
         "report": args.report,
@@ -276,8 +294,7 @@ def cmd_analyze(args) -> int:
         group_map = None
         if args.gateway_map:
             manifest.add_input(args.gateway_map)
-            doc = json.loads(Path(args.gateway_map).read_text())
-            group_map = {NodeId.from_hex(k): v for k, v in doc.items()}
+            group_map = _read_gateway_map(args.gateway_map)
         points = analytics.rate_timeseries(
             marked,
             bucket_s=args.bucket_s,
@@ -299,7 +316,8 @@ def cmd_analyze(args) -> int:
         verdict = "rejected" if fit.rejected else "not rejected"
         print(
             f"{args.score} power-law fit: alpha={fit.alpha:.3f} x_min={fit.x_min} "
-            f"ks={fit.ks_statistic:.4f} p={fit.p_value:.3f} ({verdict})"
+            f"ks={fit.ks_statistic:.4f} p={fit.p_value:.3f} ({verdict}) "
+            f"alpha_clamped={fit.alpha_clamped} replicates_skipped={fit.replicates_skipped}"
         )
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown report {args.report!r}")
@@ -373,6 +391,11 @@ def cmd_estimate(args) -> int:
             raise ConfigError("dht-min needs --samples (a JSON list of distances)")
         manifest.add_input(args.samples)
         xs = json.loads(Path(args.samples).read_text())
+        if not isinstance(xs, list) or not xs:
+            raise ConfigError(f"--samples must hold a non-empty JSON list, got {xs!r:.40}")
+        bad = [x for x in xs if not _is_number(x)]
+        if bad:
+            raise ConfigError(f"--samples holds {bad[0]!r}, not a distance")
         est = estimators.dht_size_from_min_distance(xs)
         inputs = {"k": len(xs)}
     else:

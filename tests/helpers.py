@@ -1,7 +1,10 @@
 """Shared test oracles and fixture builders.
 
 The flag checkers here are deliberately naive pairwise scans, independent
-of the linear-time implementations in swarmwatch.pipeline.
+of the linear-time implementations in swarmwatch.pipeline. The power-law
+reference fits one sample at a time and solves each cutoff's exponent by
+bisection, independent of the batched table-and-Newton fitter in
+swarmwatch.analytics.
 """
 
 from __future__ import annotations
@@ -9,6 +12,10 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 
+import numpy as np
+from scipy.special import zeta
+
+from swarmwatch.analytics import XMIN_QUANTILE, _DiscretePowerLawSampler, _log_zeta_slope
 from swarmwatch.core import (
     FLAG_INTER_MONITOR_DUPLICATE,
     FLAG_REBROADCAST,
@@ -48,6 +55,80 @@ def brute_force_flags(records, dup_window_s=5.0, rebroadcast_window_s=31.0):
             if same and ri.timestamp_ns - records[same[-1]].timestamp_ns <= reb_ns:
                 flags[i] |= FLAG_REBROADCAST
     return flags
+
+
+def bisection_alpha_mle(xmins, mean_log_tail, alpha_range):
+    """Reference exponent per candidate cutoff: bisection on
+    d/da log zeta(a, xmin) = -mean(log x), clamped to ``alpha_range``."""
+    lo = np.full(xmins.shape, max(1.0005, alpha_range[0]))
+    hi = np.full(xmins.shape, max(2.0, alpha_range[0] + 0.5))
+    target = -mean_log_tail
+    # expand upper brackets until the objective changes sign (capped)
+    for _ in range(8):
+        need = _log_zeta_slope(hi, xmins) < target
+        if not need.any():
+            break
+        hi = np.where(need, hi * 2.0, hi)
+    hi = np.minimum(hi, 512.0)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = _log_zeta_slope(mid, xmins) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return np.clip(0.5 * (lo + hi), alpha_range[0], alpha_range[1])
+
+
+def bisection_fit_tail(x, alpha_range):
+    """Reference cutoff scan of one sample: fit alpha at each candidate by
+    bisection, keep the first minimal-KS one. Returns (alpha, xmin, ks, n_tail)."""
+    n = len(x)
+    u, counts = np.unique(x, return_counts=True)
+    cum = np.cumsum(counts)
+    log_u = np.log(u.astype(np.float64))
+    tail_log_sum = np.cumsum((counts * log_u)[::-1])[::-1]
+    tail_n = n - np.concatenate(([0], cum[:-1]))
+    cap = np.quantile(u, XMIN_QUANTILE)
+    cand = np.nonzero((u <= cap) & (tail_n >= 2) & (np.arange(len(u)) < len(u) - 1))[0]
+    if len(cand) == 0:
+        cand = np.array([0])
+    xmins = u[cand].astype(np.float64)
+    alphas = bisection_alpha_mle(xmins, tail_log_sum[cand] / tail_n[cand], alpha_range)
+    z_all = zeta(alphas[:, None], u[None, :].astype(np.float64) + 1.0)
+    z_base = zeta(alphas, xmins)
+    best = None
+    for row, j in enumerate(cand):
+        model_cdf = 1.0 - z_all[row, j:] / z_base[row]
+        below = cum[j - 1] if j > 0 else 0
+        emp_cdf = (cum[j:] - below) / tail_n[j]
+        ks = float(np.max(np.abs(emp_cdf - model_cdf)))
+        if best is None or ks < best[2]:
+            best = (float(alphas[row]), int(u[j]), ks, int(tail_n[j]))
+    return best
+
+
+def bisection_fit_power_law(samples, bootstraps, seed, alpha_range=(1.5, 3.5)):
+    """Reference for ``fit_power_law``: the same replicates, each refitted
+    on its own by ``bisection_fit_tail``. Returns (alpha, xmin, ks, n_tail, p)."""
+    x = np.asarray(samples, dtype=np.int64)
+    alpha, xmin, ks_obs, n_tail = bisection_fit_tail(x, alpha_range)
+    sampler = _DiscretePowerLawSampler(alpha, xmin)
+    body = x[x < xmin]
+    n = len(x)
+    exceed = ran = 0
+    for b in range(bootstraps):
+        rng = np.random.default_rng([seed, b])
+        tail_mask = rng.random(n) < n_tail / n
+        k = int(tail_mask.sum())
+        syn = np.empty(n, dtype=np.int64)
+        if n - k:
+            syn[: n - k] = rng.choice(body, size=n - k, replace=True)
+        if k:
+            syn[n - k :] = sampler.draw(rng, k)
+        if syn.min() == syn.max():
+            continue
+        ran += 1
+        exceed += bisection_fit_tail(syn, alpha_range)[2] >= ks_obs
+    return alpha, xmin, ks_obs, n_tail, exceed / ran if ran else float("nan")
 
 
 def synthetic_records(

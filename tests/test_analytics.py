@@ -2,10 +2,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta
 
+from helpers import bisection_fit_power_law, bisection_fit_tail
+from swarmwatch import analytics
 from swarmwatch.analytics import (
+    DEFAULT_ALPHA_RANGE,
     GeoDb,
+    _fit_tails,
+    _SlopeTable,
     codec_share,
     ecdf,
     fit_power_law,
@@ -161,6 +168,10 @@ class TestFitPowerLaw:
         # at alpha = 30, P(X = 1) = 1 - 1e-9: every replicate is all ones
         fit = fit_power_law(self.NEARLY_CONSTANT, bootstraps=20, alpha_range=(30.0, 30.0))
         assert np.isnan(fit.p_value)
+        assert fit.replicates_skipped == 20
+        # a one-point range returns that point
+        assert fit.alpha == 30.0
+        assert fit.alpha_clamped
 
     def test_constant_replicates_leave_the_denominator(self):
         # at alpha = 7 about two thirds of the replicates are all ones and
@@ -170,6 +181,86 @@ class TestFitPowerLaw:
         # exceeds, and p is exactly 1.
         fit = fit_power_law(self.NEARLY_CONSTANT, bootstraps=60, alpha_range=(7.0, 7.0))
         assert fit.p_value == 1.0
+        assert 0 < fit.replicates_skipped < 60
+
+    def test_geometric_alpha_sits_on_the_bound(self):
+        g = np.random.default_rng(5).geometric(0.1, size=5000)
+        fit = fit_power_law(g, bootstraps=0)
+        assert fit.alpha == DEFAULT_ALPHA_RANGE[1]
+        assert fit.alpha_clamped
+        assert fit.replicates_skipped == 0
+
+    def test_interior_alpha_is_not_clamped(self):
+        fit = fit_power_law(exact_discrete_powerlaw(2.5, 1, 2000, seed=0), bootstraps=0)
+        assert 2.4 <= fit.alpha <= 2.6
+        assert not fit.alpha_clamped
+
+    @pytest.mark.parametrize("alpha_range", [(1.0, 3.5), (3.0, 2.0)])
+    def test_bad_alpha_range(self, alpha_range):
+        with pytest.raises(ValueError, match="alpha_range"):
+            fit_power_law(self.NEARLY_CONSTANT, alpha_range=alpha_range)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_chunk_size_does_not_change_the_fit(self, chunk, monkeypatch):
+        # 37 replicates: with chunks of 16 the last one is partial
+        x = exact_discrete_powerlaw(2.2, 1, 600, seed=8)
+        want = fit_power_law(x, bootstraps=37, seed=2)
+        monkeypatch.setattr(analytics, "FIT_CHUNK", chunk)
+        assert fit_power_law(x, bootstraps=37, seed=2) == want
+
+
+# criterion 08's samples (seeds 100-119: a discrete power law at alpha 2.5 and
+# a geometric law, 5,000 values each), then 20 more: discrete power laws over
+# several exponents and cutoffs, and geometric laws over several p
+ORACLE_SAMPLES = (
+    [exact_discrete_powerlaw(2.5, 1, 5000, seed) for seed in range(100, 120)]
+    + [np.random.default_rng(seed).geometric(0.1, size=5000) for seed in range(100, 120)]
+    + [exact_discrete_powerlaw(1.7 + 0.15 * s, 1 + s % 4, 1000, seed=s) for s in range(10)]
+    + [np.random.default_rng(s).geometric(0.05 + 0.03 * s, size=1000) for s in range(10)]
+)
+
+
+class TestFitterOracle:
+    """The table-and-Newton fitter against the bisection fitter it replaced,
+    kept in ``helpers``. alpha moves in its last digits; the cutoff and the
+    tail must not."""
+
+    @pytest.mark.parametrize("i", range(len(ORACLE_SAMPLES)))
+    def test_fit_matches_bisection(self, i):
+        x = ORACLE_SAMPLES[i]
+        alpha, xmin, ks, n_tail, p = bisection_fit_power_law(x, bootstraps=20, seed=i)
+        fit = fit_power_law(x, bootstraps=20, seed=i)
+        assert abs(fit.alpha - alpha) <= 1e-6
+        assert (fit.x_min, fit.n_tail) == (xmin, n_tail)
+        assert abs(fit.ks_statistic - ks) <= 1e-6
+        assert abs(fit.p_value - p) <= 0.02
+
+
+def _batch_samples():
+    values = st.one_of(st.integers(1, 3), st.integers(1, 40), st.integers(1, 5000))
+    sample = st.lists(values, min_size=2, max_size=120).filter(lambda v: min(v) != max(v))
+    return st.lists(sample, min_size=1, max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_batch_samples())
+def test_batch_fit_equals_per_sample_fits(samples):
+    arrays = [np.asarray(v, dtype=np.int64) for v in samples]
+    batch = _fit_tails(arrays, _SlopeTable(DEFAULT_ALPHA_RANGE))
+    for i, x in enumerate(arrays):
+        alone = _fit_tails([x], _SlopeTable(DEFAULT_ALPHA_RANGE))
+        assert [part[i] for part in batch] == [part[0] for part in alone]
+
+
+def test_single_candidate_samples_batch_with_others():
+    # {1, 2} and {1, 5} offer one cutoff each; the third sample offers many
+    samples = [np.array([1] * 30 + [2] * 3), np.array([1, 5] * 10),
+               exact_discrete_powerlaw(2.0, 1, 300, seed=1)]
+    batch = _fit_tails(samples, _SlopeTable(DEFAULT_ALPHA_RANGE))
+    for i, x in enumerate(samples):
+        alone = _fit_tails([x], _SlopeTable(DEFAULT_ALPHA_RANGE))
+        assert [part[i] for part in batch] == [part[0] for part in alone]
+        assert (batch[1][i], batch[3][i]) == bisection_fit_tail(x, DEFAULT_ALPHA_RANGE)[1::2]
 
 
 class TestCodecShare:

@@ -161,6 +161,32 @@ class TestAnalyze:
         assert main(["analyze", str(trace), "--report", "geo-share",
                      "--out", str(tmp_path / "rep")]) == 2
 
+    @pytest.mark.parametrize("doc, named", [
+        ([1, 2], "JSON object"),
+        ({"zz": "g1"}, "'zz'"),
+        ({GOLDEN_PEER.hex: 3}, repr(GOLDEN_PEER.hex)),
+    ], ids=["list", "non-hex-key", "non-string-group"])
+    def test_bad_gateway_map_exits_2_naming_it(self, tmp_path, capsys, doc, named):
+        trace = golden_trace(tmp_path)
+        gateway_map = tmp_path / "map.json"
+        gateway_map.write_text(json.dumps(doc))
+        assert main(["analyze", str(trace), "--report", "rate-timeseries",
+                     "--group-by", "origin_group", "--gateway-map", str(gateway_map),
+                     "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --gateway-map")
+        assert named in err
+
+    def test_gateway_map_groups_rates(self, tmp_path):
+        trace = golden_trace(tmp_path)
+        gateway_map = tmp_path / "map.json"
+        gateway_map.write_text(json.dumps({GOLDEN_PEER.hex: "g1"}))
+        dest = tmp_path / "rep"
+        assert main(["analyze", str(trace), "--report", "rate-timeseries",
+                     "--group-by", "origin_group", "--gateway-map", str(gateway_map),
+                     "--out", str(dest)]) == 0
+        assert ",g1," in (dest / "rate_timeseries.csv").read_text()
+
     def test_popularity_and_timeseries(self, tmp_path):
         out = run_sim(tmp_path)
         dest = tmp_path / "pop"
@@ -217,6 +243,17 @@ class TestEstimate:
                      "--out", str(dest)]) == 0
         doc = json.loads((dest / "estimate.json").read_text())
         assert doc["n_hat"] == pytest.approx(100)
+
+    @pytest.mark.parametrize("doc, named", [({"a": 0.1}, "JSON list"), ([0.1, "x"], "'x'")],
+                             ids=["object", "string-item"])
+    def test_bad_samples_exit_2_naming_the_flag(self, tmp_path, capsys, doc, named):
+        samples = tmp_path / "xs.json"
+        samples.write_text(json.dumps(doc))
+        assert main(["estimate", "--method", "dht-min", "--samples", str(samples),
+                     "--out", str(tmp_path / "est")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --samples")
+        assert named in err
 
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(["estimate", "--method", "coupon",

@@ -78,7 +78,7 @@ ANALYSIS_GOLDEN = {
     ),
     "power-law": (
         ["analyze", "--report", "power-law", "--bootstraps", "20"],
-        {"power_law.json": "dabdef898aeeaf0296aea7154be9f9b5def9f2c76857bda76640f09244cd6cfb"},
+        {"power_law.json": "61c422d6affd36d746005e5b3354dd3857d4d1cd9f7879f08a615d761f5c360b"},
     ),
     "idw": (
         ["idw", "--cid", TOP_CID],
@@ -200,7 +200,8 @@ def test_analysis_outputs_are_pinned(world, verb, tmp_path):
 
 # power_law.json's fields on the golden world, as the bisection fitter gave
 # them. A fitter that changes alpha in its last digits changes the digest
-# above; these values bound how far it may move.
+# above; these values bound how far it may move. The report also carries
+# alpha_clamped and replicates_skipped.
 POWER_LAW_VALUES = {
     "alpha": 2.0502647852614473,
     "x_min": 2,
@@ -221,6 +222,7 @@ def test_power_law_values_are_pinned(world, tmp_path):
     assert doc["ks_statistic"] == pytest.approx(want["ks_statistic"], abs=1e-9)
     assert doc["alpha"] == pytest.approx(want["alpha"], abs=1e-6)
     assert doc["p_value"] == want["p_value"]
+    assert (doc["alpha_clamped"], doc["replicates_skipped"]) == (False, 0)
 
 
 @pytest.mark.parametrize("method", sorted(ESTIMATE_GOLDEN))
