@@ -212,27 +212,36 @@ class TestFitPowerLaw:
 # criterion 08's samples (seeds 100-119: a discrete power law at alpha 2.5 and
 # a geometric law, 5,000 values each), then 20 more: discrete power laws over
 # several exponents and cutoffs, and geometric laws over several p
-ORACLE_SAMPLES = (
-    [exact_discrete_powerlaw(2.5, 1, 5000, seed) for seed in range(100, 120)]
-    + [np.random.default_rng(seed).geometric(0.1, size=5000) for seed in range(100, 120)]
-    + [exact_discrete_powerlaw(1.7 + 0.15 * s, 1 + s % 4, 1000, seed=s) for s in range(10)]
-    + [np.random.default_rng(s).geometric(0.05 + 0.03 * s, size=1000) for s in range(10)]
+ORACLE_CASES = (
+    [("powerlaw", 2.5, 1, 5000, seed) for seed in range(100, 120)]
+    + [("geometric", 0.1, 5000, seed) for seed in range(100, 120)]
+    + [("powerlaw", round(1.7 + 0.15 * s, 2), 1 + s % 4, 1000, s) for s in range(10)]
+    + [("geometric", round(0.05 + 0.03 * s, 2), 1000, s) for s in range(10)]
 )
+
+
+def oracle_sample(case):
+    kind, *args = case
+    if kind == "powerlaw":
+        return exact_discrete_powerlaw(*args)
+    p, size, seed = args
+    return np.random.default_rng(seed).geometric(p, size=size)
 
 
 class TestFitterOracle:
     """The table-and-Newton fitter against the bisection fitter it replaced,
     kept in ``helpers``. alpha moves in its last digits; the cutoff and the
-    tail must not."""
+    tail must not. The table's quadratic alone is within about 1e-6, so the
+    1e-8 bound on alpha also checks the Newton step."""
 
-    @pytest.mark.parametrize("i", range(len(ORACLE_SAMPLES)))
-    def test_fit_matches_bisection(self, i):
-        x = ORACLE_SAMPLES[i]
-        alpha, xmin, ks, n_tail, p = bisection_fit_power_law(x, bootstraps=20, seed=i)
-        fit = fit_power_law(x, bootstraps=20, seed=i)
-        assert abs(fit.alpha - alpha) <= 1e-6
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_fit_matches_bisection(self, case):
+        x, seed = oracle_sample(case), case[-1]
+        alpha, xmin, ks, n_tail, p = bisection_fit_power_law(x, bootstraps=20, seed=seed)
+        fit = fit_power_law(x, bootstraps=20, seed=seed)
+        assert abs(fit.alpha - alpha) <= 1e-8
         assert (fit.x_min, fit.n_tail) == (xmin, n_tail)
-        assert abs(fit.ks_statistic - ks) <= 1e-6
+        assert abs(fit.ks_statistic - ks) <= 1e-9
         assert abs(fit.p_value - p) <= 0.02
 
 
