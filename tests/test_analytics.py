@@ -10,7 +10,12 @@ from helpers import bisection_fit_power_law, bisection_fit_tail
 from swarmwatch import analytics
 from swarmwatch.analytics import (
     DEFAULT_ALPHA_RANGE,
+    NON_GATEWAY_GROUP,
+    UNRESOLVED_COUNTRY,
     GeoDb,
+    PopularityTable,
+    RatePoint,
+    ShareRow,
     _fit_tails,
     _SlopeTable,
     codec_share,
@@ -22,8 +27,11 @@ from swarmwatch.analytics import (
 )
 from swarmwatch.core import (
     DAG_PROTOBUF,
+    FLAG_INTER_MONITOR_DUPLICATE,
     FLAG_REBROADCAST,
     RAW,
+    Cid,
+    Codec,
     NodeId,
     RequestType,
     TraceRecord,
@@ -357,6 +365,23 @@ class TestGeoShare:
         with pytest.raises(ValueError, match="line 4"):
             GeoDb.from_csv(path)
 
+    @pytest.mark.parametrize("cidr, why", [
+        ("10.0.0.1/8", "has host bits set"),
+        ("not-a-net", "does not appear to be an IPv4 or IPv6 network"),
+    ], ids=["host-bits", "not-a-network"])
+    def test_csv_bad_cidr_names_its_line(self, tmp_path, cidr, why):
+        path = tmp_path / "geo.csv"
+        path.write_text(f"cidr,country\n198.51.100.0/24,FR\n\n{cidr},DE\n")
+        with pytest.raises(ValueError, match=f"^geo db line 4: .*{why}"):
+            GeoDb.from_csv(path)
+
+    def test_each_call_resolves_against_its_own_db(self):
+        records = [rec(i, PEERS[i % 2], CIDS[0], address=f"/ip4/10.0.{i % 3}.1/tcp/4001")
+                   for i in range(6)]
+        us, de = GeoDb.from_pairs([("10.0.0.0/8", "US")]), GeoDb.from_pairs([("10.0.0.0/8", "DE")])
+        for db, label in ((us, "US"), (de, "DE"), (us, "US")):
+            assert geo_share(records, db) == [ShareRow(label, 6, 100.0)]
+
 
 class TestRateTimeseries:
     def test_uniform_rate(self):
@@ -389,5 +414,142 @@ class TestRateTimeseries:
         assert {p.group for p in points} == {"gateway", "non-gateway"}
 
     def test_bad_bucket(self):
-        with pytest.raises(ValueError):
-            rate_timeseries([], bucket_s=0)
+        # zero, negative, under 1 ns, not finite, or too long to count in ns
+        for bucket_s in (0, -1.0, 1e-10, 0.9e-9, float("inf"), float("-inf"), float("nan"),
+                         1e300):
+            with pytest.raises(ValueError, match="bucket_s"):
+                rate_timeseries([rec(0, PEERS[0], CIDS[0])], bucket_s=bucket_s)
+
+
+# ----------------------------------------------------------------------
+# The reports against brute-force references: one plain pass per record,
+# every key resolved on every record.
+
+
+def reference_popularity(source, drop_flagged=True):
+    rrp, wanters = {}, {}
+    t_lo = t_hi = None
+    for r in source:
+        if r.request_type is RequestType.CANCEL:
+            continue
+        if drop_flagged and r.flags:
+            continue
+        rrp[r.cid] = rrp.get(r.cid, 0) + 1
+        wanters.setdefault(r.cid, set()).add(r.peer)
+        t_lo = r.timestamp_ns if t_lo is None else min(t_lo, r.timestamp_ns)
+        t_hi = r.timestamp_ns if t_hi is None else max(t_hi, r.timestamp_ns)
+    urp = {cid: len(peers) for cid, peers in wanters.items()}
+    return PopularityTable(rrp, urp, (t_lo, t_hi) if t_lo is not None else None)
+
+
+def _share_rows(counts):
+    total = sum(counts.values())
+    rows = [ShareRow(label, c, 100.0 * c / total) for label, c in counts.items()]
+    return sorted(rows, key=lambda row: (-row.count, row.label))
+
+
+def reference_codec_share(source):
+    counts = {}
+    for r in source:
+        if r.request_type is not RequestType.CANCEL:
+            counts[r.cid.codec.name] = counts.get(r.cid.codec.name, 0) + 1
+    return _share_rows(counts)
+
+
+def reference_geo_share(source, db):
+    counts = {}
+    for r in source:
+        if r.flags or r.request_type is RequestType.CANCEL:
+            continue
+        ip = analytics._address_ip(r.address)
+        country = db.lookup(ip) if ip else None
+        label = country if country is not None else UNRESOLVED_COUNTRY
+        counts[label] = counts.get(label, 0) + 1
+    return _share_rows(counts)
+
+
+def reference_rate_timeseries(source, bucket_s, group_by, group_map, drop_flagged):
+    bucket_ns = int(bucket_s * NS)
+    counts = {}
+    for r in source:
+        if r.request_type is RequestType.CANCEL or (drop_flagged and r.flags):
+            continue
+        if group_by == "request_type":
+            group = r.request_type.value
+        else:
+            group = group_map.get(r.peer, NON_GATEWAY_GROUP) if group_map else NON_GATEWAY_GROUP
+        key = ((r.timestamp_ns // bucket_ns) * bucket_ns, group)
+        counts[key] = counts.get(key, 0) + 1
+    points = [RatePoint(bucket, group, c / bucket_s) for (bucket, group), c in counts.items()]
+    return sorted(points, key=lambda p: (p.bucket_start_ns, p.group))
+
+
+GEO_DB = GeoDb.from_pairs([
+    ("10.0.0.0/8", "US"),
+    ("10.1.0.0/16", "NL"),
+    ("172.16.0.0/12", "DE"),
+    ("2001:db8:1::/48", "XX"),
+])
+ADDRESSES = [
+    "/ip4/10.1.2.3/tcp/4001",
+    "/ip4/10.9.0.1/udp/4001/quic",
+    "/ip4/8.8.8.8/tcp/4001",              # in no prefix
+    "/ip6/2001:db8:1::7/tcp/4001",
+    "/ip6/2001:db8:2::1/udp/4001/quic",   # in no prefix
+    "172.17.0.9",                         # bare dotted
+    "10.300.0.1",                         # bare dotted, not an address
+    "/dns4/x.example/tcp/443",
+    "/ip4/999.1.1.1/tcp/4001",            # not an address
+    "not an address",
+]
+CODECS = [RAW, DAG_PROTOBUF, Codec(0x300), Codec(0x1234)]  # the last two print as codec-0x...
+# records of the last peer are in no group
+GROUP_MAP = {PEERS[0]: "gw0.example", PEERS[1]: "gw0.example", PEERS[2]: "gw1.example"}
+
+trace_records = st.lists(
+    st.builds(
+        TraceRecord,
+        timestamp_ns=st.integers(0, 10**13),  # drawn in any order
+        monitor=st.sampled_from(["m0", "m1"]),
+        peer=st.sampled_from(PEERS),
+        address=st.sampled_from(ADDRESSES),
+        request_type=st.sampled_from(list(RequestType)),
+        cid=st.builds(Cid, st.sampled_from(CODECS), st.sampled_from([bytes([i]) * 32 for i in range(5)])),
+        flags=st.sampled_from(
+            [0, FLAG_INTER_MONITOR_DUPLICATE, FLAG_REBROADCAST,
+             FLAG_INTER_MONITOR_DUPLICATE | FLAG_REBROADCAST]),
+    ),
+    max_size=60,
+)
+
+
+@given(records=trace_records, drop_flagged=st.booleans(),
+       bucket_s=st.sampled_from([1e-9, 0.75, 60.0, 3600.0]),
+       group_by=st.sampled_from(["request_type", "origin_group"]),
+       group_map=st.sampled_from([None, {}, GROUP_MAP]))
+@settings(max_examples=150, deadline=None)
+def test_reports_match_per_record_references(records, drop_flagged, bucket_s, group_by,
+                                             group_map):
+    got = popularity(records, drop_flagged=drop_flagged)
+    want = reference_popularity(records, drop_flagged=drop_flagged)
+    assert got == want
+    assert list(got.rrp) == list(want.rrp) and list(got.urp) == list(want.urp)
+    assert codec_share(records) == reference_codec_share(records)
+    assert geo_share(records, GEO_DB) == reference_geo_share(records, GEO_DB)
+    assert (rate_timeseries(records, bucket_s, group_by, group_map, drop_flagged)
+            == reference_rate_timeseries(records, bucket_s, group_by, group_map, drop_flagged))
+
+
+@given(records=trace_records)
+@settings(max_examples=30, deadline=None)
+def test_reports_read_a_one_shot_source(records):
+    reports = [
+        popularity,
+        codec_share,
+        lambda source: geo_share(source, GEO_DB),
+        lambda source: rate_timeseries(source, bucket_s=60.0),
+        lambda source: rate_timeseries(source, bucket_s=60.0, group_by="origin_group",
+                                       group_map=GROUP_MAP, drop_flagged=True),
+    ]
+    for report in reports:
+        assert report(r for r in records) == report(records)

@@ -156,6 +156,24 @@ class TestAnalyze:
                      "--geo-db", str(db), "--out", str(tmp_path / "rep")]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cidr", ["10.0.0.1/8", "not-a-net"])
+    def test_geo_db_bad_cidr_exits_2_naming_its_line(self, tmp_path, capsys, cidr):
+        trace = golden_trace(tmp_path)
+        db = tmp_path / "geo.csv"
+        db.write_text(f"cidr,country\n{cidr},DE\n")
+        assert main(["analyze", str(trace), "--report", "geo-share",
+                     "--geo-db", str(db), "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: geo db line 2: ")
+        assert cidr in err
+
+    @pytest.mark.parametrize("bucket_s", ["1e-10", "inf", "nan", "0", "-5"])
+    def test_unusable_bucket_exits_2_naming_it(self, tmp_path, capsys, bucket_s):
+        trace = golden_trace(tmp_path)
+        assert main(["analyze", str(trace), "--report", "rate-timeseries",
+                     "--bucket-s", bucket_s, "--out", str(tmp_path / "rep")]) == 2
+        assert capsys.readouterr().err.startswith("error: bucket_s must be")
+
     def test_geo_share_requires_db(self, tmp_path):
         trace = golden_trace(tmp_path)
         assert main(["analyze", str(trace), "--report", "geo-share",
