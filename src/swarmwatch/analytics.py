@@ -471,6 +471,15 @@ class RatePoint:
 NON_GATEWAY_GROUP = "non-gateway"
 
 
+def rate_bucket_ns(bucket_s: float) -> int:
+    """``rate_timeseries``' bucket span in whole nanoseconds; raise
+    ValueError naming ``bucket_s`` unless it is finite and at least 1 ns."""
+    span_ns = bucket_s * _NS
+    if not (math.isfinite(span_ns) and span_ns >= 1):
+        raise ValueError(f"bucket_s must be a finite span of at least 1 ns, got {bucket_s!r}")
+    return int(span_ns)
+
+
 def rate_timeseries(
     source: Iterable[TraceRecord],
     bucket_s: float = 3600.0,
@@ -486,12 +495,9 @@ def rate_timeseries(
     "non-gateway" for unmapped peers. ``bucket_s`` must be finite and at
     least one nanosecond.
     """
-    span_ns = bucket_s * _NS
-    if not (math.isfinite(span_ns) and span_ns >= 1):
-        raise ValueError(f"bucket_s must be a finite span of at least 1 ns, got {bucket_s!r}")
+    bucket_ns = rate_bucket_ns(bucket_s)
     if group_by not in ("request_type", "origin_group"):
         raise ValueError(f"unknown group_by: {group_by!r}")
-    bucket_ns = int(span_ns)
     # (bucket index, group) -> requests
     counts: dict[tuple[int, str], int] = {}
     if group_by == "request_type":

@@ -290,13 +290,14 @@ def cmd_analyze(args) -> int:
                 )
         print(f"{len(table)} distinct cids -> {path}")
     elif args.report == "rate-timeseries":
-        marked = _load_marked_trace(args)
+        # check the options before the ingest, which takes seconds on a large trace
+        analytics.rate_bucket_ns(args.bucket_s)
         group_map = None
         if args.gateway_map:
             manifest.add_input(args.gateway_map)
             group_map = _read_gateway_map(args.gateway_map)
         points = analytics.rate_timeseries(
-            marked,
+            _load_marked_trace(args),
             bucket_s=args.bucket_s,
             group_by=args.group_by,
             group_map=group_map,

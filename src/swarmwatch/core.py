@@ -14,9 +14,9 @@ import hashlib
 import io
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Sequence, Union
@@ -175,7 +175,7 @@ class TraceRecord:
 
     @property
     def is_want(self) -> bool:
-        return self.request_type is not RequestType.CANCEL
+        return self.request_type is not _CANCEL
 
     @property
     def is_duplicate(self) -> bool:
@@ -186,7 +186,7 @@ class TraceRecord:
         return bool(self.flags & FLAG_REBROADCAST)
 
     def with_flags(self, flags: int) -> "TraceRecord":
-        return TraceRecord(
+        return build_trace_record(
             self.timestamp_ns, self.monitor, self.peer, self.address,
             self.request_type, self.cid, flags,
         )
@@ -200,6 +200,30 @@ class ConnEvent:
     monitor: str
     peer: NodeId
     kind: ConnEventKind
+
+
+_CANCEL = RequestType.CANCEL
+
+
+def _slot_builder(cls):
+    """A function that takes every field of the frozen slotted dataclass
+    ``cls`` in order (none may be left to its default) and returns what
+    ``cls(...)`` would. It stores each field with its slot descriptor's
+    ``__set__`` on an ``object.__new__`` instance, which skips the frozen
+    ``__init__``'s ``object.__setattr__`` per field: less than half the
+    cost of ``cls(...)`` on a seven-field record."""
+    names = [f.name for f in fields(cls)]
+    scope = {"_new": object.__new__, "_cls": cls}
+    scope.update((f"_set_{name}", getattr(cls, name).__set__) for name in names)
+    stores = "".join(f"    _set_{name}(_obj, {name})\n" for name in names)
+    exec(f"def build({', '.join(names)}):\n    _obj = _new(_cls)\n{stores}    return _obj\n", scope)
+    build = scope["build"]
+    build.__qualname__ = build.__name__ = f"build_{cls.__name__}"
+    return build
+
+
+build_trace_record = _slot_builder(TraceRecord)
+build_conn_event = _slot_builder(ConnEvent)
 
 
 TRACE_HEADER = [
@@ -279,21 +303,39 @@ def _write_lines(stream, header: Sequence[str], lines: Iterable[str]) -> None:
 
 def _read_rows(stream, header: Sequence[str]):
     """Check the header, then yield ``(line number, row)`` for every row
-    of exactly ``len(header)`` fields; any other row raises. The number is
-    that of the row's last physical line, so a quoted field holding a line
-    break moves the numbers of the rows after it."""
-    reader = csv.reader(stream)
-    try:
-        first = next(reader)
-    except StopIteration:
-        raise TraceParseError("empty file, missing header", 1)
-    if first != header:
-        raise TraceParseError(f"unexpected header {first!r}", 1)
+    of exactly ``len(header)`` fields; any other row raises. Rows are
+    those ``csv.reader`` (excel dialect) parses. The number is that of the
+    row's last physical line, so a quoted field holding a line break moves
+    the numbers of the rows after it.
+
+    A line with no quote, NUL or inner line break that no field can make
+    longer than ``csv.field_size_limit()`` is split on commas; any other
+    starts a ``csv.reader`` over the same lines, which reads on through a
+    quoted field's line breaks and raises ``csv.Error`` as it would."""
+    limit = csv.field_size_limit()
     width = len(header)
-    for row in reader:
-        if len(row) != width:
-            raise TraceParseError(f"expected {width} fields, got {len(row)}", reader.line_num)
-        yield reader.line_num, row
+    expect = header
+    lines = iter(stream)
+    lineno = 0
+    for line in lines:
+        lineno += 1
+        row = line.rstrip("\r\n")
+        if '"' in row or "\0" in row or "\r" in row or "\n" in row or len(line) > limit:
+            reader = csv.reader(chain((line,), lines))
+            row = next(reader)
+            lineno += reader.line_num - 1
+        else:
+            row = row.split(",") if row else []
+        if expect is not None:
+            if row != expect:
+                raise TraceParseError(f"unexpected header {row!r}", 1)
+            expect = None
+        elif len(row) != width:
+            raise TraceParseError(f"expected {width} fields, got {len(row)}", lineno)
+        else:
+            yield lineno, row
+    if expect is not None:
+        raise TraceParseError("empty file, missing header", 1)
 
 
 def write_trace(records: Iterable[TraceRecord], sink: PathOrStream) -> None:
@@ -320,6 +362,7 @@ def read_trace(source: PathOrStream) -> list[TraceRecord]:
     strings: dict[str, str] = {}
     peers = _Memo(NodeId.from_hex)
     cids = _Memo(lambda pair: Cid(Codec.from_name(pair[0]), bytes.fromhex(pair[1])))
+    build = build_trace_record
     out = []
     stream, owned = _open_for(source, "r")
     try:
@@ -334,7 +377,7 @@ def read_trace(source: PathOrStream) -> list[TraceRecord]:
                 ts, peer, cid, flags = int(ts), peers[peer_hex], cids[codec, digest], int(flags)
             except (ValueError, TypeError) as exc:
                 raise TraceParseError(str(exc), lineno)
-            out.append(TraceRecord(
+            out.append(build(
                 ts, strings.setdefault(monitor, monitor), peer,
                 strings.setdefault(address, address), request_type, cid, flags,
             ))
@@ -362,6 +405,7 @@ def read_conn_events(source: PathOrStream) -> list[ConnEvent]:
     events that repeat a peer or monitor share the same object."""
     strings: dict[str, str] = {}
     peers = _Memo(NodeId.from_hex)
+    build = build_conn_event
     out = []
     stream, owned = _open_for(source, "r")
     try:
@@ -373,7 +417,7 @@ def read_conn_events(source: PathOrStream) -> list[ConnEvent]:
                     event_kind = ConnEventKind(kind)  # raises, naming the token
             except ValueError as exc:
                 raise TraceParseError(str(exc), lineno)
-            out.append(ConnEvent(ts, strings.setdefault(monitor, monitor), peer, event_kind))
+            out.append(build(ts, strings.setdefault(monitor, monitor), peer, event_kind))
         return out
     finally:
         _finish(stream, owned)

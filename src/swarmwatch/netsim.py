@@ -38,6 +38,7 @@ from .core import (
     NodeId,
     RequestType,
     TraceRecord,
+    build_trace_record,
     hash_content,
 )
 from .errors import ConfigError, ProbeUnreachableError, UnknownGatewayError
@@ -576,16 +577,9 @@ class Network:
 
     def _on_want(self, rtype: RequestType, node: SimNode, src: SimNode, cid: Cid) -> None:
         if node.kind is NodeKind.MONITOR:
-            self.traces[node.monitor_name].append(
-                TraceRecord(
-                    timestamp_ns=self.now_ns,
-                    monitor=node.monitor_name,
-                    peer=src.id,
-                    address=src.address,
-                    request_type=rtype,
-                    cid=cid,
-                )
-            )
+            self.traces[node.monitor_name].append(build_trace_record(
+                self.now_ns, node.monitor_name, src.id, src.address, rtype, cid, 0,
+            ))
         if rtype is RequestType.WANT_HAVE:
             answer = "have" if node.has_block(cid) else "dont_have"
             self._send(node, src, answer, cid)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import count, islice, repeat
+from operator import attrgetter, itemgetter, le
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -28,6 +30,9 @@ DEFAULT_DUP_WINDOW_S = 5.0
 DEFAULT_REBROADCAST_WINDOW_S = 31.0
 
 _NS = 1_000_000_000
+_CANCEL = RequestType.CANCEL
+_timestamp = attrgetter("timestamp_ns")
+_monitor = attrgetter("monitor")
 
 
 @dataclass(frozen=True)
@@ -59,17 +64,18 @@ def unify(
         sequences = [list(seq) for seq in traces]
     streams = []
     monitors: set[str] = set()
-    for seq in sequences:
-        for i, rec in enumerate(seq):
-            monitors.add(rec.monitor)
-            if i and rec.timestamp_ns < seq[i - 1].timestamp_ns:
-                raise ValueError(
-                    f"trace for monitor {rec.monitor!r} not sorted at offset {i}"
-                )
-        streams.append(
-            (r.timestamp_ns, r.monitor, i, r) for i, r in enumerate(seq)
-        )
-    merged = tuple(entry[3] for entry in heapq.merge(*streams, key=lambda e: e[:3]))
+    for k, seq in enumerate(sequences):
+        times = list(map(_timestamp, seq))
+        names = list(map(_monitor, seq))
+        monitors.update(names)
+        if not all(map(le, times, islice(times, 1, None))):
+            i = next(i for i in range(1, len(times)) if times[i] < times[i - 1])
+            raise ValueError(f"trace for monitor {names[i]!r} not sorted at offset {i}")
+        # a key-less merge of (timestamp, monitor, offset, sequence, record):
+        # ties in the first three go to the earlier sequence, as they do in
+        # a merge keyed by them, and no two tuples reach the record
+        streams.append(zip(times, names, count(), repeat(k), seq))
+    merged = tuple(map(itemgetter(4), heapq.merge(*streams)))
     return UnifiedTrace(records=merged, provenance=tuple(sorted(monitors)))
 
 
@@ -129,7 +135,7 @@ def filter_trace(
         if not (
             (drop_duplicates and r.is_duplicate)
             or (drop_rebroadcasts and r.is_rebroadcast)
-            or (drop_cancels and r.request_type is RequestType.CANCEL)
+            or (drop_cancels and r.request_type is _CANCEL)
         )
     ]
     return UnifiedTrace(tuple(out), trace.provenance)

@@ -174,6 +174,22 @@ class TestAnalyze:
                      "--bucket-s", bucket_s, "--out", str(tmp_path / "rep")]) == 2
         assert capsys.readouterr().err.startswith("error: bucket_s must be")
 
+    @pytest.mark.parametrize("option, value, named", [
+        ("--bucket-s", "nan", "error: bucket_s must be"),
+        ("--gateway-map", None, "error: --gateway-map"),
+    ], ids=["bucket", "gateway-map"])
+    def test_bad_rate_option_fails_before_the_trace_is_read(self, tmp_path, capsys,
+                                                            option, value, named):
+        trace = tmp_path / "broken.csv"
+        trace.write_text("not,a,trace\n")
+        if value is None:
+            value = str(tmp_path / "map.json")
+            Path(value).write_text("[]")
+        assert main(["analyze", str(trace), "--report", "rate-timeseries",
+                     "--group-by", "origin_group", option, value,
+                     "--out", str(tmp_path / "rep")]) == 2
+        assert capsys.readouterr().err.startswith(named)
+
     def test_geo_share_requires_db(self, tmp_path):
         trace = golden_trace(tmp_path)
         assert main(["analyze", str(trace), "--report", "geo-share",

@@ -1,6 +1,7 @@
 import copy
 import csv
 import dataclasses
+import gzip
 import io
 import pickle
 import random
@@ -24,6 +25,10 @@ from swarmwatch.core import (
     NodeId,
     RequestType,
     TraceRecord,
+    _open_for,
+    _read_rows,
+    build_conn_event,
+    build_trace_record,
     hash_content,
     read_conn_events,
     read_trace,
@@ -435,3 +440,149 @@ def test_read_conn_events_errors_unchanged_by_caches(column, value, message):
         read_conn_events(io.BytesIO("\r\n".join(lines).encode()))
     assert exc.value.line == 3
     assert str(exc.value) == f"line 3: {message}"
+
+
+def _reference_rows(stream, header):
+    """``_read_rows`` as it was before its split fast path: every line
+    goes through one ``csv.reader``."""
+    reader = csv.reader(stream)
+    try:
+        first = next(reader)
+    except StopIteration:
+        raise TraceParseError("empty file, missing header", 1)
+    if first != header:
+        raise TraceParseError(f"unexpected header {first!r}", 1)
+    width = len(header)
+    for row in reader:
+        if len(row) != width:
+            raise TraceParseError(f"expected {width} fields, got {len(row)}", reader.line_num)
+        yield reader.line_num, row
+
+
+def _rows_outcome(read_rows, data: bytes, gz: bool):
+    """Every ``(line, row)`` ``read_rows`` yields for a CONN_HEADER file of
+    ``data``, or the type and text of what it raised on the way."""
+    raw = gzip.GzipFile(fileobj=io.BytesIO(gzip.compress(data))) if gz else io.BytesIO(data)
+    stream, _ = _open_for(raw, "r")
+    try:
+        return list(read_rows(stream, CONN_HEADER))
+    except (TraceParseError, csv.Error) as exc:
+        return type(exc), str(exc)
+
+
+# Fields for the reader comparison: plain ones, quoted ones holding the
+# delimiter, doubled quotes and line breaks, and raw text that may leave a
+# quote open or put a line break or NUL inside an unquoted field.
+_SMALL_FIELD_LIMIT = 16
+_plain_fields = st.text(st.sampled_from("ab7 é;"), max_size=6)
+_quoted_fields = st.lists(st.sampled_from(["a", ",", '""', "\r", "\n", "\r\n", " "]),
+                          max_size=5).map(lambda parts: '"' + "".join(parts) + '"')
+_raw_fields = st.text(st.sampled_from('a,"\r\n\0 '), max_size=4)
+_long_fields = st.sampled_from(["x" * (_SMALL_FIELD_LIMIT + 1), '"' + "y," * 9 + '"'])
+_line_ends = st.sampled_from(["\r\n", "\n", "\r"])
+
+
+@st.composite
+def _csv_files(draw, long_fields: bool) -> str:
+    fields = st.one_of(_plain_fields, _quoted_fields, _raw_fields,
+                       *([_long_fields] if long_fields else []))
+    header = draw(st.sampled_from([
+        ",".join(CONN_HEADER), '"timestamp_ns",monitor,"peer_id",kind', "timestamp_ns,monitor",
+    ]))
+    text = [header + draw(_line_ends)] if draw(st.integers(0, 9)) else []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            text.append(draw(_line_ends))  # a blank line
+            continue
+        width = draw(st.sampled_from([len(CONN_HEADER)] * 4 + [1, len(CONN_HEADER) + 1]))
+        text.append(",".join(draw(fields) for _ in range(width)) + draw(_line_ends))
+    if text and draw(st.booleans()):
+        text[-1] = text[-1].rstrip("\r\n")  # no line end at the end of the file
+    return "".join(text)
+
+
+@given(data=st.data(), gz=st.booleans(), lowered=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_read_rows_matches_csv_reader(data, gz, lowered):
+    text = data.draw(_csv_files(lowered))
+    saved = csv.field_size_limit()
+    try:
+        if lowered:
+            csv.field_size_limit(_SMALL_FIELD_LIMIT)
+        expected = _rows_outcome(_reference_rows, text.encode(), gz)
+        assert _rows_outcome(_read_rows, text.encode(), gz) == expected
+    finally:
+        csv.field_size_limit(saved)
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("timestamp_ns,monitor,peer_id,kind\r\n1,m,p,k\r\n", [(2, ["1", "m", "p", "k"])]),
+    ('timestamp_ns,monitor,peer_id,kind\n1,"m\r\n0",p,k\n2,m,p,k', [
+        (3, ["1", "m\r\n0", "p", "k"]), (4, ["2", "m", "p", "k"])]),
+    ("timestamp_ns,monitor,peer_id,kind\r1,m,p,k\r\r2,m,p,k\r",
+     (TraceParseError, "line 3: expected 4 fields, got 0")),
+    ("", (TraceParseError, "line 1: empty file, missing header")),
+    ("timestamp_ns,monitor\n", (TraceParseError, "line 1: unexpected header ['timestamp_ns', 'monitor']")),
+    ('timestamp_ns,monitor,peer_id,kind\n1,m"0,p,k\n', [(2, ["1", 'm"0', "p", "k"])]),
+    ("timestamp_ns,monitor,peer_id,kind\n1,m\x000,p,k\n", [(2, ["1", "m\x000", "p", "k"])]),
+], ids=["plain", "quoted-crlf", "blank-line", "empty", "header", "inner-quote", "nul"])
+def test_read_rows_cases(text, outcome):
+    for gz in (False, True):
+        assert _rows_outcome(_read_rows, text.encode(), gz) == outcome
+        assert _rows_outcome(_reference_rows, text.encode(), gz) == outcome
+
+
+def test_read_rows_field_size_limit():
+    text = "timestamp_ns,monitor,peer_id,kind\n1," + "m" * 40 + ",p,k\n"
+    saved = csv.field_size_limit()
+    try:
+        csv.field_size_limit(39)
+        outcome = _rows_outcome(_read_rows, text.encode(), False)
+        assert outcome == (csv.Error, "field larger than field limit (39)")
+        csv.field_size_limit(40)
+        assert _rows_outcome(_read_rows, text.encode(), False) == [(2, ["1", "m" * 40, "p", "k"])]
+    finally:
+        csv.field_size_limit(saved)
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("cls, build, make", [
+    (TraceRecord, build_trace_record, _random_record),
+    (ConnEvent, build_conn_event,
+     lambda rng: ConnEvent(rng.randrange(10**15), "m0", NodeId.generate(rng), ConnEventKind.CONNECT)),
+], ids=["TraceRecord", "ConnEvent"])
+def test_built_records_match_init(cls, build, make):
+    rng = random.Random(21)
+    for _ in range(20):
+        made = make(rng)
+        values = [getattr(made, f.name) for f in dataclasses.fields(cls)]
+        built = build(*values)
+        assert type(built) is cls
+        assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
+        for other in (pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)):
+            assert type(other) is cls and other == made
+        first = dataclasses.fields(cls)[0].name
+        assert dataclasses.replace(built, **{first: 7}) == dataclasses.replace(made, **{first: 7})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, first, 0)
+        assert getattr(built, first) == getattr(made, first)
+        assert _raised(setattr, built, "extra", 1) is _raised(setattr, made, "extra", 1)
+    with pytest.raises(TypeError):
+        build(*values[:-1])
+
+
+def test_with_flags_leaves_its_record_alone():
+    rng = random.Random(22)
+    rec = dataclasses.replace(_random_record(rng), flags=1)
+    before = copy.copy(rec)
+    flagged = rec.with_flags(2)
+    assert rec == before and rec.flags == 1
+    assert flagged == dataclasses.replace(rec, flags=2)
+    assert type(flagged) is TraceRecord and flagged is not rec

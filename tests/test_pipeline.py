@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import heapq
 import random
 
 import pytest
@@ -66,6 +69,62 @@ class TestUnify:
             unify({"m7": records})
 
 
+def _merge_oracle(sequences):
+    """``unify``'s order as a merge keyed by (timestamp, monitor, offset),
+    ties going to the earlier sequence."""
+    streams = [((r.timestamp_ns, r.monitor, i, r) for i, r in enumerate(seq)) for seq in sequences]
+    return [entry[3] for entry in heapq.merge(*streams, key=lambda e: e[:3])]
+
+
+@st.composite
+def _sequences(draw):
+    """A few time-sorted sequences with many ties: equal timestamps within
+    and across sequences, and monitor names shared between them."""
+    sequences = []
+    for k in range(draw(st.integers(1, 4))):
+        times = sorted(draw(st.lists(st.integers(0, 4), max_size=8)))
+        monitors = draw(st.lists(st.sampled_from(["m0", "m1", "m2"]),
+                                 min_size=len(times), max_size=len(times)))
+        sequences.append([rec(0, m, peer=NodeId(100 * k + i)) for i, m in enumerate(monitors)])
+        sequences[-1] = [dataclasses.replace(r, timestamp_ns=t) for r, t in zip(sequences[-1], times)]
+    return sequences
+
+
+class TestUnifyOrder:
+    @given(sequences=_sequences())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_keyed_merge(self, sequences):
+        t = unify(sequences)
+        assert list(t) == _merge_oracle(sequences)
+        assert t.provenance == tuple(sorted({r.monitor for seq in sequences for r in seq}))
+        named = {f"s{k}": seq for k, seq in enumerate(sequences)}
+        assert list(unify(named)) == _merge_oracle(named[name] for name in sorted(named))
+
+    def test_shared_monitor_equal_timestamps(self):
+        # the same monitor at one timestamp in two sequences: offsets first,
+        # then sequences, so the two interleave
+        a = [rec(5, "m0", peer=NodeId(1)), rec(5, "m0", peer=NodeId(2))]
+        b = [rec(5, "m0", peer=NodeId(3)), rec(5, "m0", peer=NodeId(4))]
+        assert [r.peer for r in unify([a, b])] == [1, 3, 2, 4]
+        assert list(unify([a, b])) == _merge_oracle([a, b])
+
+    def test_monitor_order_within_a_sequence_kept(self):
+        # one sequence whose equal timestamps are not in monitor order: a
+        # merge only ever compares heads, so "m1" still comes before the
+        # "m0" behind it, where a sort by the same key would move it last
+        seq = [rec(1, "m1"), rec(1, "m0")]
+        other = [rec(1, "m0", peer=NodeId(9))]
+        assert list(unify([seq, other])) == _merge_oracle([seq, other]) == [other[0], *seq]
+
+    @pytest.mark.parametrize("times, offset", [([5, 1], 1), ([1, 2, 2, 1, 0], 3), ([0, 3, 2], 2)])
+    def test_unsorted_message(self, times, offset):
+        good = [rec(t, "m0") for t in range(3)]
+        bad = [rec(t, "m9") for t in times]
+        with pytest.raises(ValueError) as exc:
+            unify([good, bad])
+        assert str(exc.value) == f"trace for monitor 'm9' not sorted at offset {offset}"
+
+
 class TestDuplicateMarking:
     def test_two_monitor_window(self):
         t = mark_flags(unify({"m0": [rec(0, "m0")], "m1": [rec(3, "m1")]}))
@@ -128,6 +187,14 @@ class TestAgainstBruteForce:
         records = synthetic_records(600, seed=3)
         t = mark_flags(unify([records]), window_dup_s=dup_s, window_rebroadcast_s=reb_s)
         assert [r.flags for r in t] == brute_force_flags(records, dup_s, reb_s)
+
+    def test_inputs_untouched(self):
+        records = synthetic_records(300, seed=8)
+        trace = unify([records])
+        before = [copy.copy(r) for r in trace]
+        marked = mark_flags(trace)
+        assert sum(a is not b for a, b in zip(trace, marked)) > 0
+        assert list(trace) == before and all(r.flags == 0 for r in trace)
 
     def test_other_flag_bits_kept(self):
         # only the duplicate and re-broadcast bits are cleared and set
