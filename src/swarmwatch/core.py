@@ -156,6 +156,9 @@ class RequestType(Enum):
     CANCEL = "cancel"
 
 
+_CANCEL = RequestType.CANCEL
+
+
 class ConnEventKind(Enum):
     CONNECT = "connect"
     DISCONNECT = "disconnect"
@@ -200,9 +203,6 @@ class ConnEvent:
     monitor: str
     peer: NodeId
     kind: ConnEventKind
-
-
-_CANCEL = RequestType.CANCEL
 
 
 def _slot_builder(cls):
@@ -362,7 +362,6 @@ def read_trace(source: PathOrStream) -> list[TraceRecord]:
     strings: dict[str, str] = {}
     peers = _Memo(NodeId.from_hex)
     cids = _Memo(lambda pair: Cid(Codec.from_name(pair[0]), bytes.fromhex(pair[1])))
-    build = build_trace_record
     out = []
     stream, owned = _open_for(source, "r")
     try:
@@ -377,7 +376,7 @@ def read_trace(source: PathOrStream) -> list[TraceRecord]:
                 ts, peer, cid, flags = int(ts), peers[peer_hex], cids[codec, digest], int(flags)
             except (ValueError, TypeError) as exc:
                 raise TraceParseError(str(exc), lineno)
-            out.append(build(
+            out.append(build_trace_record(
                 ts, strings.setdefault(monitor, monitor), peer,
                 strings.setdefault(address, address), request_type, cid, flags,
             ))
@@ -405,7 +404,6 @@ def read_conn_events(source: PathOrStream) -> list[ConnEvent]:
     events that repeat a peer or monitor share the same object."""
     strings: dict[str, str] = {}
     peers = _Memo(NodeId.from_hex)
-    build = build_conn_event
     out = []
     stream, owned = _open_for(source, "r")
     try:
@@ -417,7 +415,7 @@ def read_conn_events(source: PathOrStream) -> list[ConnEvent]:
                     event_kind = ConnEventKind(kind)  # raises, naming the token
             except ValueError as exc:
                 raise TraceParseError(str(exc), lineno)
-            out.append(build(ts, strings.setdefault(monitor, monitor), peer, event_kind))
+            out.append(build_conn_event(ts, strings.setdefault(monitor, monitor), peer, event_kind))
         return out
     finally:
         _finish(stream, owned)

@@ -5,6 +5,7 @@ import gzip
 import io
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -459,11 +460,23 @@ def _reference_rows(stream, header):
         yield reader.line_num, row
 
 
-def _rows_outcome(read_rows, data: bytes, gz: bool):
+_STREAMS = ["bytes", "gzip", "stringio", "cr-lines"]
+
+
+def _rows_outcome(read_rows, text: str, kind: str):
     """Every ``(line, row)`` ``read_rows`` yields for a CONN_HEADER file of
-    ``data``, or the type and text of what it raised on the way."""
-    raw = gzip.GzipFile(fileobj=io.BytesIO(gzip.compress(data))) if gz else io.BytesIO(data)
-    stream, _ = _open_for(raw, "r")
+    ``text``, or the type and text of what it raised on the way. ``kind``
+    picks the source: a byte stream, plain or gzipped, as ``_open_for``
+    wraps it; a caller's ``StringIO``, whose lines end only at LF; or lines
+    that end only at CR, so that a line may hold an LF."""
+    if kind == "stringio":
+        stream = io.StringIO(text)
+    elif kind == "cr-lines":
+        stream = re.split("(?<=\r)", text)
+    else:
+        data = text.encode()
+        raw = io.BytesIO(gzip.compress(data) if kind == "gzip" else data)
+        stream, _ = _open_for(gzip.GzipFile(fileobj=raw) if kind == "gzip" else raw, "r")
     try:
         return list(read_rows(stream, CONN_HEADER))
     except (TraceParseError, csv.Error) as exc:
@@ -483,34 +496,56 @@ _line_ends = st.sampled_from(["\r\n", "\n", "\r"])
 
 
 @st.composite
-def _csv_files(draw, long_fields: bool) -> str:
-    fields = st.one_of(_plain_fields, _quoted_fields, _raw_fields,
-                       *([_long_fields] if long_fields else []))
-    header = draw(st.sampled_from([
-        ",".join(CONN_HEADER), '"timestamp_ns",monitor,"peer_id",kind', "timestamp_ns,monitor",
-    ]))
-    text = [header + draw(_line_ends)] if draw(st.integers(0, 9)) else []
-    for _ in range(draw(st.integers(0, 6))):
-        if draw(st.integers(0, 9)) == 0:
-            text.append(draw(_line_ends))  # a blank line
+def _csv_files(draw, kind: str, long_fields: bool) -> str:
+    """Mostly well-formed files, so that most rows get compared: a valid
+    header, four plain or quoted fields a row and the stream's own line
+    end, with the odd wrong header, blank line, wrong width, other line
+    end, over-long field, or, in one file of four, raw fields."""
+    rng = random.Random(draw(st.integers(0, 2**32)))  # uniform odds, unlike hypothesis' own
+
+    def odds(one_in: int) -> bool:
+        return rng.randrange(one_in) == 0
+
+    end = draw(st.sampled_from({"stringio": ["\n"], "cr-lines": ["\r"]}.get(
+        kind, ["\r\n", "\n", "\r"])))
+    raw = odds(4)
+
+    def field() -> str:
+        if long_fields and odds(40):
+            return draw(_long_fields)
+        if raw and odds(6):
+            return draw(_raw_fields)
+        return draw(_quoted_fields if odds(2) else _plain_fields)
+
+    def line_end() -> str:
+        return draw(_line_ends) if odds(20) else end
+
+    header = ",".join(CONN_HEADER)
+    if odds(5):
+        header = draw(st.sampled_from(['"timestamp_ns",monitor,"peer_id",kind',
+                                       "timestamp_ns,monitor"]))
+    text = [] if odds(30) else [header + line_end()]
+    for _ in range(draw(st.integers(0, 8))):
+        if odds(25):
+            text.append(line_end())  # a blank line
             continue
-        width = draw(st.sampled_from([len(CONN_HEADER)] * 4 + [1, len(CONN_HEADER) + 1]))
-        text.append(",".join(draw(fields) for _ in range(width)) + draw(_line_ends))
-    if text and draw(st.booleans()):
+        width = len(CONN_HEADER) + (draw(st.sampled_from([-3, 1])) if odds(15) else 0)
+        text.append(",".join(field() for _ in range(width)) + line_end())
+    if text and odds(2):
         text[-1] = text[-1].rstrip("\r\n")  # no line end at the end of the file
     return "".join(text)
 
 
-@given(data=st.data(), gz=st.booleans(), lowered=st.booleans())
-@settings(max_examples=300, deadline=None)
-def test_read_rows_matches_csv_reader(data, gz, lowered):
-    text = data.draw(_csv_files(lowered))
+@given(data=st.data(), kind=st.sampled_from(_STREAMS), lowered=st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_read_rows_matches_csv_reader(data, kind, lowered):
+    text = data.draw(_csv_files(kind, lowered))
     saved = csv.field_size_limit()
     try:
         if lowered:
             csv.field_size_limit(_SMALL_FIELD_LIMIT)
-        expected = _rows_outcome(_reference_rows, text.encode(), gz)
-        assert _rows_outcome(_read_rows, text.encode(), gz) == expected
+        expected = _rows_outcome(_reference_rows, text, kind)
+        assert _rows_outcome(_read_rows, text, kind) == expected
     finally:
         csv.field_size_limit(saved)
 
@@ -522,14 +557,27 @@ def test_read_rows_matches_csv_reader(data, gz, lowered):
     ("timestamp_ns,monitor,peer_id,kind\r1,m,p,k\r\r2,m,p,k\r",
      (TraceParseError, "line 3: expected 4 fields, got 0")),
     ("", (TraceParseError, "line 1: empty file, missing header")),
-    ("timestamp_ns,monitor\n", (TraceParseError, "line 1: unexpected header ['timestamp_ns', 'monitor']")),
+    ("timestamp_ns,monitor\n",
+     (TraceParseError, "line 1: unexpected header ['timestamp_ns', 'monitor']")),
     ('timestamp_ns,monitor,peer_id,kind\n1,m"0,p,k\n', [(2, ["1", 'm"0', "p", "k"])]),
-    ("timestamp_ns,monitor,peer_id,kind\n1,m\x000,p,k\n", [(2, ["1", "m\x000", "p", "k"])]),
+    # csv.reader keeps a NUL from Python 3.11 on and raises on it before
+    ("timestamp_ns,monitor,peer_id,kind\n1,m\x000,p,k\n", None),
 ], ids=["plain", "quoted-crlf", "blank-line", "empty", "header", "inner-quote", "nul"])
 def test_read_rows_cases(text, outcome):
-    for gz in (False, True):
-        assert _rows_outcome(_read_rows, text.encode(), gz) == outcome
-        assert _rows_outcome(_reference_rows, text.encode(), gz) == outcome
+    for kind in ("bytes", "gzip"):
+        expected = _rows_outcome(_reference_rows, text, kind)
+        assert _rows_outcome(_read_rows, text, kind) == expected
+        assert outcome is None or expected == outcome
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("stringio", "timestamp_ns,monitor,peer_id,kind\n1,m\r0,p,k\n"),
+    ("cr-lines", "timestamp_ns,monitor,peer_id,kind\r1,m\n0,p,k\r"),
+])
+def test_read_rows_inner_line_break_raises_as_csv_does(kind, text):
+    outcome = _rows_outcome(_read_rows, text, kind)
+    assert outcome[0] is csv.Error and "new-line character seen in unquoted field" in outcome[1]
+    assert outcome == _rows_outcome(_reference_rows, text, kind)
 
 
 def test_read_rows_field_size_limit():
@@ -537,10 +585,10 @@ def test_read_rows_field_size_limit():
     saved = csv.field_size_limit()
     try:
         csv.field_size_limit(39)
-        outcome = _rows_outcome(_read_rows, text.encode(), False)
+        outcome = _rows_outcome(_read_rows, text, "bytes")
         assert outcome == (csv.Error, "field larger than field limit (39)")
         csv.field_size_limit(40)
-        assert _rows_outcome(_read_rows, text.encode(), False) == [(2, ["1", "m" * 40, "p", "k"])]
+        assert _rows_outcome(_read_rows, text, "bytes") == [(2, ["1", "m" * 40, "p", "k"])]
     finally:
         csv.field_size_limit(saved)
 
@@ -556,10 +604,12 @@ def _raised(fn, *args):
 @pytest.mark.parametrize("cls, build, make", [
     (TraceRecord, build_trace_record, _random_record),
     (ConnEvent, build_conn_event,
-     lambda rng: ConnEvent(rng.randrange(10**15), "m0", NodeId.generate(rng), ConnEventKind.CONNECT)),
+     lambda rng: ConnEvent(rng.randrange(10**15), "m0", NodeId.generate(rng),
+                           ConnEventKind.CONNECT)),
 ], ids=["TraceRecord", "ConnEvent"])
 def test_built_records_match_init(cls, build, make):
     rng = random.Random(21)
+    first = dataclasses.fields(cls)[0].name
     for _ in range(20):
         made = make(rng)
         values = [getattr(made, f.name) for f in dataclasses.fields(cls)]
@@ -568,7 +618,6 @@ def test_built_records_match_init(cls, build, make):
         assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
         for other in (pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)):
             assert type(other) is cls and other == made
-        first = dataclasses.fields(cls)[0].name
         assert dataclasses.replace(built, **{first: 7}) == dataclasses.replace(made, **{first: 7})
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(built, first, 0)

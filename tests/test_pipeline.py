@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import heapq
 import random
 
@@ -85,8 +84,8 @@ def _sequences(draw):
         times = sorted(draw(st.lists(st.integers(0, 4), max_size=8)))
         monitors = draw(st.lists(st.sampled_from(["m0", "m1", "m2"]),
                                  min_size=len(times), max_size=len(times)))
-        sequences.append([rec(0, m, peer=NodeId(100 * k + i)) for i, m in enumerate(monitors)])
-        sequences[-1] = [dataclasses.replace(r, timestamp_ns=t) for r, t in zip(sequences[-1], times)]
+        sequences.append([rec(t, m, peer=NodeId(100 * k + i))
+                          for i, (t, m) in enumerate(zip(times, monitors))])
     return sequences
 
 
