@@ -12,6 +12,17 @@ lookups are always correct. Per-link latency is sampled once per edge.
 All randomness flows from the config seed, and event ordering is fixed by
 (time, insertion sequence), so a given config reproduces bit-identical
 traces and ground truth.
+
+Inside a ``Network``, nodes are numbered 0..n-1 in the order they were added
+and cids in the order they were first seen. An event is a flat tuple
+``(time, sequence, code, a, b, c)`` of plain ints; for a message, a, b and c
+are its sender, receiver and cid. The event loop dispatches on the code
+through a module-level table of plain functions, so no queued event refers
+back to the network. ``NodeId`` and ``Cid`` appear only at the edges:
+traces, connection events, ground truth, ``Network.nodes`` and the public
+methods' arguments. A cancel goes only to monitors, which log it, unless the
+message log is on: a regular node keeps no record of its peers' wants, so a
+cancel changes nothing there.
 """
 
 from __future__ import annotations
@@ -20,7 +31,6 @@ import bisect
 from collections import OrderedDict
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
-from functools import partial
 from heapq import heappop, heappush
 from itertools import count, repeat, starmap
 from random import Random
@@ -270,27 +280,34 @@ class SimNode:
     address: str
     country: str = "ZZ"
     online: bool = True
-    peers: set[NodeId] = field(default_factory=set)
+    index: int = 0  # position in the network's node table; adj and events use it
+    adj: set[int] = field(default_factory=set)
     # link latency to every peer this node was ever connected to; kept after
     # a disconnect, so a reconnect reuses it and a message sent meanwhile
     # still travels (and is dropped on arrival unless the pair reconnected)
-    latency_ns: dict[NodeId, int] = field(default_factory=dict)
+    latency_ns: dict[int, int] = field(default_factory=dict)
     store: set[Cid] = field(default_factory=set)  # pinned, provider-served blocks
     cache: "OrderedDict[Cid, None]" = field(default_factory=OrderedDict)
     monitor_name: str | None = None
     dns_name: str | None = None
-    resume_peers: list[NodeId] = field(default_factory=list)
-    _sorted_peers: list[NodeId] | None = field(default=None, init=False, repr=False, compare=False)
+    resume_peers: list[int] = field(default_factory=list)
+    # the network's index -> NodeId table, shared by every node
+    _ids: list[NodeId] = field(default_factory=list, repr=False, compare=False)
+    _order: list[int] | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def peers(self) -> set[NodeId]:
+        return {self._ids[p] for p in self.adj}
 
     def has_block(self, cid: Cid) -> bool:
         return cid in self.store or cid in self.cache
 
-    def sorted_peers(self) -> list[NodeId]:
-        """``peers`` in id order; cached until the next connect or
+    def peer_order(self) -> list[int]:
+        """``adj`` in id order; cached until the next connect or
         disconnect, so callers must not mutate it."""
-        if self._sorted_peers is None:
-            self._sorted_peers = sorted(self.peers)
-        return self._sorted_peers
+        if self._order is None:
+            self._order = sorted(self.adj, key=self._ids.__getitem__)
+        return self._order
 
 
 @dataclass(frozen=True)
@@ -327,11 +344,15 @@ class RequestHandle:
     provider: NodeId | None = None
     t_done_ns: int | None = None
     idle: bool = False  # reached the periodic re-broadcast loop unresolved
-    session: list[NodeId] = field(default_factory=list)
-    _tried: set[NodeId] = field(default_factory=set)
-    _target: NodeId | None = None
-    _pending_answers: set[NodeId] = field(default_factory=set)
-    _notified: set[NodeId] = field(default_factory=set)
+    # the network's: node, cid and peers by index; _serial names it in timer events
+    _node: int = 0
+    _cid: int = 0
+    _serial: int = 0
+    _session: list[int] = field(default_factory=list)
+    _tried: set[int] = field(default_factory=set)
+    _target: int | None = None
+    _pending_answers: set[int] = field(default_factory=set)
+    _notified: set[int] = field(default_factory=set)
     _dht_searched: bool = False
 
     @property
@@ -426,6 +447,14 @@ class GatewayResult:
         return self.handle is not None and self.handle.done
 
 
+# event codes (see the module docstring): messages up to _BLOCK, then timers
+(_WANT_HAVE, _WANT_BLOCK, _CANCEL, _HAVE, _DONT_HAVE, _BLOCK,
+ _BROADCAST_TIMEOUT, _REBROADCAST, _FETCH_TIMEOUT, _IDLE_CHECK,
+ _CHURN_OFF, _CHURN_ON, _WORKLOAD_REQUEST, _WORKLOAD_GATEWAY) = range(14)
+_KINDS = ("want_have", "want_block", "cancel", "have", "dont_have", "block")
+_WANT_TYPES = (RequestType.WANT_HAVE, RequestType.WANT_BLOCK, RequestType.CANCEL)
+
+
 class Network:
     """Simulation world: nodes, edges, provider records, and the event queue."""
 
@@ -435,32 +464,38 @@ class Network:
         self.rng = Random(cfg.seed)
         self.now_ns = 0
         self._seq = count()
-        # events: (time, insertion sequence, method, its arguments)
-        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
-        # message kind -> handler(receiving node, sending node, cid)
-        self._handlers: dict[str, Callable[[SimNode, SimNode, Cid], None]] = {
-            "want_have": partial(self._on_want, RequestType.WANT_HAVE),
-            "want_block": partial(self._on_want, RequestType.WANT_BLOCK),
-            "cancel": partial(self._on_want, RequestType.CANCEL),
-            "have": self._on_have,
-            "dont_have": self._on_dont_have,
-            "block": self._on_block,
-        }
+        self._heap: list[tuple[int, int, int, int, int, int]] = []
         self.nodes: dict[NodeId, SimNode] = {}
-        self.dht: dict[Cid, set[NodeId]] = {}
+        self._at: list[SimNode] = []  # by node index
+        self._ids: list[NodeId] = []  # by node index
+        self._monitor_idx: set[int] = set()
+        self._cids: list[Cid] = []  # by cid index
+        self._cid_index: dict[Cid, int] = {}
+        self._providers: dict[int, set[int]] = {}  # cid -> providing nodes
         self.catalog: list[CatalogItem] = []
         self.monitors: list[NodeId] = []
         self.traces: dict[str, list[TraceRecord]] = {}
         self.conn_events: dict[str, list[ConnEvent]] = {}
         self.gateways: dict[str, _GatewayGroup] = {}
+        self._gateway_names: list[str] = []
         self.ground_truth = GroundTruth()
         self.message_log: list[Message] | None = [] if cfg.record_messages else None
-        self._requests: dict[tuple[NodeId, Cid], RequestHandle] = {}
-        self._probe_waits: dict[tuple[NodeId, NodeId, Cid], bool | None] = {}
+        # pending retrievals by (node, cid), and by serial for timer events
+        self._requests: dict[tuple[int, int], RequestHandle] = {}
+        self._live: dict[int, RequestHandle] = {}
+        self._serials = count()
+        self._probe_waits: dict[tuple[int, int, int], bool | None] = {}
         self._monitors_attached = False
         self._churn_started = False
         self._pop_cum: list[float] | None = None
         self._country_prefixes: dict[str, int] = {}
+
+    def _intern(self, cid: Cid) -> int:
+        c = self._cid_index.get(cid)
+        if c is None:
+            c = self._cid_index[cid] = len(self._cids)
+            self._cids.append(cid)
+        return c
 
     # ------------------------------------------------------------------
     # topology
@@ -483,13 +518,18 @@ class Network:
                 f"/ip4/{prefix}.{self.rng.randrange(256)}"
                 f".{self.rng.randrange(256)}.{self.rng.randrange(256)}/tcp/4001"
             )
-        node = SimNode(id=nid, kind=kind, address=address, country=country)
+        i = len(self._at)
+        node = SimNode(id=nid, kind=kind, address=address, country=country, index=i,
+                       _ids=self._ids)
         if kind is NodeKind.MONITOR:
             node.monitor_name = monitor_name or f"m{len(self.monitors)}"
             self.monitors.append(nid)
+            self._monitor_idx.add(i)
             self.traces[node.monitor_name] = []
             self.conn_events[node.monitor_name] = []
         self.nodes[nid] = node
+        self._at.append(node)
+        self._ids.append(nid)
         return nid
 
     def regular_ids(self) -> list[NodeId]:
@@ -498,145 +538,154 @@ class Network:
     def connect(self, a: NodeId, b: NodeId, latency_s: float | None = None) -> None:
         if a == b:
             raise ConfigError("cannot connect a node to itself")
-        na, nb = self.nodes[a], self.nodes[b]
-        if b in na.peers:
-            return
-        na.peers.add(b)
-        nb.peers.add(a)
-        na._sorted_peers = nb._sorted_peers = None
-        if latency_s is not None:
-            na.latency_ns[b] = nb.latency_ns[a] = int(latency_s * NS)
-        elif b not in na.latency_ns:
-            lo, hi = self.cfg.latency_range_s
-            na.latency_ns[b] = nb.latency_ns[a] = int(self.rng.uniform(lo, hi) * NS)
-        self._log_conn(na, b, ConnEventKind.CONNECT)
-        self._log_conn(nb, a, ConnEventKind.CONNECT)
+        self._link(self.nodes[a].index, self.nodes[b].index, latency_s)
 
     def disconnect(self, a: NodeId, b: NodeId) -> None:
-        na, nb = self.nodes[a], self.nodes[b]
-        if b not in na.peers:
-            return
-        na.peers.discard(b)
-        nb.peers.discard(a)
-        na._sorted_peers = nb._sorted_peers = None
-        self._log_conn(na, b, ConnEventKind.DISCONNECT)
-        self._log_conn(nb, a, ConnEventKind.DISCONNECT)
+        self._unlink(self.nodes[a].index, self.nodes[b].index)
 
-    def _log_conn(self, node: SimNode, peer: NodeId, kind: ConnEventKind) -> None:
-        if node.kind is NodeKind.MONITOR:
-            self.conn_events[node.monitor_name].append(
-                ConnEvent(self.now_ns, node.monitor_name, peer, kind)
-            )
+    def _link(self, i: int, j: int, latency_s: float | None = None) -> None:
+        na, nb = self._at[i], self._at[j]
+        if j in na.adj:
+            return
+        na.adj.add(j)
+        nb.adj.add(i)
+        na._order = nb._order = None
+        if latency_s is not None:
+            na.latency_ns[j] = nb.latency_ns[i] = int(latency_s * NS)
+        elif j not in na.latency_ns:
+            lo, hi = self.cfg.latency_range_s
+            na.latency_ns[j] = nb.latency_ns[i] = int(self.rng.uniform(lo, hi) * NS)
+        self._log_conn(na, nb, ConnEventKind.CONNECT)
+
+    def _unlink(self, i: int, j: int) -> None:
+        na, nb = self._at[i], self._at[j]
+        if j not in na.adj:
+            return
+        na.adj.discard(j)
+        nb.adj.discard(i)
+        na._order = nb._order = None
+        self._log_conn(na, nb, ConnEventKind.DISCONNECT)
+
+    def _log_conn(self, na: SimNode, nb: SimNode, kind: ConnEventKind) -> None:
+        for node, peer in ((na, nb), (nb, na)):
+            if node.monitor_name is not None:
+                self.conn_events[node.monitor_name].append(
+                    ConnEvent(self.now_ns, node.monitor_name, peer.id, kind))
 
     # ------------------------------------------------------------------
     # event queue
 
-    def _schedule(self, delay_ns: int, fn: Callable[..., None], *args) -> None:
-        heappush(self._heap, (self.now_ns + int(delay_ns), next(self._seq), fn, args))
+    def _timer(self, delay_ns: int, code: int, a: int, b: int = 0) -> None:
+        heappush(self._heap, (self.now_ns + int(delay_ns), next(self._seq), code, a, b, 0))
+
+    def _send(self, code: int, src: SimNode, dst: int, c: int) -> None:
+        heappush(self._heap, (self.now_ns + src.latency_ns[dst], next(self._seq),
+                              code, src.index, dst, c))
 
     def run_for(self, duration_s: float) -> None:
         end = self.now_ns + int(duration_s * NS)
-        heap = self._heap
-        while heap and heap[0][0] <= end:
-            t, _, fn, args = heappop(heap)
-            self.now_ns = t
-            fn(*args)
+        self._drain(end)
         self.now_ns = end
 
     def _advance_until(self, pred: Callable[[], bool], horizon_ns: int) -> bool:
-        heap = self._heap
-        while heap and heap[0][0] <= horizon_ns:
-            if pred():
-                return True
-            t, _, fn, args = heappop(heap)
-            self.now_ns = t
-            fn(*args)
-        if pred():
+        if self._drain(horizon_ns, pred) or pred():
             return True
         self.now_ns = max(self.now_ns, horizon_ns)
         return pred()
 
+    def _drain(self, horizon_ns: int, pred: Callable[[], bool] | None = None) -> bool:
+        """Handle the events due by ``horizon_ns``; True if ``pred`` stopped it
+        early. A message is dropped unless both ends are online and linked."""
+        heap, at, log, dispatch = self._heap, self._at, self.message_log, _DISPATCH
+        while heap and heap[0][0] <= horizon_ns:
+            if pred is not None and pred():
+                return True
+            t, _, code, a, b, c = heappop(heap)
+            self.now_ns = t
+            if code <= _BLOCK:
+                src, dst = at[a], at[b]
+                if not (src.online and dst.online and b in src.adj):
+                    continue
+                if log is not None:
+                    log.append(Message(t, src.id, dst.id, _KINDS[code], self._cids[c]))
+            dispatch[code](self, a, b, c)
+        return False
+
     # ------------------------------------------------------------------
-    # messaging
+    # messaging: handlers of a message from node src to node dst about cid c
 
-    def _send(self, src: SimNode, dst: SimNode, kind: str, cid: Cid) -> None:
-        # None only for a pair that was never connected (see SimNode.latency_ns)
-        lat = src.latency_ns.get(dst.id)
-        if lat is not None:
-            heappush(
-                self._heap,
-                (self.now_ns + lat, next(self._seq), self._deliver, (src, dst, kind, cid)),
-            )
+    def _log_want(self, code: int, node: SimNode, src: int, c: int) -> None:
+        peer, name = self._at[src], node.monitor_name
+        self.traces[name].append(build_trace_record(
+            self.now_ns, name, peer.id, peer.address, _WANT_TYPES[code], self._cids[c], 0))
 
-    def _deliver(self, src: SimNode, dst: SimNode, kind: str, cid: Cid) -> None:
-        if not (src.online and dst.online and dst.id in src.peers):
+    def _on_want_have(self, src: int, dst: int, c: int) -> None:
+        node, cid = self._at[dst], self._cids[c]
+        if node.monitor_name is not None:
+            self._log_want(_WANT_HAVE, node, src, c)
+        answer = _HAVE if cid in node.store or cid in node.cache else _DONT_HAVE
+        heappush(self._heap, (self.now_ns + node.latency_ns[src], next(self._seq),
+                              answer, dst, src, c))
+
+    def _on_want_block(self, src: int, dst: int, c: int) -> None:
+        node = self._at[dst]
+        if node.monitor_name is not None:
+            self._log_want(_WANT_BLOCK, node, src, c)
+        if node.has_block(self._cids[c]):  # else the requester times out
+            self._send(_BLOCK, node, src, c)
+
+    def _on_cancel(self, src: int, dst: int, c: int) -> None:
+        # nodes keep no record of their peers' wants; only a monitor logs it
+        node = self._at[dst]
+        if node.monitor_name is not None:
+            self._log_want(_CANCEL, node, src, c)
+
+    def _on_have(self, src: int, dst: int, c: int) -> None:
+        waits = self._probe_waits
+        if waits and (dst, src, c) in waits:
+            waits[dst, src, c] = True
             return
-        if self.message_log is not None:
-            self.message_log.append(Message(self.now_ns, src.id, dst.id, kind, cid))
-        self._handlers[kind](dst, src, cid)
-
-    def _on_want(self, rtype: RequestType, node: SimNode, src: SimNode, cid: Cid) -> None:
-        if node.kind is NodeKind.MONITOR:
-            self.traces[node.monitor_name].append(build_trace_record(
-                self.now_ns, node.monitor_name, src.id, src.address, rtype, cid, 0,
-            ))
-        if rtype is RequestType.WANT_HAVE:
-            answer = "have" if node.has_block(cid) else "dont_have"
-            self._send(node, src, answer, cid)
-        elif rtype is RequestType.WANT_BLOCK:
-            if node.has_block(cid):
-                self._send(node, src, "block", cid)
-            # no negative response; the requester's timeout handles absence
-
-    def _on_have(self, node: SimNode, src: SimNode, cid: Cid) -> None:
-        key = (node.id, src.id, cid)
-        if key in self._probe_waits:
-            self._probe_waits[key] = True
+        h = self._requests.get((dst, c))
+        if h is None:
             return
-        h = self._requests.get((node.id, cid))
-        if h is None or h.done:
-            return
-        h._pending_answers.discard(src.id)
-        if src.id not in h.session:
-            h.session.append(src.id)
+        h._pending_answers.discard(src)
+        if src not in h._session:
+            h._session.append(src)
         if h._target is None:
-            self._send_want_block(h, src.id)
+            self._send_want_block(h, src)
 
-    def _on_dont_have(self, node: SimNode, src: SimNode, cid: Cid) -> None:
-        key = (node.id, src.id, cid)
-        if key in self._probe_waits:
-            self._probe_waits[key] = False
+    def _on_dont_have(self, src: int, dst: int, c: int) -> None:
+        waits = self._probe_waits
+        if waits and (dst, src, c) in waits:
+            waits[dst, src, c] = False
             return
-        h = self._requests.get((node.id, cid))
-        if h is None or h.done:
+        h = self._requests.get((dst, c))
+        if h is None or src not in h._pending_answers:
             return
-        if src.id in h._pending_answers:
-            h._pending_answers.discard(src.id)
-            if (
-                not h._pending_answers
-                and not h.session
-                and h._target is None
-                and not h._dht_searched
-            ):
-                self._dht_step(h)
+        h._pending_answers.discard(src)
+        if not (h._pending_answers or h._session or h._target is not None or h._dht_searched):
+            self._dht_step(h)
 
-    def _on_block(self, node: SimNode, src: SimNode, cid: Cid) -> None:
-        h = self._requests.get((node.id, cid))
-        if h is None or h.done:
+    def _on_block(self, src: int, dst: int, c: int) -> None:
+        h = self._requests.pop((dst, c), None)
+        if h is None:
             return
+        del self._live[h._serial]
         h.status = RequestStatus.FETCHED
-        h.provider = src.id
+        h.provider = self._ids[src]
         h.t_done_ns = self.now_ns
-        self._cache_insert(node, cid)
-        # withdraw the want everywhere it was announced and still stands
-        notified, nodes = h._notified, self.nodes
-        for p in node.sorted_peers():
-            if p in notified:
-                self._send(node, nodes[p], "cancel", cid)
-        # a fetched request never reads its announcement sets again; they hold
-        # a whole peer set each, so let them go
+        node = self._at[dst]
+        self._cache_insert(node, self._cids[c])
+        # withdraw the want where it was announced; with the message log off,
+        # only a monitor can tell (see _on_cancel)
+        withdraw = h._notified & node.adj
+        if self.message_log is None:
+            withdraw &= self._monitor_idx
+        for p in sorted(withdraw, key=self._ids.__getitem__):
+            self._send(_CANCEL, node, p, c)
+        # a fetched request never reads its announcement sets again
         h._pending_answers.clear()
-        notified.clear()
+        h._notified.clear()
 
     # ------------------------------------------------------------------
     # retrieval state machine
@@ -645,81 +694,75 @@ class Network:
         node = self.nodes[requester]
         if node.kind is NodeKind.MONITOR:
             raise ConfigError("monitor nodes never originate requests")
-        existing = self._requests.get((requester, cid))
-        if existing is not None and not existing.done:
-            self.ground_truth.requests_issued.append(
-                IssuedRequest(self.now_ns, requester, cid, "duplicate")
-            )
+        c, now, issued = self._intern(cid), self.now_ns, self.ground_truth.requests_issued
+        existing = self._requests.get((node.index, c))  # pending ones only
+        if existing is not None:
+            issued.append(IssuedRequest(now, requester, cid, "duplicate"))
             return existing
         if node.has_block(cid):
             if cid in node.cache:
                 node.cache.move_to_end(cid)
-            h = RequestHandle(
-                requester,
-                cid,
-                self.now_ns,
-                status=RequestStatus.LOCAL_HIT,
-                t_done_ns=self.now_ns,
-            )
-            self.ground_truth.requests_issued.append(
-                IssuedRequest(self.now_ns, requester, cid, "local_hit")
-            )
-            return h
-        h = RequestHandle(requester, cid, self.now_ns)
-        self._requests[(requester, cid)] = h
-        self.ground_truth.requests_issued.append(
-            IssuedRequest(self.now_ns, requester, cid, "broadcast")
-        )
+            issued.append(IssuedRequest(now, requester, cid, "local_hit"))
+            return RequestHandle(requester, cid, now, status=RequestStatus.LOCAL_HIT,
+                                 t_done_ns=now)
+        h = RequestHandle(requester, cid, now, _node=node.index, _cid=c,
+                          _serial=next(self._serials))
+        self._requests[node.index, c] = h
+        self._live[h._serial] = h
+        issued.append(IssuedRequest(now, requester, cid, "broadcast"))
         self._broadcast_want(h, initial=True)
-        self._schedule(int(self.cfg.broadcast_timeout_s * NS), self._broadcast_timeout, h)
+        self._timer(self.cfg.broadcast_timeout_s * NS, _BROADCAST_TIMEOUT, h._serial)
         self._schedule_rebroadcast(h, 1)
         return h
 
     def _broadcast_want(self, h: RequestHandle, initial: bool) -> None:
-        node = self.nodes[h.requester]
-        peers = node.sorted_peers()
+        node = self._at[h._node]
+        peers = node.peer_order()
         if initial:
             self.ground_truth.want_emissions_initial += 1
             h._pending_answers = set(peers)
         else:
             self.ground_truth.want_emissions_rebroadcast += 1
         h._notified.update(peers)
-        nodes = self.nodes
+        heap, seq, now, lat = self._heap, self._seq, self.now_ns, node.latency_ns
+        i, c = node.index, h._cid
         for p in peers:
-            self._send(node, nodes[p], "want_have", h.cid)
+            heappush(heap, (now + lat[p], next(seq), _WANT_HAVE, i, p, c))
         if initial and not peers:
             self._dht_step(h)
 
     def _schedule_rebroadcast(self, h: RequestHandle, k: int) -> None:
         t_next = h.t_start_ns + k * int(self.cfg.rebroadcast_interval_s * NS)
-        self._schedule(max(0, t_next - self.now_ns), self._rebroadcast_tick, h, k)
+        self._timer(max(0, t_next - self.now_ns), _REBROADCAST, h._serial, k)
 
-    def _rebroadcast_tick(self, h: RequestHandle, k: int) -> None:
-        if h.done:
+    def _rebroadcast_tick(self, serial: int, k: int, _: int) -> None:
+        h = self._live.get(serial)
+        if h is None:
             return
-        node = self.nodes[h.requester]
-        if node.online:
+        if self._at[h._node].online:
             self._broadcast_want(h, initial=False)
             self._dht_extend(h)
         self._schedule_rebroadcast(h, k + 1)
 
-    def _broadcast_timeout(self, h: RequestHandle) -> None:
-        if h.done or h._target is not None or h.session or h._dht_searched:
+    def _broadcast_timeout(self, serial: int, _: int, __: int) -> None:
+        h = self._live.get(serial)
+        if h is None or h._target is not None or h._session or h._dht_searched:
             return
         self._dht_step(h)
 
-    def _send_want_block(self, h: RequestHandle, target: NodeId) -> None:
+    def _send_want_block(self, h: RequestHandle, target: int) -> None:
         h._target = target
         h._tried.add(target)
         h._notified.add(target)
-        self._send(self.nodes[h.requester], self.nodes[target], "want_block", h.cid)
-        self._schedule(int(self.cfg.want_block_timeout_s * NS), self._fetch_timeout, h, target)
+        self._send(_WANT_BLOCK, self._at[h._node], target, h._cid)
+        self._timer(self.cfg.want_block_timeout_s * NS, _FETCH_TIMEOUT, h._serial, target)
 
-    def _fetch_timeout(self, h: RequestHandle, target: NodeId) -> None:
-        if h.done or h._target != target:
+    def _fetch_timeout(self, serial: int, target: int, _: int) -> None:
+        h = self._live.get(serial)
+        if h is None or h._target != target:
             return
         h._target = None
-        nxt = next((p for p in h.session if p not in h._tried), None)
+        nxt = next((p for p in h._session if p not in h._tried), None)
         if nxt is not None:
             self._send_want_block(h, nxt)
         else:
@@ -732,24 +775,24 @@ class Network:
         if contacted == 0 and h._target is None:
             h.idle = True
         else:
-            self._schedule(int(self.cfg.broadcast_timeout_s * NS), self._idle_check, h)
+            self._timer(self.cfg.broadcast_timeout_s * NS, _IDLE_CHECK, h._serial)
 
-    def _idle_check(self, h: RequestHandle) -> None:
-        if not h.done and h._target is None:
+    def _idle_check(self, serial: int, _: int, __: int) -> None:
+        h = self._live.get(serial)
+        if h is not None and h._target is None:
             h.idle = True
 
     def _dht_extend(self, h: RequestHandle) -> int:
         """Connect to unconnected providers and ask them directly."""
-        node = self.nodes[h.requester]
-        providers = sorted(
-            p for p in self.find_providers(h.cid) if p != h.requester
-        )
-        new = [p for p in providers if p not in node.peers]
+        i, at = h._node, self._at
+        node = at[i]
+        new = sorted((p for p in self._providers.get(h._cid, ())
+                      if p != i and at[p].online and p not in node.adj), key=self._ids.__getitem__)
         for p in new:
-            self.connect(h.requester, p)
+            self._link(i, p)
         h._notified.update(new)
         for p in new:
-            self._send(node, self.nodes[p], "want_have", h.cid)
+            self._send(_WANT_HAVE, node, p, h._cid)
         return len(new)
 
     # ------------------------------------------------------------------
@@ -765,13 +808,10 @@ class Network:
             node.cache.move_to_end(cid)
             return
         node.cache[cid] = None
-        self._cache_log_open(node.id, cid)
+        self.ground_truth.cache_log.setdefault((node.id, cid), []).append([self.now_ns, None])
         if len(node.cache) > cap:
             evicted, _ = node.cache.popitem(last=False)
             self._cache_log_close(node.id, evicted)
-
-    def _cache_log_open(self, nid: NodeId, cid: Cid) -> None:
-        self.ground_truth.cache_log.setdefault((nid, cid), []).append([self.now_ns, None])
 
     def _cache_log_close(self, nid: NodeId, cid: Cid) -> None:
         spans = self.ground_truth.cache_log.get((nid, cid))
@@ -790,11 +830,14 @@ class Network:
 
     def provide(self, nid: NodeId, cid: Cid) -> None:
         """Pin the block locally and publish a provider record."""
-        self.nodes[nid].store.add(cid)
-        self.dht.setdefault(cid, set()).add(nid)
+        node = self.nodes[nid]
+        node.store.add(cid)
+        self._providers.setdefault(self._intern(cid), set()).add(node.index)
 
     def find_providers(self, cid: Cid) -> set[NodeId]:
-        return {p for p in self.dht.get(cid, ()) if self.nodes[p].online}
+        at = self._at
+        return {at[p].id for p in self._providers.get(self._cid_index.get(cid), ())
+                if at[p].online}
 
     # ------------------------------------------------------------------
     # liveness
@@ -803,9 +846,9 @@ class Network:
         node = self.nodes[nid]
         if not node.online:
             return
-        node.resume_peers = node.sorted_peers()
+        node.resume_peers = node.peer_order()
         for p in node.resume_peers:
-            self.disconnect(nid, p)
+            self._unlink(node.index, p)
         node.online = False
 
     def set_online(self, nid: NodeId) -> None:
@@ -814,21 +857,22 @@ class Network:
             return
         node.online = True
         for p in node.resume_peers:
-            if self.nodes[p].online:
-                self.connect(nid, p)
+            if self._at[p].online:
+                self._link(node.index, p)
         node.resume_peers = []
 
-    def _churn_off(self, nid: NodeId) -> None:
-        if not self.nodes[nid].online:
+    def _churn_off(self, i: int, _: int, __: int) -> None:
+        node = self._at[i]
+        if not node.online:
             return
-        self.set_offline(nid)
+        self.set_offline(node.id)
         delay = self.rng.expovariate(1.0 / self.cfg.churn.mean_offline_s)
-        self._schedule(int(delay * NS), self._churn_on, nid)
+        self._timer(delay * NS, _CHURN_ON, i)
 
-    def _churn_on(self, nid: NodeId) -> None:
-        self.set_online(nid)
+    def _churn_on(self, i: int, _: int, __: int) -> None:
+        self.set_online(self._ids[i])
         delay = self.rng.expovariate(1.0 / self.cfg.churn.mean_session_s)
-        self._schedule(int(delay * NS), self._churn_off, nid)
+        self._timer(delay * NS, _CHURN_OFF, i)
 
     # ------------------------------------------------------------------
     # gateways
@@ -855,16 +899,13 @@ class Network:
             raise ProbeUnreachableError("target is offline")
         if not pn.online:
             raise ProbeUnreachableError("prober is offline")
-        if target not in pn.peers:
+        if tn.index not in pn.adj:
             self.connect(prober, target)
-        key = (prober, target, cid)
-        self._probe_waits[key] = None
-        self._send(pn, tn, "want_have", cid)
-        self._advance_until(
-            lambda: self._probe_waits[key] is not None,
-            self.now_ns + PROBE_TIMEOUT_NS,
-        )
-        return bool(self._probe_waits.pop(key))
+        waits, key = self._probe_waits, (pn.index, tn.index, self._intern(cid))
+        waits[key] = None
+        self._send(_WANT_HAVE, pn, tn.index, key[2])
+        self._advance_until(lambda: waits[key] is not None, self.now_ns + PROBE_TIMEOUT_NS)
+        return bool(waits.pop(key))
 
     # ------------------------------------------------------------------
     # world building
@@ -945,6 +986,7 @@ class Network:
         # equal keys keep index order, as a stable sort over range(n) did.
         need = np.array(targets, dtype=np.int64)
         draw = rng.random
+        index = [self.nodes[nid].index for nid in regular]
         while True:
             tie = np.fromiter(starmap(draw, repeat((), n)), np.float64, n)
             order = np.lexsort((tie, -need))
@@ -957,9 +999,8 @@ class Network:
             partners = order[1 : k + 1]
             need[u] = 0
             need[partners] -= 1
-            a = regular[u]
             for v in partners.tolist():
-                self.connect(a, regular[v])
+                self._link(index[u], index[v])
 
     def _build_gateway_groups(self, gateway_nodes: list[NodeId]) -> None:
         sizes = self.cfg.gateway_group_sizes or tuple([1] * len(gateway_nodes))
@@ -1055,7 +1096,7 @@ class Network:
     def _start_churn(self) -> None:
         for nid in sorted(self.regular_ids()):
             delay = self.rng.expovariate(1.0 / self.cfg.churn.mean_session_s)
-            self._schedule(int(delay * NS), self._churn_off, nid)
+            self._timer(delay * NS, _CHURN_OFF, self.nodes[nid].index)
 
     def _schedule_workload(self, duration_s: float) -> None:
         cfg = self.cfg
@@ -1079,22 +1120,24 @@ class Network:
                     items = self.rng.sample(range(len(self.catalog)), len(times))
                 else:
                     items = [self._sample_item() for _ in times]
+                i = self.nodes[nid].index
                 for t, idx in zip(times, items):
-                    self._schedule(int(t * NS), self._workload_request, nid, idx)
+                    self._timer(t * NS, _WORKLOAD_REQUEST, i, self._intern(self.catalog[idx].cid))
         if cfg.gateway_http_rate > 0 and self.catalog and self.gateways:
-            for dns_name in sorted(self.gateways):
+            self._gateway_names = sorted(self.gateways)
+            for g, dns_name in enumerate(self._gateway_names):
                 t = self.rng.expovariate(cfg.gateway_http_rate)
                 while t < duration_s:
-                    idx = self._sample_item()
-                    self._schedule(int(t * NS), self._workload_gateway, dns_name, idx)
+                    c = self._intern(self.catalog[self._sample_item()].cid)
+                    self._timer(t * NS, _WORKLOAD_GATEWAY, g, c)
                     t += self.rng.expovariate(cfg.gateway_http_rate)
 
-    def _workload_request(self, nid: NodeId, item_idx: int) -> None:
-        if self.nodes[nid].online:
-            self.request(nid, self.catalog[item_idx].cid)
+    def _workload_request(self, i: int, c: int, _: int) -> None:
+        if self._at[i].online:
+            self.request(self._ids[i], self._cids[c])
 
-    def _workload_gateway(self, dns_name: str, item_idx: int) -> None:
-        self.gateway_http_request(dns_name, self.catalog[item_idx].cid)
+    def _workload_gateway(self, g: int, c: int, _: int) -> None:
+        self.gateway_http_request(self._gateway_names[g], self._cids[c])
 
     def run(self, duration_s: float | None = None):
         """Advance the world; returns (traces, conn events, ground truth)."""
@@ -1109,6 +1152,18 @@ class Network:
             self._schedule_workload(dur)
             self.run_for(dur)
         return self.traces, self.conn_events, self.ground_truth
+
+
+# event code -> handler(network, a, b, c); plain functions, so that no queued
+# event or table refers back to a network and a finished one is freed as soon
+# as it is dropped
+_DISPATCH = (
+    Network._on_want_have, Network._on_want_block, Network._on_cancel,
+    Network._on_have, Network._on_dont_have, Network._on_block,
+    Network._broadcast_timeout, Network._rebroadcast_tick, Network._fetch_timeout,
+    Network._idle_check, Network._churn_off, Network._churn_on,
+    Network._workload_request, Network._workload_gateway,
+)
 
 
 # ----------------------------------------------------------------------
