@@ -246,17 +246,18 @@ class _DiscretePowerLawSampler:
     def __init__(self, alpha: float, xmin: int):
         self.alpha = alpha
         self.xmin = xmin
-        ks = np.arange(xmin, xmin + self._TABLE_SPAN, dtype=np.float64)
-        pmf = ks ** (-alpha) / zeta(alpha, xmin)
-        self._cdf = np.cumsum(pmf)
-        self._values = ks.astype(np.int64)
+        # the pmf over k = xmin, xmin + 1, ..., then its CDF, in one array
+        cdf = np.arange(xmin, xmin + self._TABLE_SPAN, dtype=np.float64)
+        cdf **= -alpha
+        cdf /= zeta(alpha, xmin)
+        self._cdf = np.cumsum(cdf, out=cdf)
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
         out = np.empty(size, dtype=np.int64)
         in_table = u < self._cdf[-1]
         idx = np.searchsorted(self._cdf, u[in_table], side="right")
-        out[in_table] = self._values[idx]
+        out[in_table] = self.xmin + idx
         rest = ~in_table
         if rest.any():
             y = (self.xmin - 0.5) * (1.0 - u[rest]) ** (-1.0 / (self.alpha - 1.0))

@@ -31,6 +31,7 @@ from .core import (
 )
 from .errors import (
     ConfigError,
+    ConnEventOrderError,
     DegenerateSampleError,
     DisjointSamplesError,
     ProbeUnreachableError,
@@ -41,6 +42,7 @@ from .errors import (
 _USAGE_ERRORS = (
     ConfigError,
     TraceParseError,
+    ConnEventOrderError,
     DisjointSamplesError,
     DegenerateSampleError,
     UnknownGatewayError,

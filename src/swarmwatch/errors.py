@@ -36,3 +36,8 @@ class UnknownGatewayError(SwarmwatchError):
 
 class ProbeUnreachableError(SwarmwatchError):
     """The probe target cannot be reached (offline node)."""
+
+
+class ConnEventOrderError(SwarmwatchError, ValueError):
+    """A peer's connection events on a monitor do not alternate connect,
+    disconnect in time order (a double connect, or a disconnect without one)."""

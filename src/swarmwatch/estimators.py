@@ -9,23 +9,28 @@ Three families of estimators:
   N = -k / sum(log(1 - x_j)) over observed normalized minimum distances.
 
 Plus the bookkeeping to derive peer-set statistics from connection-event
-logs and the monitoring-coverage ratio.
+logs (one stable sort per monitor per call, no per-peer Python loop) and
+the monitoring-coverage ratio.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, count, repeat
+from operator import attrgetter, is_
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .core import ConnEvent, ConnEventKind, NodeId
-from .errors import DegenerateSampleError, DisjointSamplesError
+from .errors import ConnEventOrderError, DegenerateSampleError, DisjointSamplesError
 
 _NS = 1_000_000_000
+_I64 = np.iinfo(np.int64)
+_TIMESTAMP, _PEER, _KIND = map(attrgetter, ("timestamp_ns", "peer", "kind"))
 
 # solve_coupon_mle bisects on [m, COUPON_N_MAX] until the bracket is within
 # COUPON_REL_TOL of its lower end
@@ -181,26 +186,6 @@ class PeerSetStats:
         return self.union_size
 
 
-def _intervals(
-    events: Sequence[ConnEvent],
-) -> dict[NodeId, list[tuple[int, float]]]:
-    """Per-peer connected intervals [start, end) from alternating events."""
-    spans: dict[NodeId, list[tuple[int, float]]] = {}
-    open_at: dict[NodeId, int] = {}
-    for e in sorted(events, key=lambda e: e.timestamp_ns):
-        if e.kind is ConnEventKind.CONNECT:
-            if e.peer in open_at:
-                raise ValueError(f"double connect for peer {e.peer} on {e.monitor}")
-            open_at[e.peer] = e.timestamp_ns
-        else:
-            if e.peer not in open_at:
-                raise ValueError(f"disconnect without connect for peer {e.peer}")
-            spans.setdefault(e.peer, []).append((open_at.pop(e.peer), e.timestamp_ns))
-    for peer, start in open_at.items():
-        spans.setdefault(peer, []).append((start, math.inf))
-    return spans
-
-
 def peer_set_stats(
     conn_events: Mapping[str, Sequence[ConnEvent]],
     window: tuple[int, int],
@@ -208,44 +193,74 @@ def peer_set_stats(
     sample_interval_s: float = 60.0,
 ) -> PeerSetStats:
     """Peer sets seen by each monitor during [t0, t1) plus the mean
-    instantaneous connection count, sampled on a fixed grid."""
+    instantaneous connection count, sampled every ``sample_interval_s``
+    (finite, at least 1 ns) from t0. Timestamps and the window must fit in
+    int64. A peer's events must alternate connect, disconnect in time order
+    (ties in input order); the first violation raises ConnEventOrderError.
+
+    Every peer gets one integer code per call; each monitor's events become
+    arrays, stably sorted by time and then by peer, so the checks, the
+    connected intervals and the counts are array operations."""
     t0, t1 = window
     if t1 <= t0:
         raise ValueError("window end must be after window start")
-    step = int(sample_interval_s * _NS)
-    instants = list(range(t0, t1, step)) or [t0]
-    sets: dict[str, frozenset[NodeId]] = {}
-    w_per_monitor: dict[str, float] = {}
-    for monitor in sorted(conn_events):
-        spans = _intervals(conn_events[monitor])
-        seen = frozenset(
-            peer
-            for peer, intervals in spans.items()
-            if any(start < t1 and end > t0 for start, end in intervals)
+    if t0 < _I64.min or t1 > _I64.max:
+        raise ValueError(f"window {window} does not fit in int64")
+    step_ns = sample_interval_s * _NS
+    if not (math.isfinite(step_ns) and step_ns >= 1):
+        raise ValueError(
+            f"sample_interval_s must be a finite span of at least 1 ns, got {sample_interval_s!r}"
         )
-        sets[monitor] = seen
-        # a peer's intervals are disjoint, so the peers connected at t are
-        # the intervals started by t less those also ended by t
-        starts = sorted(start for ivs in spans.values() for start, _ in ivs)
-        ends = sorted(end for ivs in spans.values() for _, end in ivs)
-        counts = [bisect_right(starts, t) - bisect_right(ends, t) for t in instants]
-        w_per_monitor[monitor] = sum(counts) / len(counts)
-    monitors = sorted(sets)
-    union: set[NodeId] = set()
-    for s in sets.values():
-        union |= s
-    intersections = {
-        (a, b): len(sets[a] & sets[b]) for a, b in combinations(monitors, 2)
-    }
+    grid = range(t0, t1, int(step_ns))
+    instants = np.fromiter(grid, np.int64, len(grid))
+    monitors = sorted(conn_events)
+    peers = {m: list(map(_PEER, conn_events[m])) for m in monitors}
+    code_of = dict(zip(dict.fromkeys(chain.from_iterable(peers.values())), count()))
+    seen: dict[str, np.ndarray] = {}
+    w_per_monitor: dict[str, float] = {}
+    for monitor in monitors:
+        events = conn_events[monitor]
+        n = len(events)
+        try:
+            ts = np.fromiter(map(_TIMESTAMP, events), np.int64, n)
+        except OverflowError:
+            raise ValueError(f"a timestamp on {monitor} does not fit in int64") from None
+        codes = np.fromiter(map(code_of.__getitem__, peers[monitor]), np.int64, n)
+        connect = np.fromiter(map(is_, map(_KIND, events), repeat(ConnEventKind.CONNECT)), bool, n)
+        order = np.argsort(ts, kind="stable")
+        order = order[np.argsort(codes[order], kind="stable")]
+        peer, t, connect = codes[order], ts[order], connect[order]
+        # a peer's run of events alternates from a connect: connects at even ranks
+        first = np.ones(n, bool)
+        first[1:] = peer[1:] != peer[:-1]
+        rank = np.arange(n) - np.maximum.accumulate(np.where(first, np.arange(n), 0))
+        bad = order[connect == (rank % 2 == 1)]
+        if len(bad):
+            e = events[bad[np.lexsort((bad, ts[bad]))[0]]]  # first in time, then input order
+            what = "double" if e.kind is ConnEventKind.CONNECT else "disconnect without"
+            raise ConnEventOrderError(
+                f"{what} connect for peer {e.peer:064x} on {monitor} at {e.timestamp_ns} ns"
+            )
+        end = np.full(n, _I64.max)  # a connect ends at its peer's next event, if any
+        end[:-1] = np.where(first[1:], _I64.max, t[1:])
+        start, end, peer = t[connect], end[connect], peer[connect]
+        seen[monitor] = np.unique(peer[(start < t1) & (end > t0)])
+        counts = np.searchsorted(np.sort(start), instants, "right") - np.searchsorted(
+            np.sort(end), instants, "right")
+        w_per_monitor[monitor] = sum(counts.tolist()) / len(counts)
+    peer_of = list(code_of)
     mean_w = sum(w_per_monitor.values()) / len(w_per_monitor) if w_per_monitor else 0.0
     return PeerSetStats(
-        sizes={m: len(sets[m]) for m in monitors},
-        intersections=intersections,
-        union_size=len(union),
+        sizes={m: len(seen[m]) for m in monitors},
+        intersections={
+            (a, b): len(np.intersect1d(seen[a], seen[b], assume_unique=True))
+            for a, b in combinations(monitors, 2)
+        },
+        union_size=len(np.unique(np.concatenate([np.empty(0, np.int64), *seen.values()]))),
         r=len(monitors),
         w_per_monitor=w_per_monitor,
         w=mean_w,
-        peer_sets=sets,
+        peer_sets={m: frozenset(map(peer_of.__getitem__, seen[m].tolist())) for m in monitors},
     )
 
 

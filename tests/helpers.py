@@ -4,13 +4,17 @@ The flag checkers here are deliberately naive pairwise scans, independent
 of the linear-time implementations in swarmwatch.pipeline. The power-law
 reference fits one sample at a time and solves each cutoff's exponent by
 bisection, independent of the batched table-and-Newton fitter in
-swarmwatch.analytics.
+swarmwatch.analytics. The peer-set reference walks each monitor's events
+into per-peer intervals and scans every interval at every sample instant,
+independent of the sort-based swarmwatch.estimators.peer_set_stats.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import defaultdict
+from itertools import combinations
 
 import numpy as np
 from scipy.special import zeta
@@ -20,11 +24,14 @@ from swarmwatch.core import (
     FLAG_INTER_MONITOR_DUPLICATE,
     FLAG_REBROADCAST,
     RAW,
+    ConnEventKind,
     NodeId,
     RequestType,
     TraceRecord,
     hash_content,
 )
+from swarmwatch.errors import ConnEventOrderError
+from swarmwatch.estimators import PeerSetStats
 
 NS = 1_000_000_000
 
@@ -55,6 +62,43 @@ def brute_force_flags(records, dup_window_s=5.0, rebroadcast_window_s=31.0):
             if same and ri.timestamp_ns - records[same[-1]].timestamp_ns <= reb_ns:
                 flags[i] |= FLAG_REBROADCAST
     return flags
+
+
+def reference_peer_set_stats(conn_events, window, sample_interval_s=60.0):
+    """Naive reference for ``peer_set_stats``: walk each monitor's events in
+    time order (ties in input order) into per-peer [start, end) intervals,
+    then count the intervals holding each sample instant one by one."""
+    t0, t1 = window
+    instants = range(t0, t1, int(sample_interval_s * NS))
+    sets, w_per_monitor = {}, {}
+    for monitor in sorted(conn_events):
+        spans, open_at = defaultdict(list), {}
+        for e in sorted(conn_events[monitor], key=lambda e: e.timestamp_ns):
+            where = f"for peer {e.peer:064x} on {monitor} at {e.timestamp_ns} ns"
+            if e.kind is ConnEventKind.CONNECT:
+                if e.peer in open_at:
+                    raise ConnEventOrderError(f"double connect {where}")
+                open_at[e.peer] = e.timestamp_ns
+            else:
+                if e.peer not in open_at:
+                    raise ConnEventOrderError(f"disconnect without connect {where}")
+                spans[e.peer].append((open_at.pop(e.peer), e.timestamp_ns))
+        for peer, start in open_at.items():
+            spans[peer].append((start, math.inf))
+        sets[monitor] = frozenset(
+            p for p, ivs in spans.items() if any(s < t1 and e > t0 for s, e in ivs))
+        counts = [sum(s <= t < e for ivs in spans.values() for s, e in ivs) for t in instants]
+        w_per_monitor[monitor] = sum(counts) / len(counts)
+    monitors = sorted(sets)
+    return PeerSetStats(
+        sizes={m: len(sets[m]) for m in monitors},
+        intersections={(a, b): len(sets[a] & sets[b]) for a, b in combinations(monitors, 2)},
+        union_size=len(frozenset().union(*sets.values())),
+        r=len(monitors),
+        w_per_monitor=w_per_monitor,
+        w=sum(w_per_monitor.values()) / len(w_per_monitor) if w_per_monitor else 0.0,
+        peer_sets=sets,
+    )
 
 
 def bisection_alpha_mle(xmins, mean_log_tail, alpha_range):

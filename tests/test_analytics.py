@@ -253,6 +253,26 @@ class TestFitterOracle:
         assert abs(fit.p_value - p) <= 0.02
 
 
+@pytest.mark.parametrize("alpha, xmin, seed", [
+    (1.5, 1, 0), (2.0, 1, 1), (2.37, 3, 2), (3.5, 40, 3), (1.81, 1000, 4)])
+def test_sampler_draws_equal_the_table_reference(alpha, xmin, seed):
+    """The sampler's CDF and draws, bit for bit, against explicit value, pmf
+    and CDF tables, with the continuous approximation past the table."""
+    ks = np.arange(xmin, xmin + analytics._DiscretePowerLawSampler._TABLE_SPAN, dtype=np.float64)
+    cdf = np.cumsum(ks ** (-alpha) / zeta(alpha, xmin))
+    u = np.random.default_rng(seed).random(20_000)
+    in_table = u < cdf[-1]
+    want = np.empty(len(u), dtype=np.int64)
+    want[in_table] = ks[np.searchsorted(cdf, u[in_table], side="right")].astype(np.int64)
+    y = (xmin - 0.5) * (1.0 - u[~in_table]) ** (-1.0 / (alpha - 1.0))
+    want[~in_table] = np.floor(np.minimum(y + 0.5, 1e18)).astype(np.int64)
+    sampler = analytics._DiscretePowerLawSampler(alpha, xmin)
+    assert np.array_equal(sampler._cdf, cdf)
+    assert np.array_equal(sampler.draw(np.random.default_rng(seed), len(u)), want)
+    if alpha == 1.5:
+        assert not in_table.all()
+
+
 def _batch_samples():
     values = st.one_of(st.integers(1, 3), st.integers(1, 40), st.integers(1, 5000))
     sample = st.lists(values, min_size=2, max_size=120).filter(lambda v: min(v) != max(v))

@@ -7,11 +7,14 @@ from swarmwatch.cli import main
 from swarmwatch.core import (
     RAW,
     DAG_PROTOBUF,
+    ConnEvent,
+    ConnEventKind,
     NodeId,
     RequestType,
     TraceRecord,
     hash_content,
     read_trace,
+    write_conn_events,
     write_trace,
 )
 from swarmwatch.pipeline import mark_flags, unify
@@ -267,6 +270,19 @@ class TestEstimate:
         doc = json.loads((dest / "estimate.json").read_text())
         # full coverage: both monitors see every regular node
         assert doc["n_hat"] == pytest.approx(13, abs=0.01)
+
+    def test_double_connect_exits_2_naming_monitor_and_peer(self, tmp_path, capsys):
+        peer = NodeId(0x5EED)
+        conn = tmp_path / "conn_watch.csv"
+        write_conn_events([ConnEvent(t * NS, "watch", peer, ConnEventKind.CONNECT)
+                           for t in (1, 2)], conn)
+        code = main(["estimate", "--method", "coupon", "--conn-events", str(conn),
+                     "--window-start-s", "0", "--window-end-s", "10",
+                     "--out", str(tmp_path / "est")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: double connect")
+        assert "watch" in err and peer.hex in err
 
     def test_dht_min_from_samples(self, tmp_path):
         import math

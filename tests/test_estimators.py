@@ -1,5 +1,7 @@
 import math
 import random
+from collections import defaultdict
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -8,9 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmwatch.core import ConnEvent, ConnEventKind, NodeId
-from swarmwatch.errors import DegenerateSampleError, DisjointSamplesError
+from swarmwatch.errors import (
+    ConnEventOrderError,
+    DegenerateSampleError,
+    DisjointSamplesError,
+    SwarmwatchError,
+)
 from swarmwatch.estimators import (
     EstimatorMethod,
+    PeerSetStats,
     coupon_density,
     coverage,
     dht_size_from_min_distance,
@@ -18,6 +26,8 @@ from swarmwatch.estimators import (
     peer_set_stats,
     solve_coupon_mle,
 )
+
+from helpers import reference_peer_set_stats
 
 NS = 1_000_000_000
 
@@ -219,6 +229,43 @@ def _ev(t_s, monitor, peer, kind):
 
 CONNECT = ConnEventKind.CONNECT
 DISCONNECT = ConnEventKind.DISCONNECT
+_PEERS = [NodeId(1), NodeId(2), NodeId(3), NodeId(4), NodeId(2**255 + 7)]
+
+
+@st.composite
+def _conn_logs(draw):
+    """Up to three monitors' event lists over a shared peer pool. Each peer
+    alternates connect/disconnect at whole seconds in [0, 250], zero gaps
+    giving reconnects and connections at the same nanosecond, and may stay
+    connected. Each list is shuffled with equal-time events kept in schedule
+    order, then sometimes gets one or two stray events, often at the time of
+    another event, that may break alternation."""
+    logs = {}
+    for m in range(draw(st.integers(0, 3))):
+        name = f"m{m}"
+        events = []
+        for peer in draw(st.lists(st.sampled_from(_PEERS), unique=True, max_size=5)):
+            t = draw(st.integers(0, 100))
+            for k, gap in enumerate(draw(st.lists(st.integers(0, 40), max_size=6))):
+                t += gap
+                events.append(_ev(t, name, peer, DISCONNECT if k % 2 else CONNECT))
+        shuffled = draw(st.permutations(events))
+        slots, by_time = defaultdict(list), defaultdict(list)
+        for i, e in enumerate(shuffled):
+            slots[e.timestamp_ns].append(i)
+        for e in events:
+            by_time[e.timestamp_ns].append(e)
+        for t, idx in slots.items():
+            for i, e in zip(idx, by_time[t]):
+                shuffled[i] = e
+        for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 1, 2]))):
+            times = [e.timestamp_ns // NS for e in events] or [0]
+            t = draw(st.sampled_from(times) | st.integers(0, 250))
+            stray = _ev(t, name, draw(st.sampled_from(_PEERS)),
+                        draw(st.sampled_from([CONNECT, DISCONNECT])))
+            shuffled.insert(draw(st.integers(0, len(shuffled))), stray)
+        logs[name] = shuffled
+    return logs
 
 
 class TestPeerSetStats:
@@ -296,6 +343,61 @@ class TestPeerSetStats:
             instants = [t0 + 7.5 * k for k in range(math.ceil((t1 - t0) / 7.5))]
             counts = [sum(start <= t < end for start, end in spans) for t in instants]
             assert stats.w_per_monitor["m0"] == sum(counts) / len(counts)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        logs=_conn_logs(),
+        t0=st.integers(-60, 300),
+        length=st.integers(1, 200),
+        interval=st.sampled_from([0.7, 1, 7.5, 13, 60, 500]),
+    )
+    def test_matches_reference(self, logs, t0, length, interval):
+        window = (t0 * NS, (t0 + length) * NS)
+        try:
+            want = reference_peer_set_stats(logs, window, interval)
+        except ConnEventOrderError as exc:
+            # the same type, naming the same event (monitor, peer, timestamp)
+            with pytest.raises(ConnEventOrderError) as got:
+                peer_set_stats(logs, window, sample_interval_s=interval)
+            assert str(got.value) == str(exc)
+            return
+        got = peer_set_stats(logs, window, sample_interval_s=interval)
+        for f in fields(PeerSetStats):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert all(type(p) is NodeId for s in got.peer_sets.values() for p in s)
+
+    @pytest.mark.parametrize("first, second, named", [
+        (CONNECT, CONNECT, "double connect"),
+        (DISCONNECT, CONNECT, "disconnect without connect"),
+    ])
+    def test_order_errors_name_monitor_peer_and_time(self, first, second, named):
+        p = NodeId(0xAB)
+        with pytest.raises(ConnEventOrderError) as exc:
+            peer_set_stats({"mon": [_ev(2, "mon", p, second), _ev(1, "mon", p, first)]},
+                           (0, 10 * NS))
+        assert isinstance(exc.value, ValueError) and isinstance(exc.value, SwarmwatchError)
+        at = NS if first is DISCONNECT else 2 * NS
+        assert str(exc.value) == f"{named} for peer {p:064x} on mon at {at} ns"
+
+    @pytest.mark.parametrize("interval", [-1.0, 0.0, 1e-10, math.nan, math.inf, -math.inf])
+    def test_sample_interval_domain(self, interval):
+        with pytest.raises(ValueError, match="sample_interval_s"):
+            peer_set_stats({"m0": []}, (0, 10 * NS), sample_interval_s=interval)
+
+    def test_one_ns_sample_interval(self):
+        events = {"m0": [_ev(0, "m0", NodeId(1), CONNECT)]}
+        stats = peer_set_stats(events, (0, 3), sample_interval_s=1e-9)
+        assert stats.w_per_monitor == {"m0": 1.0}
+
+    @pytest.mark.parametrize("ts", [2**63, -(2**63) - 1])
+    def test_timestamp_outside_int64_names_the_monitor(self, ts):
+        events = {"m0": [], "far": [ConnEvent(ts, "far", NodeId(1), CONNECT)]}
+        with pytest.raises(ValueError, match="far"):
+            peer_set_stats(events, (0, 10 * NS))
+
+    def test_window_outside_int64(self):
+        with pytest.raises(ValueError, match="int64"):
+            peer_set_stats({"m0": []}, (0, 2**63))
 
     def test_alternation_enforced(self):
         p = NodeId(1)
