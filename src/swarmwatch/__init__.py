@@ -20,6 +20,7 @@ from .errors import (  # noqa: F401
     ConfigError,
     DegenerateSampleError,
     DisjointSamplesError,
+    InputError,
     ProbeUnreachableError,
     SwarmwatchError,
     TraceParseError,

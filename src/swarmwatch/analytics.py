@@ -10,8 +10,8 @@ by minimal KS distance, and a semi-parametric bootstrap for the p-value
 
 from __future__ import annotations
 
+import csv
 import ipaddress
-import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -19,10 +19,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.special import zeta
 
-from .core import Cid, Codec, NodeId, RequestType, TraceRecord
-from .errors import DegenerateSampleError
+from .core import Cid, Codec, NodeId, RequestType, TraceRecord, open_text, span_ns
+from .errors import DegenerateSampleError, InputError
 
-_NS = 1_000_000_000
 # RequestType.CANCEL, looked up once: reading an Enum member off its class
 # costs about 0.1 µs, a per-record cost in the reports
 _CANCEL = RequestType.CANCEL
@@ -83,7 +82,7 @@ def popularity(source: Iterable[TraceRecord], drop_flagged: bool = True) -> Popu
 def ecdf(scores: Sequence[int]) -> list[tuple[float, float]]:
     """Right-continuous empirical CDF points (value, cumulative fraction)."""
     if len(scores) == 0:
-        raise ValueError("cannot build an ECDF from no scores")
+        raise InputError("cannot build an ECDF from no scores")
     values, counts = np.unique(np.asarray(scores), return_counts=True)
     fractions = np.cumsum(counts) / len(scores)
     fractions[-1] = 1.0
@@ -281,19 +280,22 @@ def fit_power_law(
     cutoff and from the data below it. The p-value is the share of
     replicates whose KS distance reaches the observed one, among those not
     skipped for being constant (``replicates_skipped`` counts those); it is
-    nan when every replicate was skipped (or ``bootstraps`` is 0). The
-    replicates are refitted ``FIT_CHUNK`` at a time, sharing one slope table.
+    nan when every replicate was skipped (or ``bootstraps`` is 0).
+    ``bootstraps`` and ``seed`` must be non-negative. The replicates are
+    refitted ``FIT_CHUNK`` at a time, sharing one slope table.
     Deterministic for a fixed seed.
     """
+    if min(bootstraps, seed) < 0:
+        raise InputError(f"bootstraps and seed must be non-negative, got {bootstraps}, {seed}")
     x = np.asarray(list(samples), dtype=np.int64)
     if len(x) < 50:
-        raise ValueError("need at least 50 samples to fit")
+        raise InputError("need at least 50 samples to fit")
     if (x < 1).any():
-        raise ValueError("samples must be positive integers")
+        raise InputError("samples must be positive integers")
     if x.min() == x.max():
         raise DegenerateSampleError("all samples are equal")
     if not 1.0 < alpha_range[0] <= alpha_range[1]:
-        raise ValueError(f"alpha_range must satisfy 1 < low <= high, got {alpha_range}")
+        raise InputError(f"alpha_range must satisfy 1 < low <= high, got {alpha_range}")
     table = _SlopeTable(alpha_range)
     # the observed sample is a batch of one
     alphas, xmins, kss, tails = _fit_tails([x], table)
@@ -385,25 +387,18 @@ class GeoDb:
 
     @classmethod
     def from_csv(cls, source) -> "GeoDb":
-        import csv
-
-        from .core import _open_for, _finish
-
-        stream, owned = _open_for(source, "r")
-        try:
+        with open_text(source, "r") as stream:
             reader = csv.reader(stream)
             rows = [(reader.line_num, row) for row in reader if row]
-        finally:
-            _finish(stream, owned)
         if rows and rows[0][1][:2] == ["cidr", "country"]:
             rows = rows[1:]
         for line, row in rows:
             if len(row) < 2:
-                raise ValueError(f"geo db line {line}: expected cidr,country, got {row!r}")
+                raise InputError(f"geo db line {line}: expected cidr,country, got {row!r}")
             try:
                 ipaddress.ip_network(row[0], strict=True)
             except ValueError as exc:
-                raise ValueError(f"geo db line {line}: {exc}") from None
+                raise InputError(f"geo db line {line}: {exc}") from None
         return cls.from_pairs((row[0], row[1]) for _, row in rows)
 
     def lookup(self, ip: str) -> str | None:
@@ -439,7 +434,7 @@ def geo_share(source: Iterable[TraceRecord], db: GeoDb) -> list[ShareRow]:
     never fatal.
     """
     if len(db) == 0:
-        raise ValueError("geo database is empty")
+        raise InputError("geo database is empty")
     # each distinct address is resolved once per call
     labels: dict[str, str] = {}
     counts: dict[str, int] = {}
@@ -472,15 +467,6 @@ class RatePoint:
 NON_GATEWAY_GROUP = "non-gateway"
 
 
-def rate_bucket_ns(bucket_s: float) -> int:
-    """``rate_timeseries``' bucket span in whole nanoseconds; raise
-    ValueError naming ``bucket_s`` unless it is finite and at least 1 ns."""
-    span_ns = bucket_s * _NS
-    if not (math.isfinite(span_ns) and span_ns >= 1):
-        raise ValueError(f"bucket_s must be a finite span of at least 1 ns, got {bucket_s!r}")
-    return int(span_ns)
-
-
 def rate_timeseries(
     source: Iterable[TraceRecord],
     bucket_s: float = 3600.0,
@@ -496,9 +482,9 @@ def rate_timeseries(
     "non-gateway" for unmapped peers. ``bucket_s`` must be finite and at
     least one nanosecond.
     """
-    bucket_ns = rate_bucket_ns(bucket_s)
+    bucket_ns = span_ns(bucket_s, "bucket_s")
     if group_by not in ("request_type", "origin_group"):
-        raise ValueError(f"unknown group_by: {group_by!r}")
+        raise InputError(f"unknown group_by: {group_by!r}")
     # (bucket index, group) -> requests
     counts: dict[tuple[int, str], int] = {}
     if group_by == "request_type":

@@ -5,7 +5,7 @@ manifest.json recording the tool version, resolved configuration, input
 digests, and produced files, so any output can be traced back to exact
 inputs. Human-readable tables go to stdout; nothing ever parses them back.
 
-Exit codes: 0 success, 1 internal error, 2 usage or input error.
+Exit codes: 0 success; 2 a SwarmwatchError or OSError (the input's fault); 1 anything else.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import re
 import sys
 import time
@@ -26,32 +27,12 @@ from .core import (
     NodeId,
     read_conn_events,
     read_trace,
+    span_ns,
+    to_ns,
     write_conn_events,
     write_trace,
 )
-from .errors import (
-    ConfigError,
-    ConnEventOrderError,
-    DegenerateSampleError,
-    DisjointSamplesError,
-    ProbeUnreachableError,
-    TraceParseError,
-    UnknownGatewayError,
-)
-
-_USAGE_ERRORS = (
-    ConfigError,
-    TraceParseError,
-    ConnEventOrderError,
-    DisjointSamplesError,
-    DegenerateSampleError,
-    UnknownGatewayError,
-    ProbeUnreachableError,
-    FileNotFoundError,
-    ValueError,
-)
-
-NS = 1_000_000_000
+from .errors import ConfigError, SwarmwatchError
 
 
 def _sha256_file(path: Path) -> str:
@@ -122,13 +103,26 @@ class _Manifest:
         return self.write_json("manifest.json", doc)
 
 
+def _parse(fn, text: str, flag: str):
+    """``fn(text)``; raise ConfigError naming ``flag`` and the text when it
+    rejects the text or, for a file, cannot read it."""
+    try:
+        return fn(text)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{flag} {text!r}: {exc}") from None
+
+
+def _json_file(path):
+    return json.loads(Path(path).read_text())
+
+
 def _load_world(args, subcommand: str):
     """The config-driven verbs' common start: read the config JSON, apply
     the ``--seed``/``--duration-s`` overrides, decode, open the manifest,
     then build the network and run it for the configured duration.
 
     Returns (network, run result, manifest)."""
-    raw = json.loads(Path(args.config).read_text())
+    raw = _parse(_json_file, args.config, "--config")
     if isinstance(raw, dict):  # anything else is rejected by config_from_dict
         overrides = {"seed": args.seed, "duration_s": getattr(args, "duration_s", None)}
         raw.update((k, v) for k, v in overrides.items() if v is not None)
@@ -145,6 +139,10 @@ def _print_table(headers: list[str], rows: list[list]) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
         if i == 0:
             print("  ".join("-" * w for w in widths))
+
+
+def _windows(args) -> dict:
+    return {"dup_window_s": args.dup_window_s, "rebroadcast_window_s": args.rebroadcast_window_s}
 
 
 def _load_marked_trace(args):
@@ -200,11 +198,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_unify(args) -> int:
-    config = {
-        "inputs": list(args.traces),
-        "dup_window_s": args.dup_window_s,
-        "rebroadcast_window_s": args.rebroadcast_window_s,
-    }
+    config = {"inputs": list(args.traces), **_windows(args)}
     manifest = _Manifest("unify", config, args.out, args.traces)
     marked = _load_marked_trace(args)
     out_path = manifest.out_dir / "unified.csv"
@@ -242,7 +236,7 @@ _HEX_ID = re.compile(r"[0-9a-fA-F]{1,64}")
 def _read_gateway_map(path) -> dict[NodeId, str]:
     """Read a --gateway-map file, a JSON object mapping peer ids in hex to
     group names; raise ConfigError naming the first key that is not one."""
-    doc = json.loads(Path(path).read_text())
+    doc = _parse(_json_file, path, "--gateway-map")
     if not isinstance(doc, dict):
         raise ConfigError(f"--gateway-map must hold a JSON object, got {type(doc).__name__}")
     for key, group in doc.items():
@@ -257,8 +251,7 @@ def cmd_analyze(args) -> int:
     config = {
         "report": args.report,
         "inputs": list(args.traces),
-        "dup_window_s": args.dup_window_s,
-        "rebroadcast_window_s": args.rebroadcast_window_s,
+        **_windows(args),
         "bucket_s": args.bucket_s,
         "group_by": args.group_by,
         "score": args.score,
@@ -293,11 +286,11 @@ def cmd_analyze(args) -> int:
         print(f"{len(table)} distinct cids -> {path}")
     elif args.report == "rate-timeseries":
         # check the options before the ingest, which takes seconds on a large trace
-        analytics.rate_bucket_ns(args.bucket_s)
+        span_ns(args.bucket_s, "bucket_s")
         group_map = None
         if args.gateway_map:
-            manifest.add_input(args.gateway_map)
             group_map = _read_gateway_map(args.gateway_map)
+            manifest.add_input(args.gateway_map)
         points = analytics.rate_timeseries(
             _load_marked_trace(args),
             bucket_s=args.bucket_s,
@@ -322,8 +315,6 @@ def cmd_analyze(args) -> int:
             f"ks={fit.ks_statistic:.4f} p={fit.p_value:.3f} ({verdict}) "
             f"alpha_clamped={fit.alpha_clamped} replicates_skipped={fit.replicates_skipped}"
         )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown report {args.report!r}")
     manifest.write()
     return 0
 
@@ -340,7 +331,7 @@ _STATS_KEYS = {"two-monitor": ("sizes", "intersections"), "coupon": ("m", "r", "
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _check_stats(doc, method: str) -> dict:
@@ -355,9 +346,9 @@ def _check_stats(doc, method: str) -> dict:
         value = doc[key]
         if method == "two-monitor":
             ok = isinstance(value, dict) and all(map(_is_number, value.values()))
-            expected = "an object of numbers"
+            expected = "an object of finite numbers"
         else:
-            ok, expected = _is_number(value), "a number"
+            ok, expected = _is_number(value), "a finite number"
         if not ok:
             raise ConfigError(f"--stats key {key!r} must be {expected}, not {value!r}")
     return doc
@@ -365,17 +356,22 @@ def _check_stats(doc, method: str) -> dict:
 
 def _stats_from_args(args, manifest: _Manifest) -> dict:
     if args.stats:
+        doc = _parse(_json_file, args.stats, "--stats")
         manifest.add_input(args.stats)
-        return _check_stats(json.loads(Path(args.stats).read_text()), args.method)
+        return _check_stats(doc, args.method)
     if args.conn_events:
-        if args.window_start_s is None or args.window_end_s is None:
+        start_s, end_s = args.window_start_s, args.window_end_s
+        if start_s is None or end_s is None:
             raise ConfigError("--conn-events needs --window-start-s and --window-end-s")
+        # checked before the logs are read, which takes seconds on a large log
+        window = (to_ns(start_s, "--window-start-s"), to_ns(end_s, "--window-end-s"))
+        if window[1] <= window[0]:
+            raise ConfigError(f"--window-end-s {end_s!r} is not after --window-start-s {start_s!r}")
         events: dict[str, list] = {}
         for path in args.conn_events:
             manifest.add_input(path)
             for e in read_conn_events(path):
                 events.setdefault(e.monitor, []).append(e)
-        window = (int(args.window_start_s * NS), int(args.window_end_s * NS))
         stats = estimators.peer_set_stats(events, window)
         return {
             "sizes": stats.sizes,
@@ -388,12 +384,13 @@ def _stats_from_args(args, manifest: _Manifest) -> dict:
 
 
 def cmd_estimate(args) -> int:
-    manifest = _Manifest("estimate", {"method": args.method}, args.out)
+    windows = {"window_start_s": args.window_start_s, "window_end_s": args.window_end_s}
+    manifest = _Manifest("estimate", {"method": args.method, **windows}, args.out)
     if args.method == "dht-min":
         if not args.samples:
             raise ConfigError("dht-min needs --samples (a JSON list of distances)")
+        xs = _parse(_json_file, args.samples, "--samples")
         manifest.add_input(args.samples)
-        xs = json.loads(Path(args.samples).read_text())
         if not isinstance(xs, list) or not xs:
             raise ConfigError(f"--samples must hold a non-empty JSON list, got {xs!r:.40}")
         bad = [x for x in xs if not _is_number(x)]
@@ -477,8 +474,8 @@ def cmd_probe_gateways(args) -> int:
 
 
 def cmd_idw(args) -> int:
-    cid = Cid.from_string(args.cid)
-    config = {"cid": args.cid, "inputs": list(args.traces)}
+    cid = _parse(Cid.from_string, args.cid, "--cid")
+    config = {"cid": args.cid, "inputs": list(args.traces), **_windows(args)}
     manifest = _Manifest("idw", config, args.out, args.traces)
     wanters = probes.idw(_load_marked_trace(args), cid)
     path = manifest.write_csv(
@@ -491,8 +488,8 @@ def cmd_idw(args) -> int:
 
 
 def cmd_tnw(args) -> int:
-    target = NodeId.from_hex(args.peer)
-    config = {"peer": args.peer, "inputs": list(args.traces)}
+    target = _parse(NodeId.from_hex, args.peer, "--peer")
+    config = {"peer": args.peer, "inputs": list(args.traces), **_windows(args)}
     manifest = _Manifest("tnw", config, args.out, args.traces)
     wants = probes.tnw(_load_marked_trace(args), target)
     path = manifest.write_csv(
@@ -505,11 +502,12 @@ def cmd_tnw(args) -> int:
 
 
 def cmd_tpi(args) -> int:
+    target = _parse(NodeId.from_hex, args.target, "--target")
+    cid = _parse(Cid.from_string, args.cid, "--cid")
     net, _, manifest = _load_world(args, "tpi")
-    target = NodeId.from_hex(args.target)
+    manifest.config.update(target=args.target, cid=args.cid)
     if target not in net.nodes:
         raise ConfigError("target node id not present in the simulated network")
-    cid = Cid.from_string(args.cid)
     prober = net.add_node(netsim.NodeKind.DHT_CLIENT)
     positive = probes.tpi(net, prober, target, cid)
     manifest.write_json("tpi.json", {"target": args.target, "cid": args.cid, "cached": positive})
@@ -619,7 +617,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except (SwarmwatchError, OSError) as exc:  # the input's fault, by the error's type
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal invariant violation

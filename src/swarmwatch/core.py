@@ -12,8 +12,11 @@ import csv
 import gzip
 import hashlib
 import io
+import math
 import random
 import re
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import chain, islice
@@ -21,7 +24,10 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Sequence, Union
 
-from .errors import TraceParseError
+from .errors import InputError, TraceParseError
+
+# nanoseconds per second: every timestamp and span is a whole number of ns
+NS = 1_000_000_000
 
 ID_BITS = 256
 ID_SPACE = 1 << ID_BITS
@@ -41,7 +47,7 @@ class NodeId(int):
 
     def __new__(cls, value: int) -> "NodeId":
         if not 0 <= value < ID_SPACE:
-            raise ValueError("node id out of 256-bit range")
+            raise InputError("node id out of 256-bit range")
         return super().__new__(cls, value)
 
     @classmethod
@@ -95,7 +101,7 @@ class Codec(int):
         m = re.fullmatch(r"codec-0x([0-9a-fA-F]+)", name)
         if m:
             return cls(int(m.group(1), 16))
-        raise ValueError(f"unknown codec name: {name!r}")
+        raise InputError(f"unknown codec name: {name!r}")
 
 
 DAG_PROTOBUF = Codec(0x70)
@@ -118,7 +124,7 @@ class Cid(tuple):
 
     def __new__(cls, codec: Codec, digest: bytes) -> "Cid":
         if len(digest) != DIGEST_BYTES:
-            raise ValueError("digest must be 32 bytes")
+            raise InputError("digest must be 32 bytes")
         return super().__new__(cls, (codec, digest))
 
     def __getnewargs__(self):  # for pickle and copy: tuple's passes the pair as one argument
@@ -138,7 +144,7 @@ class Cid(tuple):
     def from_string(cls, text: str) -> "Cid":
         name, _, hexpart = text.partition(":")
         if not hexpart:
-            raise ValueError(f"not a cid string: {text!r}")
+            raise InputError(f"not a cid string: {text!r}")
         return cls(Codec.from_name(name), bytes.fromhex(hexpart))
 
     def __repr__(self) -> str:
@@ -241,26 +247,42 @@ CONN_HEADER = ["timestamp_ns", "monitor", "peer_id", "kind"]
 PathOrStream = Union[str, Path, IO]
 
 
-def _open_for(target: PathOrStream, mode: str):
-    """Open a path (gzip-aware) or wrap a caller stream. Returns the text
-    stream plus a flag telling the caller whether it owns the handle."""
-    if isinstance(target, (str, Path)):
-        path = Path(target)
-        if path.suffix == ".gz":
-            return gzip.open(path, mode + "t", encoding="utf-8", newline=""), True
-        return open(path, mode, encoding="utf-8", newline=""), True
-    if isinstance(target, io.TextIOBase):
-        return target, False
-    # byte stream supplied by the caller
-    return io.TextIOWrapper(target, encoding="utf-8", newline=""), False
+@contextmanager
+def open_text(target: PathOrStream, mode: str):
+    """A path opened as text in ``mode`` (gzipped if it ends in ``.gz``) and
+    closed on exit, or a caller's stream, left open (a byte stream wrapped).
+    Bytes that are not UTF-8, or a truncated gzip stream, raise InputError."""
+    try:
+        if isinstance(target, (str, Path)):
+            opener = gzip.open if Path(target).suffix == ".gz" else open
+            with opener(target, mode + "t", encoding="utf-8", newline="") as stream:
+                yield stream
+        elif isinstance(target, io.TextIOBase):
+            yield target
+        else:
+            stream = io.TextIOWrapper(target, encoding="utf-8", newline="")
+            try:
+                yield stream
+            finally:
+                stream.detach()  # flushes first
+    except (UnicodeDecodeError, EOFError, zlib.error) as exc:
+        raise InputError(f"cannot read {target} as text: {exc}") from None
 
 
-def _finish(stream, owned: bool):
-    if owned:
-        stream.close()
-    elif isinstance(stream, io.TextIOWrapper):
-        stream.flush()
-        stream.detach()
+def to_ns(seconds: float, name: str) -> int:
+    """``seconds`` in whole nanoseconds; raise InputError naming ``name`` unless finite."""
+    if not math.isfinite(seconds * NS):
+        raise InputError(f"{name} must be finite, got {seconds!r}")
+    return int(seconds * NS)
+
+
+def span_ns(seconds: float, name: str) -> int:
+    """``seconds`` in whole nanoseconds; raise InputError naming ``name``
+    unless it is finite and at least 1 ns."""
+    span = seconds * NS
+    if not (math.isfinite(span) and span >= 1):
+        raise InputError(f"{name} must be a finite span of at least 1 ns, got {seconds!r}")
+    return int(span)
 
 
 # value -> member tables: a dict look-up instead of an Enum call per row
@@ -344,15 +366,12 @@ def write_trace(records: Iterable[TraceRecord], sink: PathOrStream) -> None:
     text = _Memo(_csv_text)
     peer_text = _Memo(attrgetter("hex"))
     cid_text = _Memo(lambda cid: f"{_csv_text(cid.codec.name)},{cid.digest_hex}")
-    stream, owned = _open_for(sink, "w")
-    try:
+    with open_text(sink, "w") as stream:
         _write_lines(stream, TRACE_HEADER, (
             f"{r.timestamp_ns},{text[r.monitor]},{peer_text[r.peer]},{text[r.address]},"
             f"{r.request_type._value_},{cid_text[r.cid]},{r.flags}\r\n"
             for r in records
         ))
-    finally:
-        _finish(stream, owned)
 
 
 def read_trace(source: PathOrStream) -> list[TraceRecord]:
@@ -363,8 +382,7 @@ def read_trace(source: PathOrStream) -> list[TraceRecord]:
     peers = _Memo(NodeId.from_hex)
     cids = _Memo(lambda pair: Cid(Codec.from_name(pair[0]), bytes.fromhex(pair[1])))
     out = []
-    stream, owned = _open_for(source, "r")
-    try:
+    with open_text(source, "r") as stream:
         for lineno, (ts, monitor, peer_hex, address, rtype, codec, digest, flags) in \
                 _read_rows(stream, TRACE_HEADER):
             request_type = _REQUEST_TYPE_BY_VALUE.get(rtype)
@@ -381,22 +399,17 @@ def read_trace(source: PathOrStream) -> list[TraceRecord]:
                 strings.setdefault(address, address), request_type, cid, flags,
             ))
         return out
-    finally:
-        _finish(stream, owned)
 
 
 def write_conn_events(events: Iterable[ConnEvent], sink: PathOrStream) -> None:
     """Write ``events`` in the same excel dialect as ``write_trace``."""
     text = _Memo(_csv_text)
     peer_text = _Memo(attrgetter("hex"))
-    stream, owned = _open_for(sink, "w")
-    try:
+    with open_text(sink, "w") as stream:
         _write_lines(stream, CONN_HEADER, (
             f"{e.timestamp_ns},{text[e.monitor]},{peer_text[e.peer]},{e.kind._value_}\r\n"
             for e in events
         ))
-    finally:
-        _finish(stream, owned)
 
 
 def read_conn_events(source: PathOrStream) -> list[ConnEvent]:
@@ -405,8 +418,7 @@ def read_conn_events(source: PathOrStream) -> list[ConnEvent]:
     strings: dict[str, str] = {}
     peers = _Memo(NodeId.from_hex)
     out = []
-    stream, owned = _open_for(source, "r")
-    try:
+    with open_text(source, "r") as stream:
         for lineno, (ts, monitor, peer_hex, kind) in _read_rows(stream, CONN_HEADER):
             try:
                 ts, peer = int(ts), peers[peer_hex]
@@ -417,5 +429,3 @@ def read_conn_events(source: PathOrStream) -> list[ConnEvent]:
                 raise TraceParseError(str(exc), lineno)
             out.append(build_conn_event(ts, strings.setdefault(monitor, monitor), peer, event_kind))
         return out
-    finally:
-        _finish(stream, owned)

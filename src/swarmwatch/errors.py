@@ -5,6 +5,11 @@ class SwarmwatchError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InputError(SwarmwatchError, ValueError):
+    """An argument or input document outside the domain a function accepts;
+    also a ``ValueError``, so callers that catch that keep working."""
+
+
 class ConfigError(SwarmwatchError):
     """A simulation or CLI configuration is invalid or unrealizable."""
 
@@ -38,6 +43,6 @@ class ProbeUnreachableError(SwarmwatchError):
     """The probe target cannot be reached (offline node)."""
 
 
-class ConnEventOrderError(SwarmwatchError, ValueError):
+class ConnEventOrderError(InputError):
     """A peer's connection events on a monitor do not alternate connect,
     disconnect in time order (a double connect, or a disconnect without one)."""

@@ -25,10 +25,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ConnEvent, ConnEventKind, NodeId
-from .errors import ConnEventOrderError, DegenerateSampleError, DisjointSamplesError
+from .core import ConnEvent, ConnEventKind, NodeId, span_ns
+from .errors import ConnEventOrderError, DegenerateSampleError, DisjointSamplesError, InputError
 
-_NS = 1_000_000_000
 _I64 = np.iinfo(np.int64)
 _TIMESTAMP, _PEER, _KIND = map(attrgetter, ("timestamp_ns", "peer", "kind"))
 
@@ -56,13 +55,11 @@ class SizeEstimate:
 def estimate_two_monitor(p1: int, p2: int, intersection: int) -> SizeEstimate:
     """Capture-recapture estimate from two peer sets and their overlap."""
     if p1 < 0 or p2 < 0 or intersection < 0:
-        raise ValueError("peer-set sizes must be non-negative")
+        raise InputError("peer-set sizes must be non-negative")
     if intersection > min(p1, p2):
-        raise ValueError("intersection exceeds a peer-set size")
+        raise InputError("intersection exceeds a peer-set size")
     if intersection == 0:
-        raise DisjointSamplesError(
-            "peer sets are disjoint, the two-monitor estimate diverges"
-        )
+        raise DisjointSamplesError("peer sets are disjoint, the two-monitor estimate diverges")
     return SizeEstimate(p1 * p2 / intersection, EstimatorMethod.TWO_MONITOR)
 
 
@@ -75,11 +72,11 @@ def coupon_density(n_total: int, w: int, r: int, m: int) -> float:
     stays accurate and normalised for any population.
     """
     if r < 1 or w < 0:
-        raise ValueError("need r >= 1 and w >= 0")
+        raise InputError("need r >= 1 and w >= 0")
     if w > n_total:
-        raise ValueError("draw size exceeds population")
+        raise InputError("draw size exceeds population")
     if not (w <= m <= min(n_total, r * w)):
-        raise ValueError(f"m={m} outside feasible range [{w}, {min(n_total, r * w)}]")
+        raise InputError(f"m={m} outside feasible range [{w}, {min(n_total, r * w)}]")
     return _union_size_pmf(n_total, w, r)[m - w]
 
 
@@ -112,20 +109,18 @@ def solve_coupon_mle(m: int, r: int, w: float) -> SizeEstimate:
     [m, COUPON_N_MAX]. ``w`` may be fractional (a mean connection count).
     """
     if r < 2:
-        raise ValueError("need at least two draws")
+        raise InputError("need at least two draws")
     if w <= 0:
-        raise ValueError("draw size must be positive")
+        raise InputError("draw size must be positive")
     if m < w:
-        raise ValueError("union cannot be smaller than one draw")
+        raise InputError("union cannot be smaller than one draw")
     if m > r * w:
-        raise ValueError("union cannot exceed r * w")
+        raise InputError("union cannot exceed r * w")
     if m == w:
         # total overlap: N = w zeroes the expression exactly
         return SizeEstimate(float(w), EstimatorMethod.COUPON_MLE)
     if m >= r * w:
-        raise DisjointSamplesError(
-            "draws are pairwise disjoint (m = r*w), the estimate diverges"
-        )
+        raise DisjointSamplesError("draws are pairwise disjoint (m = r*w), the estimate diverges")
 
     def f(n: float) -> float:
         return n - n * (1.0 - m / n) ** (1.0 / r) - w
@@ -153,19 +148,16 @@ def dht_size_from_min_distance(xs: Sequence[float]) -> SizeEstimate:
     For one observation this reduces to N = -1 / log(1 - x).
     """
     if not xs:
-        raise ValueError("need at least one distance sample")
+        raise InputError("need at least one distance sample")
     total = 0.0
     for x in xs:
         if x == 0.0:
             raise DegenerateSampleError("zero minimum distance (target collides)")
         if not 0.0 < x < 1.0:
-            raise ValueError(f"distance {x} outside (0, 1)")
+            raise InputError(f"distance {x} outside (0, 1)")
         total += math.log1p(-x)
-    method = (
-        EstimatorMethod.DHT_MIN_DIST_SINGLE
-        if len(xs) == 1
-        else EstimatorMethod.DHT_MIN_DIST_MULTI
-    )
+    single = len(xs) == 1
+    method = EstimatorMethod.DHT_MIN_DIST_SINGLE if single else EstimatorMethod.DHT_MIN_DIST_MULTI
     return SizeEstimate(-len(xs) / total, method)
 
 
@@ -203,15 +195,10 @@ def peer_set_stats(
     connected intervals and the counts are array operations."""
     t0, t1 = window
     if t1 <= t0:
-        raise ValueError("window end must be after window start")
+        raise InputError("window end must be after window start")
     if t0 < _I64.min or t1 > _I64.max:
-        raise ValueError(f"window {window} does not fit in int64")
-    step_ns = sample_interval_s * _NS
-    if not (math.isfinite(step_ns) and step_ns >= 1):
-        raise ValueError(
-            f"sample_interval_s must be a finite span of at least 1 ns, got {sample_interval_s!r}"
-        )
-    grid = range(t0, t1, int(step_ns))
+        raise InputError(f"window {window} does not fit in int64")
+    grid = range(t0, t1, span_ns(sample_interval_s, "sample_interval_s"))
     instants = np.fromiter(grid, np.int64, len(grid))
     monitors = sorted(conn_events)
     peers = {m: list(map(_PEER, conn_events[m])) for m in monitors}
@@ -224,7 +211,7 @@ def peer_set_stats(
         try:
             ts = np.fromiter(map(_TIMESTAMP, events), np.int64, n)
         except OverflowError:
-            raise ValueError(f"a timestamp on {monitor} does not fit in int64") from None
+            raise InputError(f"a timestamp on {monitor} does not fit in int64") from None
         codes = np.fromiter(map(code_of.__getitem__, peers[monitor]), np.int64, n)
         connect = np.fromiter(map(is_, map(_KIND, events), repeat(ConnEventKind.CONNECT)), bool, n)
         order = np.argsort(ts, kind="stable")
@@ -267,5 +254,5 @@ def peer_set_stats(
 def coverage(mean_connected: float, network_size_ref: float) -> float:
     """Fraction of the network a monitor hears from, given a reference size."""
     if mean_connected <= 0 or network_size_ref <= 0:
-        raise ValueError("inputs must be positive")
+        raise InputError("inputs must be positive")
     return min(1.0, mean_connected / network_size_ref)

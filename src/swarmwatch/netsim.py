@@ -28,6 +28,7 @@ cancel changes nothing there.
 from __future__ import annotations
 
 import bisect
+import math
 from collections import OrderedDict
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -41,6 +42,7 @@ import numpy as np
 
 from .core import (
     ID_SPACE,
+    NS,
     Cid,
     Codec,
     ConnEvent,
@@ -51,9 +53,8 @@ from .core import (
     build_trace_record,
     hash_content,
 )
-from .errors import ConfigError, ProbeUnreachableError, UnknownGatewayError
+from .errors import ConfigError, InputError, ProbeUnreachableError, UnknownGatewayError
 
-NS = 1_000_000_000
 # how long probe_want_have waits for the target's HAVE or DONT_HAVE
 PROBE_TIMEOUT_NS = 2 * NS
 
@@ -136,6 +137,9 @@ class SimConfig:
     record_messages: bool = False
 
     def validate(self) -> None:
+        for name, value in _floats(self, ""):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         for name in ("n_dht_servers", "n_clients", "n_gateways", "n_monitors",
                      "catalog_size", "cache_capacity_blocks"):
             if getattr(self, name) < 0:
@@ -148,12 +152,8 @@ class SimConfig:
             raise ConfigError(
                 f"degree_range: max degree {dmax} impossible with {n_regular} regular nodes"
             )
-        for name, frac in [
-            ("unresolvable_fraction", self.unresolvable_fraction),
-            ("gateway_cache_hit_ratio", self.gateway_cache_hit_ratio),
-            ("monitor_coverage", self.monitor_coverage),
-        ]:
-            if not 0.0 <= frac <= 1.0:
+        for name in ("unresolvable_fraction", "gateway_cache_hit_ratio", "monitor_coverage"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1]")
         if self.rebroadcast_interval_s <= 0:
             raise ConfigError("rebroadcast_interval_s must be positive")
@@ -164,10 +164,21 @@ class SimConfig:
                 raise ConfigError("gateway_group_sizes must sum to n_gateways")
             if any(s < 1 for s in self.gateway_group_sizes):
                 raise ConfigError("gateway_group_sizes: every group needs at least one node")
-        if self.churn is not None and (
-            self.churn.mean_session_s <= 0 or self.churn.mean_offline_s <= 0
-        ):
+        churn = self.churn
+        if churn is not None and min(churn.mean_session_s, churn.mean_offline_s) <= 0:
             raise ConfigError("churn.mean_session_s and churn.mean_offline_s must be positive")
+
+
+def _floats(value, where: str):
+    """``(name, value)`` of every float in a config value, its fields and items."""
+    if is_dataclass(value):
+        for f in fields(value):
+            yield from _floats(getattr(value, f.name), f"{where}.{f.name}" if where else f.name)
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _floats(item, f"{where}[{i}]")
+    elif isinstance(value, float):
+        yield where, value
 
 
 # popularity-sampler kinds, as named in config files
@@ -1197,5 +1208,5 @@ def sample_min_distance(net: Network, target: NodeId) -> float:
     server; the raw observable behind the DHT-based size estimator."""
     ids = [n.id for n in net.nodes.values() if n.online and n.kind in _DHT_SERVER_KINDS]
     if not ids:
-        raise ValueError("network has no online DHT servers")
+        raise InputError("network has no online DHT servers")
     return min(v ^ target for v in ids) / ID_SPACE

@@ -24,12 +24,13 @@ from .core import (
     NodeId,
     RequestType,
     TraceRecord,
+    to_ns,
 )
+from .errors import InputError
 
 DEFAULT_DUP_WINDOW_S = 5.0
 DEFAULT_REBROADCAST_WINDOW_S = 31.0
 
-_NS = 1_000_000_000
 _CANCEL = RequestType.CANCEL
 _timestamp = attrgetter("timestamp_ns")
 _monitor = attrgetter("monitor")
@@ -55,7 +56,7 @@ def unify(
 ) -> UnifiedTrace:
     """K-way merge of per-monitor traces by timestamp. Drops nothing.
 
-    Inputs must each be sorted by timestamp; violations raise ValueError
+    Inputs must each be sorted by timestamp; violations raise InputError
     naming the monitor and offset.
     """
     if isinstance(traces, Mapping):
@@ -70,7 +71,7 @@ def unify(
         monitors.update(names)
         if not all(map(le, times, islice(times, 1, None))):
             i = next(i for i in range(1, len(times)) if times[i] < times[i - 1])
-            raise ValueError(f"trace for monitor {names[i]!r} not sorted at offset {i}")
+            raise InputError(f"trace for monitor {names[i]!r} not sorted at offset {i}")
         # a key-less merge of (timestamp, monitor, offset, sequence, record):
         # ties in the first three go to the earlier sequence, as they do in
         # a merge keyed by them, and no two tuples reach the record
@@ -94,10 +95,10 @@ def mark_flags(
     record within ``window_rebroadcast_s`` of the previous matching record
     from the *same* monitor; chains extend through flagged members, so a
     periodic re-broadcast train is flagged entirely except for its first
-    record. Idempotent.
+    record. Idempotent. Both windows must be finite.
     """
-    dup_ns = int(window_dup_s * _NS)
-    reb_ns = int(window_rebroadcast_s * _NS)
+    dup_ns = to_ns(window_dup_s, "window_dup_s")
+    reb_ns = to_ns(window_rebroadcast_s, "window_rebroadcast_s")
     # (peer, request type value, cid) -> monitor -> time it last saw that
     # want; keyed by the type's value, as an Enum member hashes in Python
     last_seen: dict[tuple[NodeId, str, Cid], dict[str, int]] = {}

@@ -37,7 +37,7 @@ from swarmwatch.core import (
     TraceRecord,
     hash_content,
 )
-from swarmwatch.errors import DegenerateSampleError
+from swarmwatch.errors import DegenerateSampleError, InputError
 
 NS = 1_000_000_000
 
@@ -197,6 +197,18 @@ class TestFitPowerLaw:
         assert fit.alpha == DEFAULT_ALPHA_RANGE[1]
         assert fit.alpha_clamped
         assert fit.replicates_skipped == 0
+
+    @pytest.mark.parametrize("kwargs, named", [({"bootstraps": -3}, "bootstraps"),
+                                               ({"bootstraps": 5, "seed": -1}, "seed")])
+    def test_negative_bootstraps_or_seed_raise_naming_it(self, kwargs, named):
+        # a negative count used to give p = -0.0 and a "rejected" verdict
+        with pytest.raises(InputError, match=f"{named}.* must be non-negative"):
+            fit_power_law(exact_discrete_powerlaw(2.5, 1, 200, seed=0), **kwargs)
+
+    def test_zero_bootstraps_gives_nan(self):
+        fit = fit_power_law(exact_discrete_powerlaw(2.5, 1, 200, seed=0), bootstraps=0)
+        assert np.isnan(fit.p_value)
+        assert fit.bootstraps == 0
 
     def test_interior_alpha_is_not_clamped(self):
         fit = fit_power_law(exact_discrete_powerlaw(2.5, 1, 2000, seed=0), bootstraps=0)

@@ -1,8 +1,11 @@
 import json
+import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from swarmwatch import pipeline
 from swarmwatch.cli import main
 from swarmwatch.core import (
     RAW,
@@ -17,6 +20,7 @@ from swarmwatch.core import (
     write_conn_events,
     write_trace,
 )
+from swarmwatch.errors import ConnEventOrderError, InputError, SwarmwatchError
 from swarmwatch.pipeline import mark_flags, unify
 
 NS = 1_000_000_000
@@ -320,8 +324,12 @@ class TestEstimate:
         ("two-monitor", {"sizes": {"m0": 5, "m1": 6}, "intersections": {"m0|m1": "3"}},
          "'intersections'"),
         ("two-monitor", {"sizes": [5, 6], "intersections": {"m0|m1": 3}}, "'sizes'"),
+        ("coupon", {"m": math.nan, "r": 2, "w": 700}, "'m'"),
+        ("coupon", {"m": 1351, "r": 2, "w": math.inf}, "'w'"),
+        ("two-monitor", {"sizes": {"m0": math.nan, "m1": 6}, "intersections": {"m0|m1": 3}},
+         "'sizes'"),
     ], ids=["list", "no-m", "string-m", "null-r", "no-intersections", "empty-intersections",
-            "other-pair", "string-intersection", "list-sizes"])
+            "other-pair", "string-intersection", "list-sizes", "nan-m", "inf-w", "nan-size"])
     def test_bad_stats_exit_2_naming_the_key(self, tmp_path, capsys, method, doc, named):
         stats = tmp_path / "stats.json"
         stats.write_text(json.dumps(doc))
@@ -459,3 +467,149 @@ def test_config_must_be_an_object(tmp_path, capsys):
     path.write_text("[1, 2]")
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
     assert "JSON object" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# exit codes: the error's type decides
+
+
+CID_TEXT = "raw:" + "00" * 32
+
+
+def _nonfinite_cfg(tmp_path, fields: str) -> str:
+    """A config file whose last fields are ``fields``, raw JSON that may
+    hold NaN or Infinity."""
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(dict(SIM_CFG, duration_s=0.0))[:-1] + ", " + fields + "}")
+    return str(path)
+
+
+def _estimate(p, *window):
+    return ["estimate", "--method", "two-monitor", "--conn-events", p.conn, *window,
+            "--out", p.out]
+
+
+# case -> (argv built from the input paths in ``p``, text the message names)
+INPUT_EDGES = {
+    "bad-cid": (lambda p: ["idw", p.trace, "--cid", "raw:zz", "--out", p.out], "--cid"),
+    "bad-peer": (lambda p: ["tnw", p.trace, "--peer", "xyz", "--out", p.out], "--peer"),
+    "bad-target": (lambda p: ["tpi", "--config", p.cfg, "--target", "xyz", "--cid", CID_TEXT,
+                              "--out", p.out], "--target"),
+    "config-json": (lambda p: ["simulate", "--config", p.bad_json, "--out", p.out], "--config"),
+    "gateway-map-json": (lambda p: ["analyze", p.trace, "--report", "rate-timeseries",
+                                    "--gateway-map", p.bad_json, "--out", p.out],
+                         "--gateway-map"),
+    "stats-json": (lambda p: ["estimate", "--method", "coupon", "--stats", p.bad_json,
+                              "--out", p.out], "--stats"),
+    "samples-json": (lambda p: ["estimate", "--method", "dht-min", "--samples", p.bad_json,
+                                "--out", p.out], "--samples"),
+    "config-directory": (lambda p: ["simulate", "--config", p.dir, "--out", p.out], "--config"),
+    "window-end-nan": (lambda p: _estimate(p, "--window-start-s", "0", "--window-end-s", "nan"),
+                       "--window-end-s"),
+    "window-end-inf": (lambda p: _estimate(p, "--window-start-s", "0", "--window-end-s", "inf"),
+                       "--window-end-s"),
+    "window-start-minus-inf": (lambda p: _estimate(p, "--window-start-s=-inf",
+                                                   "--window-end-s", "10"), "--window-start-s"),
+    "window-end-before-start": (lambda p: _estimate(p, "--window-start-s", "10",
+                                                    "--window-end-s", "5"), "--window-end-s"),
+    "window-end-at-start": (lambda p: _estimate(p, "--window-start-s", "5",
+                                                "--window-end-s", "5"), "--window-end-s"),
+    "dup-window-nan": (lambda p: ["unify", p.trace, "--dup-window-s", "nan", "--out", p.out],
+                       "window_dup_s"),
+    "rebroadcast-window-inf": (lambda p: ["idw", p.trace, "--cid", CID_TEXT,
+                                          "--rebroadcast-window-s", "inf", "--out", p.out],
+                               "window_rebroadcast_s"),
+    "bootstraps-negative": (lambda p: ["analyze", p.trace, "--report", "power-law",
+                                       "--bootstraps", "-3", "--out", p.out], "bootstraps"),
+    "config-rebroadcast-nan": (lambda p: ["simulate", "--config", _nonfinite_cfg(
+        p.tmp, '"rebroadcast_interval_s": NaN'), "--out", p.out], "rebroadcast_interval_s"),
+    "config-latency-inf": (lambda p: ["simulate", "--config", _nonfinite_cfg(
+        p.tmp, '"latency_range_s": [0.01, Infinity]'), "--out", p.out], "latency_range_s[1]"),
+    "config-gateway-rate-inf": (lambda p: ["simulate", "--config", _nonfinite_cfg(
+        p.tmp, '"n_gateways": 1, "gateway_http_rate": Infinity'), "--out", p.out],
+        "gateway_http_rate"),
+    "config-churn-nan": (lambda p: ["simulate", "--config", _nonfinite_cfg(
+        p.tmp, '"churn": {"mean_session_s": 60, "mean_offline_s": NaN}'), "--out", p.out],
+        "churn.mean_offline_s"),
+    "same-trace-twice": (lambda p: ["unify", p.trace, p.trace, "--out", p.out], "not sorted"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_EDGES))
+def test_input_edge_exits_2_naming_its_flag_or_field(tmp_path, capsys, case):
+    conn = tmp_path / "conn.csv"
+    write_conn_events([ConnEvent(NS, "m0", GOLDEN_PEER, ConnEventKind.CONNECT)], conn)
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    paths = SimpleNamespace(
+        tmp=tmp_path, trace=str(golden_trace(tmp_path)), conn=str(conn), dir=str(tmp_path),
+        bad_json=str(bad_json), cfg=str(write_cfg(tmp_path, SIM_CFG)),
+        out=str(tmp_path / "out"),
+    )
+    argv, named = INPUT_EDGES[case]
+    assert main(argv(paths)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert named in err
+
+
+@pytest.mark.parametrize("error", [ValueError, OverflowError])
+def test_internal_value_and_overflow_errors_exit_1(tmp_path, capsys, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error("internal")
+
+    monkeypatch.setattr(pipeline, "mark_flags", broken)
+    assert main(["unify", str(golden_trace(tmp_path)), "--out", str(tmp_path / "u")]) == 1
+    assert capsys.readouterr().err.startswith(f"internal error: {error.__name__}: internal")
+
+
+def test_input_error_is_a_swarmwatch_error_and_a_value_error():
+    assert issubclass(InputError, SwarmwatchError)
+    assert issubclass(InputError, ValueError)
+    assert issubclass(ConnEventOrderError, InputError)
+
+
+def _config_digest(argv, out) -> str:
+    assert main([*argv, "--out", str(out)]) == 0
+    return json.loads((out / "manifest.json").read_text())["config_digest"]
+
+
+@pytest.mark.parametrize("flag", ["--dup-window-s", "--rebroadcast-window-s"])
+@pytest.mark.parametrize("verb", ["idw", "tnw"])
+def test_marking_windows_are_in_the_config_digest(tmp_path, verb, flag):
+    query = ["--cid", CID_TEXT] if verb == "idw" else ["--peer", GOLDEN_PEER.hex]
+    argv = [verb, str(golden_trace(tmp_path)), *query, flag]
+    first, again, other = (_config_digest([*argv, seconds], tmp_path / str(i))
+                           for i, seconds in enumerate(["5", "5", "6"]))
+    assert first == again != other
+
+
+@pytest.mark.parametrize("flag, values", [("--window-start-s", ["0", "1"]),
+                                          ("--window-end-s", ["10", "20"])])
+def test_estimate_windows_are_in_the_config_digest(tmp_path, flag, values):
+    conn = tmp_path / "conn.csv"
+    write_conn_events([ConnEvent(0, m, NodeId(p), ConnEventKind.CONNECT)
+                       for m in ("m0", "m1") for p in (1, 2)], conn)
+    window = {"--window-start-s": "0", "--window-end-s": "10"}
+    digests = []
+    for i, seconds in enumerate(values):
+        window[flag] = seconds
+        argv = ["estimate", "--method", "two-monitor", "--conn-events", str(conn),
+                *(item for pair in window.items() for item in pair)]
+        digests.append(_config_digest(argv, tmp_path / str(i)))
+    assert digests[0] != digests[1]
+
+
+def test_tpi_target_and_cid_are_in_the_config_digest(tmp_path):
+    out = run_sim(tmp_path)
+    first, *rest = read_trace(out / "trace_m0.csv")
+    other = next(r for r in rest if r.peer != first.peer and r.cid != first.cid)
+    cfg = str(tmp_path / "sim.json")
+    digests = [
+        _config_digest(["tpi", "--config", cfg, "--target", target.hex, "--cid", str(cid)],
+                       tmp_path / str(i))
+        for i, (target, cid) in enumerate([(first.peer, first.cid), (first.peer, first.cid),
+                                           (other.peer, first.cid), (first.peer, other.cid)])
+    ]
+    assert digests[0] == digests[1]
+    assert len({digests[0], digests[2], digests[3]}) == 3

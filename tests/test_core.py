@@ -6,12 +6,14 @@ import io
 import pickle
 import random
 import re
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from swarmwatch.analytics import GeoDb
 from swarmwatch.core import (
     CONN_HEADER,
     DAG_CBOR,
@@ -26,17 +28,19 @@ from swarmwatch.core import (
     NodeId,
     RequestType,
     TraceRecord,
-    _open_for,
     _read_rows,
     build_conn_event,
     build_trace_record,
     hash_content,
+    open_text,
     read_conn_events,
     read_trace,
+    span_ns,
+    to_ns,
     write_conn_events,
     write_trace,
 )
-from swarmwatch.errors import TraceParseError
+from swarmwatch.errors import InputError, TraceParseError
 
 
 def test_hash_content_deterministic():
@@ -219,6 +223,60 @@ def test_trace_gzip_round_trip(tmp_path):
     with open(path, "rb") as fh:
         assert fh.read(2) == b"\x1f\x8b"  # really gzipped
     assert read_trace(path) == records
+
+
+def _not_utf8(path):
+    path.write_bytes(b"timestamp_ns,monitor,peer_id,kind\r\n1,m\xff,ab,connect\r\n")
+
+
+def _truncated_gzip(path):
+    # one long first line: reading it reaches the cut
+    path.write_bytes(gzip.compress(b"x" * 100_000)[:-12])
+
+
+@pytest.mark.parametrize("read", [read_trace, read_conn_events, GeoDb.from_csv])
+@pytest.mark.parametrize("name, make", [("x.csv", _not_utf8), ("x.csv.gz", _truncated_gzip)])
+def test_bytes_that_are_not_text_raise_input_error(tmp_path, read, name, make):
+    path = tmp_path / name
+    make(path)
+    with pytest.raises(InputError, match="cannot read .* as text"):
+        read(path)
+    with pytest.raises(InputError, match="cannot read .* as text"):
+        read(io.BytesIO(path.read_bytes()) if name.endswith(".csv") else gzip.open(path))
+
+
+def test_open_text_leaves_a_caller_stream_open_and_flushed():
+    raw = io.BytesIO()
+    with open_text(raw, "w") as stream:
+        stream.write("é")
+    assert not raw.closed and raw.getvalue() == "é".encode()
+    text = io.StringIO()
+    with open_text(text, "w") as stream:
+        assert stream is text
+    assert not text.closed
+
+
+@pytest.mark.parametrize("seconds, ns", [(0, 0), (-1.5, -1_500_000_000), (1e-10, 0),
+                                         (1e299, int(1e299 * 1_000_000_000))])
+def test_to_ns_takes_every_finite_value(seconds, ns):
+    assert to_ns(seconds, "w") == ns
+
+
+@pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -float("inf"), 1e300])
+def test_to_ns_names_a_non_finite_value(seconds):
+    with pytest.raises(InputError, match=re.escape(f"w must be finite, got {seconds!r}")):
+        to_ns(seconds, "w")
+
+
+@pytest.mark.parametrize("seconds", [float("nan"), float("inf"), 0, -1.0, 1e-10])
+def test_span_ns_names_a_span_under_one_ns(seconds):
+    with pytest.raises(InputError, match=r"^b must be a finite span of at least 1 ns"):
+        span_ns(seconds, "b")
+
+
+def test_span_ns_floors_to_whole_nanoseconds():
+    assert span_ns(1e-9, "b") == 1
+    assert span_ns(2.5, "b") == 2_500_000_000
 
 
 def test_trace_parse_error_names_line(tmp_path):
@@ -466,21 +524,22 @@ _STREAMS = ["bytes", "gzip", "stringio", "cr-lines"]
 def _rows_outcome(read_rows, text: str, kind: str):
     """Every ``(line, row)`` ``read_rows`` yields for a CONN_HEADER file of
     ``text``, or the type and text of what it raised on the way. ``kind``
-    picks the source: a byte stream, plain or gzipped, as ``_open_for``
+    picks the source: a byte stream, plain or gzipped, as ``open_text``
     wraps it; a caller's ``StringIO``, whose lines end only at LF; or lines
     that end only at CR, so that a line may hold an LF."""
     if kind == "stringio":
-        stream = io.StringIO(text)
+        opened = nullcontext(io.StringIO(text))
     elif kind == "cr-lines":
-        stream = re.split("(?<=\r)", text)
+        opened = nullcontext(re.split("(?<=\r)", text))
     else:
         data = text.encode()
         raw = io.BytesIO(gzip.compress(data) if kind == "gzip" else data)
-        stream, _ = _open_for(gzip.GzipFile(fileobj=raw) if kind == "gzip" else raw, "r")
-    try:
-        return list(read_rows(stream, CONN_HEADER))
-    except (TraceParseError, csv.Error) as exc:
-        return type(exc), str(exc)
+        opened = open_text(gzip.GzipFile(fileobj=raw) if kind == "gzip" else raw, "r")
+    with opened as stream:
+        try:
+            return list(read_rows(stream, CONN_HEADER))
+        except (TraceParseError, csv.Error) as exc:
+            return type(exc), str(exc)
 
 
 # Fields for the reader comparison: plain ones, quoted ones holding the

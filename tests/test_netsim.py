@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 from dataclasses import fields
@@ -139,6 +140,25 @@ class TestBuildNetwork:
     def test_bad_field_names_itself(self, doc, field_name):
         with pytest.raises(ConfigError, match=re.escape(field_name)):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("patch, field_name", [
+        ({"rebroadcast_interval_s": math.nan}, "rebroadcast_interval_s"),
+        ({"latency_range_s": (0.01, math.inf)}, "latency_range_s[1]"),
+        ({"gateway_http_rate": math.inf}, "gateway_http_rate"),
+        ({"request_rate_per_node": math.nan}, "request_rate_per_node"),
+        ({"duration_s": -math.inf}, "duration_s"),
+        ({"churn": ChurnConfig(math.nan, 20.0)}, "churn.mean_session_s"),
+        ({"popularity_sampler": ZipfPopularity(math.inf)}, "popularity_sampler.exponent"),
+        ({"popularity_sampler": LogNormalPopularity(sigma=math.nan)}, "popularity_sampler.sigma"),
+        ({"codec_weights": (("raw", math.inf),)}, "codec_weights[0][1]"),
+    ])
+    def test_non_finite_float_field_names_itself(self, patch, field_name):
+        # checked in validate, so a config built in code never reaches a run
+        cfg = SimConfig(**patch)
+        for check in (cfg.validate, lambda: Network(cfg),
+                      lambda: config_from_dict(config_to_dict(cfg))):
+            with pytest.raises(ConfigError, match=re.escape(field_name) + " must be finite"):
+                check()
 
 
 class TestRun:

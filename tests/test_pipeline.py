@@ -13,6 +13,7 @@ from swarmwatch.core import (
     TraceRecord,
     hash_content,
 )
+from swarmwatch.errors import InputError
 from swarmwatch.pipeline import filter_trace, mark_flags, unify
 
 from helpers import NS, brute_force_flags, synthetic_records
@@ -240,3 +241,17 @@ class TestFilter:
         kept = filter_trace(t, drop_duplicates=True)
         times = [r.timestamp_ns for r in kept]
         assert times == sorted(times)
+
+
+@pytest.mark.parametrize("name", ["window_dup_s", "window_rebroadcast_s"])
+@pytest.mark.parametrize("window", [float("nan"), float("inf"), -float("inf"), 1e300])
+def test_non_finite_window_raises_naming_it(name, window):
+    with pytest.raises(InputError, match=f"{name} must be finite"):
+        mark_flags(unify({"m0": [rec(0, "m0")]}), **{name: window})
+
+
+@pytest.mark.parametrize("window", [0.0, -5.0, 1e299])
+def test_zero_negative_and_large_finite_windows_still_mark(window):
+    records = synthetic_records(300, seed=3)
+    got = mark_flags(unify([records]), window_dup_s=window, window_rebroadcast_s=window)
+    assert [r.flags for r in got] == brute_force_flags(records, window, window)
