@@ -29,11 +29,10 @@ _CANCEL = RequestType.CANCEL
 
 @dataclass(frozen=True)
 class PopularityTable:
-    """Per-cid request counts over a trace window."""
+    """Per-cid request counts over a trace."""
 
     rrp: dict[Cid, int]
     urp: dict[Cid, int]
-    window_ns: tuple[int, int] | None
 
     def __len__(self) -> int:
         return len(self.rrp)
@@ -54,7 +53,6 @@ def popularity(source: Iterable[TraceRecord], drop_flagged: bool = True) -> Popu
     """
     rrp: dict[Cid, int] = {}
     wanters: dict[Cid, set[NodeId]] = {}
-    t_lo = t_hi = None
     for r in source:
         if r.request_type is _CANCEL or (drop_flagged and r.flags):
             continue
@@ -66,17 +64,8 @@ def popularity(source: Iterable[TraceRecord], drop_flagged: bool = True) -> Popu
         else:
             peers.add(r.peer)
             rrp[cid] += 1
-        # the source need not be in time order
-        t = r.timestamp_ns
-        if t_lo is None:
-            t_lo = t_hi = t
-        elif t < t_lo:
-            t_lo = t
-        elif t > t_hi:
-            t_hi = t
     urp = {cid: len(peers) for cid, peers in wanters.items()}
-    window = (t_lo, t_hi) if t_lo is not None else None
-    return PopularityTable(rrp=rrp, urp=urp, window_ns=window)
+    return PopularityTable(rrp=rrp, urp=urp)
 
 
 def ecdf(scores: Sequence[int]) -> list[tuple[float, float]]:

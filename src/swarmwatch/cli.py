@@ -19,6 +19,7 @@ import re
 import sys
 import time
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 
 from . import __version__, analytics, estimators, netsim, pipeline, probes
@@ -453,13 +454,12 @@ def cmd_probe_gateways(args) -> int:
             for res in results
         ),
     )
-    trace = pipeline.mark_flags(pipeline.unify(net.traces))
     manifest.write_csv(
         "crossref.csv", ["node_id", "addresses", "dns_names", "multi_address", "shared_address"],
         (
             [e.node.hex, "|".join(e.addresses), "|".join(e.dns_names),
              int(e.multi_address), int(e.shared_address)]
-            for e in probes.cross_reference(results, trace)
+            for e in probes.cross_reference(results, chain.from_iterable(net.traces.values()))
         ),
     )
     manifest.write()
@@ -529,9 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_windows(p):
-        p.add_argument("--dup-window-s", type=float, default=5.0,
+        p.add_argument("--dup-window-s", type=float, default=pipeline.DEFAULT_DUP_WINDOW_S,
                        help="cross-monitor duplicate window (seconds)")
-        p.add_argument("--rebroadcast-window-s", type=float, default=31.0,
+        p.add_argument("--rebroadcast-window-s", type=float,
+                       default=pipeline.DEFAULT_REBROADCAST_WINDOW_S,
                        help="per-monitor re-broadcast window (seconds)")
 
     p = sub.add_parser("simulate", help="run a network simulation, write traces")

@@ -66,9 +66,6 @@ class NodeId(int):
         """Normalized position of the id in [0, 1)."""
         return self / ID_SPACE
 
-    def xor(self, other: "NodeId") -> "NodeId":
-        return NodeId(self ^ other)
-
     def __repr__(self) -> str:
         return f"NodeId({self.hex[:8]}..)"
 
@@ -162,8 +159,6 @@ class RequestType(Enum):
     CANCEL = "cancel"
 
 
-_CANCEL = RequestType.CANCEL
-
 
 class ConnEventKind(Enum):
     CONNECT = "connect"
@@ -181,10 +176,6 @@ class TraceRecord:
     request_type: RequestType
     cid: Cid
     flags: int = 0
-
-    @property
-    def is_want(self) -> bool:
-        return self.request_type is not _CANCEL
 
     @property
     def is_duplicate(self) -> bool:
@@ -251,7 +242,8 @@ PathOrStream = Union[str, Path, IO]
 def open_text(target: PathOrStream, mode: str):
     """A path opened as text in ``mode`` (gzipped if it ends in ``.gz``) and
     closed on exit, or a caller's stream, left open (a byte stream wrapped).
-    Bytes that are not UTF-8, or a truncated gzip stream, raise InputError."""
+    Bytes that are not UTF-8, a truncated gzip stream, or text that UTF-8
+    cannot encode (a lone surrogate) raise InputError naming the target."""
     try:
         if isinstance(target, (str, Path)):
             opener = gzip.open if Path(target).suffix == ".gz" else open
@@ -265,8 +257,9 @@ def open_text(target: PathOrStream, mode: str):
                 yield stream
             finally:
                 stream.detach()  # flushes first
-    except (UnicodeDecodeError, EOFError, zlib.error) as exc:
-        raise InputError(f"cannot read {target} as text: {exc}") from None
+    except (UnicodeError, EOFError, zlib.error) as exc:
+        verb = "write" if mode == "w" else "read"
+        raise InputError(f"cannot {verb} {target} as text: {exc}") from None
 
 
 def to_ns(seconds: float, name: str) -> int:

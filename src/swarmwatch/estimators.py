@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, combinations, count, repeat
+from numbers import Integral
 from operator import attrgetter, is_
 from typing import Mapping, Sequence
 
@@ -52,8 +53,17 @@ class SizeEstimate:
     residual: float = 0.0
 
 
+def _check_whole(**counts) -> None:
+    """Raise InputError naming the first count that is not a whole number
+    (a whole float such as 5.0 is one)."""
+    for name, value in counts.items():
+        if not (isinstance(value, Integral) or float(value).is_integer()):
+            raise InputError(f"{name} must be a whole number, got {value!r}")
+
+
 def estimate_two_monitor(p1: int, p2: int, intersection: int) -> SizeEstimate:
     """Capture-recapture estimate from two peer sets and their overlap."""
+    _check_whole(p1=p1, p2=p2, intersection=intersection)
     if p1 < 0 or p2 < 0 or intersection < 0:
         raise InputError("peer-set sizes must be non-negative")
     if intersection > min(p1, p2):
@@ -106,8 +116,10 @@ def solve_coupon_mle(m: int, r: int, w: float) -> SizeEstimate:
     """Maximum-likelihood population size given the union of r draws of w.
 
     Solves N - N * (1 - m/N)^(1/r) - w = 0 by bracketed bisection on
-    [m, COUPON_N_MAX]. ``w`` may be fractional (a mean connection count).
+    [m, COUPON_N_MAX]. ``m`` and ``r`` are counts, whole numbers; ``w`` may
+    be fractional (a mean connection count).
     """
+    _check_whole(m=m, r=r)
     if r < 2:
         raise InputError("need at least two draws")
     if w <= 0:

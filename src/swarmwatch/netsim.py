@@ -27,13 +27,12 @@ cancel changes nothing there.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import OrderedDict
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from itertools import count, repeat, starmap
+from itertools import accumulate, count, repeat, starmap
 from random import Random
 from types import UnionType
 from typing import Callable, Mapping, Union, get_args, get_origin, get_type_hints
@@ -55,6 +54,11 @@ from .core import (
 )
 from .errors import ConfigError, InputError, ProbeUnreachableError, UnknownGatewayError
 
+# Bitswap timing, fixed by the protocol: the broadcast window before the DHT
+# fallback, the wait for a requested block, and the period of re-broadcasts
+BROADCAST_TIMEOUT_NS = NS
+WANT_BLOCK_TIMEOUT_NS = NS
+REBROADCAST_INTERVAL_NS = 30 * NS
 # how long probe_want_have waits for the target's HAVE or DONT_HAVE
 PROBE_TIMEOUT_NS = 2 * NS
 
@@ -86,13 +90,7 @@ class UniformPopularity:
     pass
 
 
-@dataclass(frozen=True)
-class LogNormalPopularity:
-    mu: float = 0.0
-    sigma: float = 1.0
-
-
-PopularitySampler = Union[ZipfPopularity, UniformPopularity, LogNormalPopularity]
+PopularitySampler = Union[ZipfPopularity, UniformPopularity]
 
 
 @dataclass(frozen=True)
@@ -109,16 +107,12 @@ class SimConfig:
     catalog_size: int = 0
     popularity_sampler: PopularitySampler = UniformPopularity()
     request_rate_per_node: float = 0.0
-    rebroadcast_interval_s: float = 30.0
     unresolvable_fraction: float = 0.0
     cache_capacity_blocks: int = 1024
     gateway_cache_hit_ratio: float = 0.0
     churn: ChurnConfig | None = None
     duration_s: float = 0.0
     seed: int = 0
-    # protocol timing
-    broadcast_timeout_s: float = 1.0
-    want_block_timeout_s: float = 1.0
     latency_range_s: tuple[float, float] = (0.010, 0.200)
     # monitors attach to this fraction of regular nodes at run start
     monitor_coverage: float = 1.0
@@ -141,9 +135,17 @@ class SimConfig:
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         for name in ("n_dht_servers", "n_clients", "n_gateways", "n_monitors",
-                     "catalog_size", "cache_capacity_blocks"):
+                     "catalog_size", "cache_capacity_blocks",
+                     "request_rate_per_node", "duration_s", "gateway_http_rate"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
+        lo, hi = self.latency_range_s
+        if lo < 0 or lo > hi:
+            raise ConfigError("latency_range_s must satisfy 0 <= low <= high")
+        for name in ("codec_weights", "country_weights"):
+            weights = [w for _, w in getattr(self, name) or ()]
+            if weights and (min(weights) < 0 or sum(weights) == 0):
+                raise ConfigError(f"{name} must be non-negative with a positive total")
         dmin, dmax = self.degree_range
         if dmin < 0 or dmin > dmax:
             raise ConfigError("degree_range must satisfy 0 <= min <= max")
@@ -155,8 +157,6 @@ class SimConfig:
         for name in ("unresolvable_fraction", "gateway_cache_hit_ratio", "monitor_coverage"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1]")
-        if self.rebroadcast_interval_s <= 0:
-            raise ConfigError("rebroadcast_interval_s must be positive")
         if self.workload not in ("poisson", "uniform"):
             raise ConfigError(f"workload must be 'poisson' or 'uniform', not {self.workload!r}")
         if self.gateway_group_sizes is not None:
@@ -184,7 +184,6 @@ def _floats(value, where: str):
 # popularity-sampler kinds, as named in config files
 _SAMPLERS: dict[str, type] = {
     "zipf": ZipfPopularity,
-    "lognormal": LogNormalPopularity,
     "uniform": UniformPopularity,
 }
 _SAMPLER_KINDS = {cls: kind for kind, cls in _SAMPLERS.items()}
@@ -289,7 +288,6 @@ class SimNode:
     id: NodeId
     kind: NodeKind
     address: str
-    country: str = "ZZ"
     online: bool = True
     index: int = 0  # position in the network's node table; adj and events use it
     adj: set[int] = field(default_factory=set)
@@ -300,7 +298,6 @@ class SimNode:
     store: set[Cid] = field(default_factory=set)  # pinned, provider-served blocks
     cache: "OrderedDict[Cid, None]" = field(default_factory=OrderedDict)
     monitor_name: str | None = None
-    dns_name: str | None = None
     resume_peers: list[int] = field(default_factory=list)
     # the network's index -> NodeId table, shared by every node
     _ids: list[NodeId] = field(default_factory=list, repr=False, compare=False)
@@ -323,7 +320,6 @@ class SimNode:
 
 @dataclass(frozen=True)
 class CatalogItem:
-    index: int
     cid: Cid
     resolvable: bool
     providers: tuple[NodeId, ...]
@@ -353,7 +349,6 @@ class RequestHandle:
     t_start_ns: int
     status: RequestStatus = RequestStatus.PENDING
     provider: NodeId | None = None
-    t_done_ns: int | None = None
     idle: bool = False  # reached the periodic re-broadcast loop unresolved
     # the network's: node, cid and peers by index; _serial names it in timer events
     _node: int = 0
@@ -433,7 +428,6 @@ class GroundTruth:
 
 @dataclass
 class _GatewayGroup:
-    dns_name: str
     nodes: list[NodeId]
     rr: int = 0
     functional: bool = True
@@ -443,7 +437,6 @@ class _GatewayGroup:
 class GatewayResult:
     """Outcome of one HTTP-side gateway fetch."""
 
-    dns_name: str
     backing_node: NodeId | None  # None when served from the gateway cache
     handle: RequestHandle | None
     served_from_cache: bool
@@ -530,8 +523,7 @@ class Network:
                 f".{self.rng.randrange(256)}.{self.rng.randrange(256)}/tcp/4001"
             )
         i = len(self._at)
-        node = SimNode(id=nid, kind=kind, address=address, country=country, index=i,
-                       _ids=self._ids)
+        node = SimNode(id=nid, kind=kind, address=address, index=i, _ids=self._ids)
         if kind is NodeKind.MONITOR:
             node.monitor_name = monitor_name or f"m{len(self.monitors)}"
             self.monitors.append(nid)
@@ -684,7 +676,6 @@ class Network:
         del self._live[h._serial]
         h.status = RequestStatus.FETCHED
         h.provider = self._ids[src]
-        h.t_done_ns = self.now_ns
         node = self._at[dst]
         self._cache_insert(node, self._cids[c])
         # withdraw the want where it was announced; with the message log off,
@@ -714,15 +705,14 @@ class Network:
             if cid in node.cache:
                 node.cache.move_to_end(cid)
             issued.append(IssuedRequest(now, requester, cid, "local_hit"))
-            return RequestHandle(requester, cid, now, status=RequestStatus.LOCAL_HIT,
-                                 t_done_ns=now)
+            return RequestHandle(requester, cid, now, status=RequestStatus.LOCAL_HIT)
         h = RequestHandle(requester, cid, now, _node=node.index, _cid=c,
                           _serial=next(self._serials))
         self._requests[node.index, c] = h
         self._live[h._serial] = h
         issued.append(IssuedRequest(now, requester, cid, "broadcast"))
         self._broadcast_want(h, initial=True)
-        self._timer(self.cfg.broadcast_timeout_s * NS, _BROADCAST_TIMEOUT, h._serial)
+        self._timer(BROADCAST_TIMEOUT_NS, _BROADCAST_TIMEOUT, h._serial)
         self._schedule_rebroadcast(h, 1)
         return h
 
@@ -743,7 +733,7 @@ class Network:
             self._dht_step(h)
 
     def _schedule_rebroadcast(self, h: RequestHandle, k: int) -> None:
-        t_next = h.t_start_ns + k * int(self.cfg.rebroadcast_interval_s * NS)
+        t_next = h.t_start_ns + k * REBROADCAST_INTERVAL_NS
         self._timer(max(0, t_next - self.now_ns), _REBROADCAST, h._serial, k)
 
     def _rebroadcast_tick(self, serial: int, k: int, _: int) -> None:
@@ -766,7 +756,7 @@ class Network:
         h._tried.add(target)
         h._notified.add(target)
         self._send(_WANT_BLOCK, self._at[h._node], target, h._cid)
-        self._timer(self.cfg.want_block_timeout_s * NS, _FETCH_TIMEOUT, h._serial, target)
+        self._timer(WANT_BLOCK_TIMEOUT_NS, _FETCH_TIMEOUT, h._serial, target)
 
     def _fetch_timeout(self, serial: int, target: int, _: int) -> None:
         h = self._live.get(serial)
@@ -786,7 +776,7 @@ class Network:
         if contacted == 0 and h._target is None:
             h.idle = True
         else:
-            self._timer(self.cfg.broadcast_timeout_s * NS, _IDLE_CHECK, h._serial)
+            self._timer(BROADCAST_TIMEOUT_NS, _IDLE_CHECK, h._serial)
 
     def _idle_check(self, serial: int, _: int, __: int) -> None:
         h = self._live.get(serial)
@@ -895,11 +885,11 @@ class Network:
         if group is None:
             raise UnknownGatewayError(f"no gateway registered as {dns_name!r}")
         if self.rng.random() < self.cfg.gateway_cache_hit_ratio:
-            return GatewayResult(dns_name, None, None, True, group.functional)
+            return GatewayResult(None, None, True, group.functional)
         backing = group.nodes[group.rr % len(group.nodes)]
         group.rr += 1
         h = self.request(backing, cid)
-        return GatewayResult(dns_name, backing, h, False, group.functional)
+        return GatewayResult(backing, h, False, group.functional)
 
     # ------------------------------------------------------------------
     # probes
@@ -1018,16 +1008,11 @@ class Network:
         at = 0
         for i, size in enumerate(sizes):
             name = f"gw{i}.example"
-            members = gateway_nodes[at : at + size]
-            at += size
-            group = _GatewayGroup(
-                dns_name=name,
-                nodes=members,
+            self.gateways[name] = _GatewayGroup(
+                nodes=gateway_nodes[at : at + size],
                 functional=name not in self.cfg.broken_gateway_names,
             )
-            self.gateways[name] = group
-            for nid in members:
-                self.nodes[nid].dns_name = name
+            at += size
 
     def _codec_plan(self) -> list[Codec]:
         """Catalog codec assignment in exact largest-remainder proportions."""
@@ -1070,29 +1055,17 @@ class Network:
                 for p in providers:
                     self.provide(p, cid)
             self.catalog.append(
-                CatalogItem(i, cid, resolvable_flags[i] and bool(providers), providers)
+                CatalogItem(cid, resolvable_flags[i] and bool(providers), providers)
             )
         if isinstance(cfg.popularity_sampler, ZipfPopularity):
             s = cfg.popularity_sampler.exponent
-            weights = [(i + 1) ** (-s) for i in range(cfg.catalog_size)]
-        elif isinstance(cfg.popularity_sampler, LogNormalPopularity):
-            mu, sigma = cfg.popularity_sampler.mu, cfg.popularity_sampler.sigma
-            weights = [self.rng.lognormvariate(mu, sigma) for _ in range(cfg.catalog_size)]
-        else:
-            weights = None
-        if weights is not None:
-            cum = []
-            acc = 0.0
-            for w in weights:
-                acc += w
-                cum.append(acc)
-            self._pop_cum = cum
+            self._pop_cum = list(accumulate((i + 1) ** (-s) for i in range(cfg.catalog_size)))
 
     def _sample_item(self) -> int:
+        n = len(self.catalog)
         if self._pop_cum is None:
-            return self.rng.randrange(len(self.catalog))
-        u = self.rng.random() * self._pop_cum[-1]
-        return min(bisect.bisect_right(self._pop_cum, u), len(self.catalog) - 1)
+            return self.rng.randrange(n)
+        return self.rng.choices(range(n), cum_weights=self._pop_cum)[0]
 
     # ------------------------------------------------------------------
     # run orchestration

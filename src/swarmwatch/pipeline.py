@@ -22,7 +22,6 @@ from .core import (
     FLAG_REBROADCAST,
     Cid,
     NodeId,
-    RequestType,
     TraceRecord,
     to_ns,
 )
@@ -31,7 +30,6 @@ from .errors import InputError
 DEFAULT_DUP_WINDOW_S = 5.0
 DEFAULT_REBROADCAST_WINDOW_S = 31.0
 
-_CANCEL = RequestType.CANCEL
 _timestamp = attrgetter("timestamp_ns")
 _monitor = attrgetter("monitor")
 
@@ -121,22 +119,3 @@ def mark_flags(
         seen[monitor] = t
     return UnifiedTrace(tuple(out), trace.provenance)
 
-
-def filter_trace(
-    trace: UnifiedTrace,
-    *,
-    drop_duplicates: bool = False,
-    drop_rebroadcasts: bool = False,
-    drop_cancels: bool = False,
-) -> UnifiedTrace:
-    """Remove flagged categories, preserving order."""
-    out = [
-        r
-        for r in trace.records
-        if not (
-            (drop_duplicates and r.is_duplicate)
-            or (drop_rebroadcasts and r.is_rebroadcast)
-            or (drop_cancels and r.request_type is _CANCEL)
-        )
-    ]
-    return UnifiedTrace(tuple(out), trace.provenance)

@@ -17,10 +17,6 @@ from typing import Iterable, Sequence
 from .core import RAW, Cid, NodeId, RequestType, TraceRecord, hash_content
 from .netsim import Network
 
-# Probability that a random 256-bit bait cid collides with organic traffic
-# is negligible; attribution confidence is bounded below by this constant.
-BAIT_CID_CONFIDENCE = 1.0 - 2.0**-128
-
 # simulated seconds a bait round waits for overlay wants after its HTTP request
 PROBE_WINDOW_S = 30.0
 # probe_gateway stops after this many rounds in a row find no new identity,
@@ -72,7 +68,6 @@ class GatewayProbeResult:
     discovered_node_ids: frozenset[NodeId]
     probes_sent: int
     http_succeeded: tuple[bool, ...]
-    confidence: float = BAIT_CID_CONFIDENCE
 
 
 def probe_gateway_once(

@@ -63,7 +63,7 @@ def exact_discrete_powerlaw(alpha, xmin, size, seed):
 class TestPopularity:
     def test_empty(self):
         table = popularity([])
-        assert len(table) == 0 and table.window_ns is None
+        assert len(table) == 0
 
     def test_counts_by_definition(self):
         records = [
@@ -98,7 +98,7 @@ class TestPopularity:
         table = popularity(records)
         assert all(table.urp[c] <= table.rrp[c] for c in table.rrp)
         assert all(v >= 1 for v in table.urp.values())
-        wants = sum(1 for r in records if r.is_want)
+        wants = sum(1 for r in records if r.request_type is not RequestType.CANCEL)
         assert sum(table.rrp.values()) == wants
 
 
@@ -460,7 +460,6 @@ class TestRateTimeseries:
 
 def reference_popularity(source, drop_flagged=True):
     rrp, wanters = {}, {}
-    t_lo = t_hi = None
     for r in source:
         if r.request_type is RequestType.CANCEL:
             continue
@@ -468,10 +467,8 @@ def reference_popularity(source, drop_flagged=True):
             continue
         rrp[r.cid] = rrp.get(r.cid, 0) + 1
         wanters.setdefault(r.cid, set()).add(r.peer)
-        t_lo = r.timestamp_ns if t_lo is None else min(t_lo, r.timestamp_ns)
-        t_hi = r.timestamp_ns if t_hi is None else max(t_hi, r.timestamp_ns)
     urp = {cid: len(peers) for cid, peers in wanters.items()}
-    return PopularityTable(rrp, urp, (t_lo, t_hi) if t_lo is not None else None)
+    return PopularityTable(rrp, urp)
 
 
 def _share_rows(counts):

@@ -476,12 +476,18 @@ def test_config_must_be_an_object(tmp_path, capsys):
 CID_TEXT = "raw:" + "00" * 32
 
 
-def _nonfinite_cfg(tmp_path, fields: str) -> str:
+def _raw_cfg(tmp_path, fields: str) -> str:
     """A config file whose last fields are ``fields``, raw JSON that may
-    hold NaN or Infinity."""
-    path = tmp_path / "nonfinite.json"
+    hold NaN or Infinity; a repeated key overrides the earlier one."""
+    path = tmp_path / "raw.json"
     path.write_text(json.dumps(dict(SIM_CFG, duration_s=0.0))[:-1] + ", " + fields + "}")
     return str(path)
+
+
+def _stats(tmp_path, method: str, doc: dict) -> list[str]:
+    path = tmp_path / "stats.json"
+    path.write_text(json.dumps(doc))
+    return ["estimate", "--method", method, "--stats", str(path)]
 
 
 def _estimate(p, *window):
@@ -521,14 +527,25 @@ INPUT_EDGES = {
                                "window_rebroadcast_s"),
     "bootstraps-negative": (lambda p: ["analyze", p.trace, "--report", "power-law",
                                        "--bootstraps", "-3", "--out", p.out], "bootstraps"),
-    "config-rebroadcast-nan": (lambda p: ["simulate", "--config", _nonfinite_cfg(
-        p.tmp, '"rebroadcast_interval_s": NaN'), "--out", p.out], "rebroadcast_interval_s"),
-    "config-latency-inf": (lambda p: ["simulate", "--config", _nonfinite_cfg(
+    "config-duration-negative": (lambda p: ["simulate", "--config", _raw_cfg(
+        p.tmp, '"duration_s": -3'), "--out", p.out], "duration_s must be non-negative"),
+    "config-latency-reversed": (lambda p: ["simulate", "--config", _raw_cfg(
+        p.tmp, '"latency_range_s": [0.5, 0.1]'), "--out", p.out], "latency_range_s"),
+    "config-codec-weights-zero": (lambda p: ["simulate", "--config", _raw_cfg(
+        p.tmp, '"codec_weights": [["raw", 0.0]]'), "--out", p.out], "codec_weights"),
+    "config-country-weights-zero": (lambda p: ["simulate", "--config", _raw_cfg(
+        p.tmp, '"country_weights": [["US", 0.0]]'), "--out", p.out], "country_weights"),
+    "stats-fractional-r": (lambda p: [*_stats(p.tmp, "coupon", {"m": 5, "r": 2.5, "w": 3}),
+                                      "--out", p.out], "r must be a whole number"),
+    "stats-fractional-size": (lambda p: [*_stats(p.tmp, "two-monitor", {
+        "sizes": {"a": 10.5, "b": 8}, "intersections": {"a|b": 4}}), "--out", p.out],
+        "p1 must be a whole number"),
+    "config-latency-inf": (lambda p: ["simulate", "--config", _raw_cfg(
         p.tmp, '"latency_range_s": [0.01, Infinity]'), "--out", p.out], "latency_range_s[1]"),
-    "config-gateway-rate-inf": (lambda p: ["simulate", "--config", _nonfinite_cfg(
+    "config-gateway-rate-inf": (lambda p: ["simulate", "--config", _raw_cfg(
         p.tmp, '"n_gateways": 1, "gateway_http_rate": Infinity'), "--out", p.out],
         "gateway_http_rate"),
-    "config-churn-nan": (lambda p: ["simulate", "--config", _nonfinite_cfg(
+    "config-churn-nan": (lambda p: ["simulate", "--config", _raw_cfg(
         p.tmp, '"churn": {"mean_session_s": 60, "mean_offline_s": NaN}'), "--out", p.out],
         "churn.mean_offline_s"),
     "same-trace-twice": (lambda p: ["unify", p.trace, p.trace, "--out", p.out], "not sorted"),

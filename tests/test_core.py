@@ -9,7 +9,7 @@ import re
 from contextlib import nullcontext
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -112,15 +112,6 @@ def test_node_id_uniformity_ks():
     xs = [NodeId.generate(rng).pos() for _ in range(5000)]
     result = stats.kstest(xs, "uniform")
     assert result.pvalue > 0.01
-
-
-@given(x=st.integers(0, ID_SPACE - 1), j=st.integers(0, ID_SPACE - 1))
-@settings(max_examples=50)
-def test_xor_unidirectional(x, j):
-    # for fixed x and distance j there is exactly one y with x ^ y == j
-    y = x ^ j
-    assert x ^ y == j
-    assert NodeId(x).xor(NodeId(y)) == NodeId(j)
 
 
 def _random_record(rng: random.Random) -> TraceRecord:
@@ -355,42 +346,72 @@ def test_conn_events_round_trip():
     assert read_conn_events(buf) == events
 
 
-@given(st.data())
+def _encodable(text: str) -> bool:
+    try:
+        text.encode()
+    except UnicodeEncodeError:  # a lone surrogate
+        return False
+    return True
+
+
+# a monitor name or address UTF-8 cannot encode, which a writer must reject
+# as bad input naming the target
+LONE_SURROGATE = "m\ud800"
+
+
+@given(seed=st.integers(0, 2**32), monitors=st.lists(_csv_texts, min_size=1, max_size=3),
+       addresses=st.lists(_csv_texts, min_size=1, max_size=4), n=st.integers(0, 12))
+@example(seed=0, monitors=[LONE_SURROGATE], addresses=["a"], n=2)
 @settings(max_examples=60, deadline=None)
-def test_write_trace_matches_csv_writer(data):
-    rng = random.Random(data.draw(st.integers(0, 2**32)))
-    monitors = data.draw(st.lists(_csv_texts, min_size=1, max_size=3))
-    addresses = data.draw(st.lists(_csv_texts, min_size=1, max_size=4))
+def test_write_trace_matches_csv_writer(seed, monitors, addresses, n):
+    rng = random.Random(seed)
     records = [
         dataclasses.replace(
             _random_record(rng), monitor=rng.choice(monitors), address=rng.choice(addresses)
         )
-        for _ in range(data.draw(st.integers(0, 12)))
+        for _ in range(n)
     ]
     buf = io.BytesIO()
+    if not all(_encodable(r.monitor) and _encodable(r.address) for r in records):
+        with pytest.raises(InputError, match="cannot write .* as text"):
+            write_trace(records, buf)
+        return
     write_trace(records, buf)
     assert buf.getvalue() == _csv_writer_trace(records)
     buf.seek(0)
     assert read_trace(buf) == records
 
 
-@given(st.data())
+@given(seed=st.integers(0, 2**32), monitors=st.lists(_csv_texts, min_size=1, max_size=3),
+       n=st.integers(0, 12))
+@example(seed=0, monitors=[LONE_SURROGATE], n=2)
 @settings(max_examples=60, deadline=None)
-def test_write_conn_events_matches_csv_writer(data):
-    rng = random.Random(data.draw(st.integers(0, 2**32)))
-    monitors = data.draw(st.lists(_csv_texts, min_size=1, max_size=3))
+def test_write_conn_events_matches_csv_writer(seed, monitors, n):
+    rng = random.Random(seed)
     events = [
         ConnEvent(rng.randrange(10**15), rng.choice(monitors), NodeId.generate(rng),
                   rng.choice(list(ConnEventKind)))
-        for _ in range(data.draw(st.integers(0, 12)))
+        for _ in range(n)
     ]
     buf = io.BytesIO()
+    if not all(_encodable(e.monitor) for e in events):
+        with pytest.raises(InputError, match="cannot write .* as text"):
+            write_conn_events(events, buf)
+        return
     write_conn_events(events, buf)
     assert buf.getvalue() == _csv_writer_bytes(
         CONN_HEADER, ([e.timestamp_ns, e.monitor, e.peer.hex, e.kind.value] for e in events)
     )
     buf.seek(0)
     assert read_conn_events(buf) == events
+
+
+def test_text_that_utf8_cannot_encode_raises_input_error_naming_the_file(tmp_path):
+    path = tmp_path / "trace.csv.gz"
+    record = TraceRecord(0, LONE_SURROGATE, NodeId(1), "a", RequestType.WANT_HAVE,
+                         hash_content(b"x", RAW))
+    with pytest.raises(InputError, match=f"cannot write {re.escape(str(path))} as text"):
+        write_trace([record], path)
 
 
 def test_read_trace_shares_repeated_ids():

@@ -14,6 +14,7 @@ from swarmwatch.errors import (
     ConnEventOrderError,
     DegenerateSampleError,
     DisjointSamplesError,
+    InputError,
     SwarmwatchError,
 )
 from swarmwatch.estimators import (
@@ -59,6 +60,17 @@ class TestTwoMonitor:
     def test_bad_intersection(self):
         with pytest.raises(ValueError):
             estimate_two_monitor(10, 10, 11)
+
+    @pytest.mark.parametrize("counts, name", [
+        ((10.5, 8, 4), "p1"), ((10, 8.25, 4), "p2"), ((10, 8, 3.5), "intersection"),
+        ((10, 8, math.nan), "intersection"), ((math.inf, 8, 4), "p1"),
+    ])
+    def test_fractional_count_names_itself(self, counts, name):
+        with pytest.raises(InputError, match=f"^{name} must be a whole number"):
+            estimate_two_monitor(*counts)
+
+    def test_whole_floats_are_counts(self):
+        assert estimate_two_monitor(700.0, 700, 49.0) == estimate_two_monitor(700, 700, 49)
 
     def test_urn_oracle_median_within_10pct(self):
         # Monte-Carlo urn: N=10000, two independent 700-draws, 200 seeds
@@ -189,6 +201,14 @@ class TestCouponMle:
     def test_fractional_w(self):
         est = solve_coupon_mle(1300, 2, 700.5)
         assert est.n_hat > 1300
+
+    @pytest.mark.parametrize("m, r, name", [(5, 2.5, "r"), (5.5, 2, "m"), (math.nan, 2, "m")])
+    def test_fractional_count_names_itself(self, m, r, name):
+        with pytest.raises(InputError, match=f"^{name} must be a whole number"):
+            solve_coupon_mle(m, r, 3)
+
+    def test_whole_floats_are_counts(self):
+        assert solve_coupon_mle(1300.0, 2.0, 700.5) == solve_coupon_mle(1300, 2, 700.5)
 
 
 class TestDhtMinDistance:

@@ -42,7 +42,7 @@ GOLDEN_SHA256 = {
     "trace_m1.csv": "5d91774a6e6b1a2adbf042ca68a93e62aec969933a40d8b7e33b7f9c5b5c2b53",
     "ground_truth.json": "ffee0c1f8416726447fa0f1d1ac5753f2a82b6f635ee9467faba0f3a07cb7c1b",
 }
-GOLDEN_CONFIG_DIGEST = "5386a5b3f33eb595e78777ca585ce628236123da5993bf3436f4c1680893c52d"
+GOLDEN_CONFIG_DIGEST = "8a0dcb050f19eddc62ca2c161065d79bc3e865cd853f5ea2d32d0d4c7843ccb9"
 
 
 # the most-requested cid of the golden world (first row of popularity.csv)

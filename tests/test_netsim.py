@@ -11,7 +11,6 @@ from swarmwatch.core import RAW, NodeId, RequestType, hash_content
 from swarmwatch.errors import ConfigError, UnknownGatewayError
 from swarmwatch.netsim import (
     ChurnConfig,
-    LogNormalPopularity,
     Network,
     NodeKind,
     RequestStatus,
@@ -101,7 +100,7 @@ class TestBuildNetwork:
         cfg = SimConfig(
             n_dht_servers=4,
             degree_range=(1, 3),
-            popularity_sampler=LogNormalPopularity(0.5, 2.0),
+            popularity_sampler=ZipfPopularity(1.3),
             latency_range_s=(0.02, 0.05),
             broken_gateway_names=("gw0.example",),
             country_weights=(("US", 3.0), ("DE", 1.0)),
@@ -110,7 +109,7 @@ class TestBuildNetwork:
         )
         doc = config_to_dict(cfg)
         assert list(doc) == [f.name for f in fields(SimConfig)]
-        assert doc["popularity_sampler"] == {"kind": "lognormal", "mu": 0.5, "sigma": 2.0}
+        assert doc["popularity_sampler"] == {"kind": "zipf", "exponent": 1.3}
         assert doc["country_weights"] == [["US", 3.0], ["DE", 1.0]]
         assert config_from_dict(json.loads(json.dumps(doc))) == cfg
 
@@ -142,14 +141,14 @@ class TestBuildNetwork:
             config_from_dict(doc)
 
     @pytest.mark.parametrize("patch, field_name", [
-        ({"rebroadcast_interval_s": math.nan}, "rebroadcast_interval_s"),
+        ({"monitor_coverage": math.nan}, "monitor_coverage"),
         ({"latency_range_s": (0.01, math.inf)}, "latency_range_s[1]"),
         ({"gateway_http_rate": math.inf}, "gateway_http_rate"),
         ({"request_rate_per_node": math.nan}, "request_rate_per_node"),
         ({"duration_s": -math.inf}, "duration_s"),
         ({"churn": ChurnConfig(math.nan, 20.0)}, "churn.mean_session_s"),
         ({"popularity_sampler": ZipfPopularity(math.inf)}, "popularity_sampler.exponent"),
-        ({"popularity_sampler": LogNormalPopularity(sigma=math.nan)}, "popularity_sampler.sigma"),
+        ({"country_weights": (("US", math.nan),)}, "country_weights[0][1]"),
         ({"codec_weights": (("raw", math.inf),)}, "codec_weights[0][1]"),
     ])
     def test_non_finite_float_field_names_itself(self, patch, field_name):
@@ -159,6 +158,38 @@ class TestBuildNetwork:
                       lambda: config_from_dict(config_to_dict(cfg))):
             with pytest.raises(ConfigError, match=re.escape(field_name) + " must be finite"):
                 check()
+
+    @pytest.mark.parametrize("patch, message", [
+        ({"request_rate_per_node": -0.1}, "request_rate_per_node must be non-negative"),
+        ({"duration_s": -3.0}, "duration_s must be non-negative"),
+        ({"gateway_http_rate": -1.0}, "gateway_http_rate must be non-negative"),
+        ({"latency_range_s": (-0.01, 0.2)}, "latency_range_s must satisfy 0 <= low <= high"),
+        ({"latency_range_s": (0.5, 0.1)}, "latency_range_s must satisfy 0 <= low <= high"),
+        ({"codec_weights": (("raw", 0.0),)}, "codec_weights must be non-negative"),
+        ({"codec_weights": (("raw", 2.0), ("dag-pb", -1.0))}, "codec_weights must be non-negative"),
+        ({"country_weights": (("US", 0.0),)}, "country_weights must be non-negative"),
+        ({"country_weights": (("US", -1.0), ("DE", 2.0))}, "country_weights must be non-negative"),
+    ])
+    def test_out_of_domain_field_names_itself(self, patch, message):
+        cfg = SimConfig(**patch)
+        for check in (cfg.validate, lambda: Network(cfg),
+                      lambda: config_from_dict(config_to_dict(cfg))):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                check()
+
+    def test_zero_stays_valid_where_it_was(self):
+        cfg = SimConfig(
+            n_dht_servers=6, n_gateways=1, n_monitors=1, degree_range=(1, 3), catalog_size=8,
+            request_rate_per_node=0.0, gateway_http_rate=0.0, duration_s=0.0,
+            latency_range_s=(0.0, 0.0),
+            codec_weights=(("raw", 0.0), ("dag-pb", 1.0)),
+            country_weights=(("US", 0.0), ("DE", 1.0)),
+        )
+        net = build_network(config_from_dict(config_to_dict(cfg)))
+        assert {item.cid.codec.name for item in net.catalog} == {"dag-pb"}
+        country_of = {cidr.split(".")[0]: country for cidr, country in net.geo_entries()}
+        servers = [n for n in net.nodes.values() if n.kind is NodeKind.DHT_SERVER]
+        assert {country_of[n.address.split("/")[2].split(".")[0]] for n in servers} == {"DE"}
 
 
 class TestRun:

@@ -14,7 +14,7 @@ from swarmwatch.core import (
     hash_content,
 )
 from swarmwatch.errors import InputError
-from swarmwatch.pipeline import filter_trace, mark_flags, unify
+from swarmwatch.pipeline import mark_flags, unify
 
 from helpers import NS, brute_force_flags, synthetic_records
 
@@ -217,30 +217,6 @@ def test_permutation_stability(seed, order_seed):
     t1 = mark_flags(unify({m: by_monitor[m] for m in monitors}))
     t2 = mark_flags(unify([records]))
     assert list(t1) == list(t2)
-
-
-class TestFilter:
-    def test_all_false_is_identity(self):
-        t = mark_flags(unify([synthetic_records(100, seed=1)]))
-        assert list(filter_trace(t)) == list(t)
-
-    def test_drop_cancels_only_cancels(self):
-        records = [rec(i, "m0", rtype=RequestType.CANCEL) for i in range(5)]
-        t = filter_trace(unify({"m0": records}), drop_cancels=True)
-        assert len(t) == 0
-
-    def test_counts_never_increase(self):
-        t = mark_flags(unify([synthetic_records(300, seed=4)]))
-        kept = filter_trace(t, drop_duplicates=True, drop_rebroadcasts=True, drop_cancels=True)
-        assert len(kept) <= len(t)
-        flagged = sum(1 for r in t if r.flags)
-        assert flagged <= len(t)
-
-    def test_order_preserved(self):
-        t = mark_flags(unify([synthetic_records(300, seed=5)]))
-        kept = filter_trace(t, drop_duplicates=True)
-        times = [r.timestamp_ns for r in kept]
-        assert times == sorted(times)
 
 
 @pytest.mark.parametrize("name", ["window_dup_s", "window_rebroadcast_s"])
