@@ -159,7 +159,6 @@ class RequestType(Enum):
     CANCEL = "cancel"
 
 
-
 class ConnEventKind(Enum):
     CONNECT = "connect"
     DISCONNECT = "disconnect"
