@@ -938,7 +938,7 @@ class Network:
     def _plan_countries(self):
         """Quota country assignment (largest remainder) over regular nodes."""
         cfg = self.cfg
-        n_quota = cfg.n_dht_servers + cfg.n_clients  # request-issuing nodes
+        n_quota = cfg.n_dht_servers + cfg.n_clients + cfg.n_gateways
         if not cfg.country_weights:
             self._country_prefixes = {"ZZ": 10}
             while True:
@@ -957,10 +957,7 @@ class Network:
             counts[c] += 1
         plan = [c for c, k in counts.items() for _ in range(k)]
         self.rng.shuffle(plan)
-        for country in plan:
-            yield country
-        while True:
-            yield weights[0][0]
+        yield from plan
 
     def geo_entries(self) -> list[tuple[str, str]]:
         """CIDR-to-country pairs matching the simulated address plan."""

@@ -188,8 +188,9 @@ class TestBuildNetwork:
         net = build_network(config_from_dict(config_to_dict(cfg)))
         assert {item.cid.codec.name for item in net.catalog} == {"dag-pb"}
         country_of = {cidr.split(".")[0]: country for cidr, country in net.geo_entries()}
-        servers = [n for n in net.nodes.values() if n.kind is NodeKind.DHT_SERVER]
-        assert {country_of[n.address.split("/")[2].split(".")[0]] for n in servers} == {"DE"}
+        regular = [n for n in net.nodes.values() if n.kind is not NodeKind.MONITOR]
+        assert {n.kind for n in regular} == {NodeKind.DHT_SERVER, NodeKind.GATEWAY}
+        assert {country_of[n.address.split("/")[2].split(".")[0]] for n in regular} == {"DE"}
 
 
 class TestRun:
