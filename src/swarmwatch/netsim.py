@@ -20,9 +20,31 @@ are its sender, receiver and cid. The event loop dispatches on the code
 through a module-level table of plain functions, so no queued event refers
 back to the network. ``NodeId`` and ``Cid`` appear only at the edges:
 traces, connection events, ground truth, ``Network.nodes`` and the public
-methods' arguments. A cancel goes only to monitors, which log it, unless the
-message log is on: a regular node keeps no record of its peers' wants, so a
-cancel changes nothing there.
+methods' arguments.
+
+Three rules leave out messages whose only effect would be one that nothing
+reads; each applies only while the message log is off, so a logged run
+shows every message and gives the same traces, ground truth and results:
+
+- A cancel goes only to monitors, which log it: a regular node keeps no
+  record of its peers' wants, so a cancel changes nothing there.
+- Rule 1: a node answers ``dont_have`` only while the requester's live
+  request still awaits that node's answer or a probe waits for it. Any
+  other ``dont_have`` would be dropped on arrival, since a request's
+  awaited set only shrinks.
+- Rule 2: a re-broadcast of a cid that was never provided goes only to
+  monitors, to peers whose answer the request still awaits and to peers
+  the requester is probing for that cid. No node can hold such a cid, so
+  any other peer could only answer ``dont_have``, which rule 1 drops. The
+  want still counts as announced to every peer.
+
+Rules 1 and 2 assume that an answer in flight finds, on arrival, the request
+or probe that was live when it was sent. Three corners break that, and a
+stale answer that used to be credited to the newcomer no longer arrives: a
+node starts a new request for the same cid within one link latency of the
+old one's end (after ``purge_cache``, an eviction, or with no cache); a
+requester probes its own peer for a cid it still wants; ``provide`` is
+called on a never-provided cid while a re-broadcast is in flight.
 """
 
 from __future__ import annotations
@@ -295,6 +317,9 @@ class SimNode:
     # a disconnect, so a reconnect reuses it and a message sent meanwhile
     # still travels (and is dropped on arrival unless the pair reconnected)
     latency_ns: dict[int, int] = field(default_factory=dict)
+    # store and cache change only through Network.provide, fetches and
+    # purge_cache, so no node holds a cid that was never provided; the
+    # re-broadcast rule (rule 2 in the module docstring) relies on that
     store: set[Cid] = field(default_factory=set)  # pinned, provider-served blocks
     cache: "OrderedDict[Cid, None]" = field(default_factory=OrderedDict)
     monitor_name: str | None = None
@@ -626,7 +651,15 @@ class Network:
         node, cid = self._at[dst], self._cids[c]
         if node.monitor_name is not None:
             self._log_want(_WANT_HAVE, node, src, c)
-        answer = _HAVE if cid in node.store or cid in node.cache else _DONT_HAVE
+        if cid in node.store or cid in node.cache:
+            answer = _HAVE
+        else:
+            # rule 1 (module docstring): _on_dont_have would drop it
+            h = self._requests.get((src, c))
+            if (self.message_log is None and (h is None or dst not in h._pending_answers)
+                    and (src, dst, c) not in self._probe_waits):
+                return
+            answer = _DONT_HAVE
         heappush(self._heap, (self.now_ns + node.latency_ns[src], next(self._seq),
                               answer, dst, src, c))
 
@@ -727,6 +760,11 @@ class Network:
         h._notified.update(peers)
         heap, seq, now, lat = self._heap, self._seq, self.now_ns, node.latency_ns
         i, c = node.index, h._cid
+        if not initial and self.message_log is None and c not in self._providers:
+            # rule 2 (module docstring): other peers could only answer a
+            # dont_have that rule 1 drops
+            mon, pending, waits = self._monitor_idx, h._pending_answers, self._probe_waits
+            peers = [p for p in peers if p in mon or p in pending or (i, p, c) in waits]
         for p in peers:
             heappush(heap, (now + lat[p], next(seq), _WANT_HAVE, i, p, c))
         if initial and not peers:

@@ -1,12 +1,13 @@
-"""The simulator's event core: flat int events, the cancel rule, the order
-of same-nanosecond events, and freeing a finished network."""
+"""The simulator's event core: flat int events, the rules that leave out
+messages nothing reads, the order of same-nanosecond events, and freeing a
+finished network."""
 
 import gc
 import weakref
 
 import pytest
 
-from swarmwatch import netsim
+from swarmwatch import netsim, probes
 from swarmwatch.core import RAW, RequestType, hash_content
 from swarmwatch.netsim import (
     NS,
@@ -23,22 +24,126 @@ from test_golden import CHURN_CONFIG, REFERENCE_CONFIG
 from test_netsim import scripted_net
 
 
-def _outcome(doc: dict, record_messages: bool):
+# every gateway request goes to the overlay, and a third of the catalog is
+# never provided, so the warmed world holds idle wants that are re-broadcast
+# through every bait round
+ATTACKED_CONFIG = {**REFERENCE_CONFIG, "gateway_cache_hit_ratio": 0.0,
+                   "gateway_http_rate": 0.2, "duration_s": 60.0}
+
+
+def _attack(net) -> tuple:
+    """Bait-probe every gateway, then a TPI batch from a new node: cached,
+    provided and never-seen cids."""
+    results = [probes.probe_gateway(net, name, net.monitors, seed=i)
+               for i, name in enumerate(sorted(net.gateways))]
+    prober = net.add_node(NodeKind.DHT_CLIENT)
+    fresh = hash_content(b"never wanted", RAW)
+    cached = sorted(key for key, spans in net.ground_truth.cache_log.items()
+                    if spans[-1][1] is None)[:5]
+    plan = (cached + [(item.providers[0], item.cid) for item in net.catalog[:20] if item.resolvable]
+            + [(target, fresh) for target in sorted(net.regular_ids())[:5]])
+    return results, [probes.tpi(net, prober, target, cid) for target, cid in plan]
+
+
+def _record_dispatch(monkeypatch) -> list:
+    """Have the event loop record (network, time, code, b) of every event it
+    handles; for a message, b is the receiver's index."""
+    handled = []
+
+    def recorded(code, fn):
+        def handler(network, a, b, c):
+            handled.append((network, network.now_ns, code, b))
+            fn(network, a, b, c)
+        return handler
+
+    monkeypatch.setattr(netsim, "_DISPATCH", tuple(
+        recorded(code, fn) for code, fn in enumerate(netsim._DISPATCH)))
+    return handled
+
+
+def _outcome(doc: dict, record_messages: bool, attack: bool):
     net = build_network(config_from_dict({**doc, "record_messages": record_messages}))
     traces, conns, gt = run(net)
-    return net, (traces, conns, gt.summary(), gt.cache_log)
+    attacked = _attack(net) if attack else ()
+    return net, (attacked, traces, conns, gt.summary(), gt.cache_log, net.now_ns)
 
 
-@pytest.mark.parametrize("doc", [CHURN_CONFIG, {**REFERENCE_CONFIG, "duration_s": 60.0}],
-                         ids=["churn", "gateways"])
-def test_cancels_to_regular_nodes_change_nothing_unless_logged(doc):
-    logged, with_log = _outcome(doc, True)
-    _, without_log = _outcome(doc, False)
+@pytest.mark.parametrize("doc, attack", [
+    (CHURN_CONFIG, False),
+    ({**REFERENCE_CONFIG, "duration_s": 60.0}, False),
+    (ATTACKED_CONFIG, True),
+], ids=["churn", "gateways", "attacked"])
+def test_elided_messages_change_nothing_unless_logged(doc, attack, monkeypatch):
+    handled = _record_dispatch(monkeypatch)
+    logged, with_log = _outcome(doc, True, attack)
+    unlogged, without_log = _outcome(doc, False, attack)
     assert with_log == without_log
-    # the logged run did send cancels to regular nodes, so the rule was used
+    # the logged run did send cancels to regular nodes, so the cancel rule was used
     monitors = set(logged.monitors)
     assert any(m.kind == "cancel" and m.dst not in monitors for m in logged.message_log)
-    assert any(r.request_type is RequestType.CANCEL for t in with_log[0].values() for r in t)
+    assert any(r.request_type is RequestType.CANCEL for t in with_log[1].values() for r in t)
+    # and fewer wants and dont_have answers reached a node, so the answer rules were used
+    for code in (netsim._WANT_HAVE, netsim._DONT_HAVE):
+        delivered = [sum(n is net and k == code for n, _, k, _ in handled)
+                     for net in (logged, unlogged)]
+        assert delivered[0] > delivered[1]
+    if attack:
+        results, answers = with_log[0]
+        assert all(r.discovered_node_ids for r in results) and True in answers and False in answers
+
+
+def _one_requester(latency_s: float, provided: bool):
+    """A requester r linked to two regular peers and a monitor, wanting a
+    cid nobody holds; with ``provided``, its one provider is offline."""
+    net = scripted_net()
+    r = net.add_node(NodeKind.DHT_CLIENT)
+    peers = [net.add_node(NodeKind.DHT_SERVER) for _ in range(2)]
+    m = net.add_node(NodeKind.MONITOR)
+    for p in peers + [m]:
+        net.connect(r, p, latency_s=latency_s)
+    cid = hash_content(b"held by nobody online", RAW)
+    if provided:
+        far = net.add_node(NodeKind.DHT_SERVER)
+        net.provide(far, cid)
+        net.set_offline(far)
+    return net, r, peers, m, cid
+
+
+def _queued(net) -> set:
+    """(kind, receiver) of every message in the event queue."""
+    return {(netsim._KINDS[code], net._ids[b])
+            for _, _, code, _, b, _ in net._heap if code <= netsim._BLOCK}
+
+
+@pytest.mark.parametrize("provided", [False, True], ids=["never-provided", "provider-offline"])
+def test_rebroadcast_queues_only_messages_something_reads(provided):
+    net, r, peers, m, cid = _one_requester(0.25, provided)
+    h = net.request(r, cid)
+    net.run_for(30.0)  # every peer answered dont_have; the re-broadcast just left
+    assert h.idle
+    # a never-provided cid goes only to the monitor; a provided one to every peer
+    reached = peers + [m] if provided else [m]
+    assert _queued(net) == {("want_have", p) for p in reached}
+    net.run_for(0.3)  # the wants arrived at 30.25 s; no request awaits an answer
+    assert _queued(net) == set()
+    assert [rec.timestamp_ns for rec in net.traces["m0"]] == [NS // 4, 30 * NS + NS // 4]
+
+
+def test_a_probe_by_the_requester_still_gets_its_answers(monkeypatch):
+    handled = _record_dispatch(monkeypatch)
+    net, r, (p1, p2), m, cid = _one_requester(0.4, provided=False)
+    net.request(r, cid)
+    net.run_for(29.5)
+    # the probe's want reaches p1 at 29.9 s and its answer returns at 30.3 s,
+    # though r's request no longer awaits p1
+    start = net.now_ns
+    assert net.probe_want_have(r, p1, cid) is False
+    assert net.now_ns == start + 8 * NS // 10
+    # the re-broadcast at 30 s still goes to p1, whose probe wait was open
+    net.run_for(1.0)
+    wants = sorted((t, net._ids[b]) for _, t, code, b in handled
+                   if code == netsim._WANT_HAVE and t > start)
+    assert wants == sorted([(29_900_000_000, p1), (30_400_000_000, p1), (30_400_000_000, m)])
 
 
 def test_finished_network_is_freed_without_a_collection():
@@ -75,16 +180,7 @@ def test_messages_from_one_sender_at_one_instant_arrive_in_send_order():
 
 
 def test_timer_and_message_at_one_instant_keep_insertion_order(monkeypatch):
-    handled = []
-
-    def recorded(code, fn):
-        def handler(network, a, b, c):
-            handled.append((network.now_ns, code))
-            fn(network, a, b, c)
-        return handler
-
-    monkeypatch.setattr(netsim, "_DISPATCH", tuple(
-        recorded(code, fn) for code, fn in enumerate(netsim._DISPATCH)))
+    handled = _record_dispatch(monkeypatch)
     net = scripted_net()
     r = net.add_node(NodeKind.DHT_CLIENT)
     m = net.add_node(NodeKind.MONITOR)
@@ -99,7 +195,7 @@ def test_timer_and_message_at_one_instant_keep_insertion_order(monkeypatch):
     net.connect(r, p, latency_s=0.5)
     h = net.request(r, cid)
     net.run_for(1.0)
-    at_one = [code for t, code in handled if t == NS]
+    at_one = [code for _, t, code, _ in handled if t == NS]
     assert at_one == [netsim._WANT_HAVE, netsim._BROADCAST_TIMEOUT, netsim._HAVE]
     # so the timeout found no answer yet and looked the cid up in the DHT
     assert far in net.nodes[r].peers
