@@ -22,29 +22,27 @@ back to the network. ``NodeId`` and ``Cid`` appear only at the edges:
 traces, connection events, ground truth, ``Network.nodes`` and the public
 methods' arguments.
 
-Three rules leave out messages whose only effect would be one that nothing
-reads; each applies only while the message log is off, so a logged run
-shows every message and gives the same traces, ground truth and results:
+Three rules leave out messages that nothing would read. Each applies only
+while the message log is off, and a logged run gives the same traces,
+ground truth and results:
 
-- A cancel goes only to monitors, which log it: a regular node keeps no
-  record of its peers' wants, so a cancel changes nothing there.
+- A cancel goes only to monitors: a regular node keeps no record of its
+  peers' wants, so a cancel changes nothing there.
 - Rule 1: a node answers ``dont_have`` only while the requester's live
-  request still awaits that node's answer or a probe waits for it. Any
-  other ``dont_have`` would be dropped on arrival, since a request's
-  awaited set only shrinks.
-- Rule 2: a re-broadcast of a cid that was never provided goes only to
-  monitors, to peers whose answer the request still awaits and to peers
-  the requester is probing for that cid. No node can hold such a cid, so
-  any other peer could only answer ``dont_have``, which rule 1 drops. The
-  want still counts as announced to every peer.
+  request still awaits its answer or a probe waits for it; any other one
+  would be dropped on arrival, since the awaited set only shrinks.
+- Rule 2: a re-broadcast of a never-provided cid goes only to monitors,
+  to peers whose answer is still awaited and to peers the requester is
+  probing for it. No node can hold such a cid, so any other peer could
+  only answer ``dont_have``, which rule 1 drops.
 
-Rules 1 and 2 assume that an answer in flight finds, on arrival, the request
-or probe that was live when it was sent. Three corners break that, and a
-stale answer that used to be credited to the newcomer no longer arrives: a
-node starts a new request for the same cid within one link latency of the
-old one's end (after ``purge_cache``, an eviction, or with no cache); a
-requester probes its own peer for a cid it still wants; ``provide`` is
-called on a never-provided cid while a re-broadcast is in flight.
+In three corners, an answer that nothing awaited when it was sent would
+reach a request or probe started while it was in flight; rules 1 and 2
+leave it out, so there a logged and an unlogged run can differ: a node
+requests a cid again within one link latency of its last request's end
+(after ``purge_cache``, an eviction, or with no cache); a requester probes
+its own peer for a cid it still wants; ``provide`` is called on a
+never-provided cid while a re-broadcast is in flight.
 """
 
 from __future__ import annotations
