@@ -8,7 +8,8 @@ keeps its unresolved want and re-broadcasts it periodically; nodes keep no
 record of their peers' wants, they only answer each one as it arrives.
 
 The DHT is modeled as a global provider-record table filtered by liveness;
-lookups are always correct. Per-link latency is sampled once per edge.
+lookups are always correct. A node's link table ``latency_ns`` holds live
+links only; an unlink parks the latency in one end's ``former_ns`` till a relink.
 All randomness flows from the config seed, and event ordering is fixed by
 (time, insertion sequence), so a given config reproduces bit-identical
 traces and ground truth.
@@ -309,12 +310,11 @@ class SimNode:
     kind: NodeKind
     address: str
     online: bool = True
-    index: int = 0  # position in the network's node table; adj and events use it
-    adj: set[int] = field(default_factory=set)
-    # link latency to every peer this node was ever connected to; kept after
-    # a disconnect, so a reconnect reuses it and a message sent meanwhile
-    # still travels (and is dropped on arrival unless the pair reconnected)
-    latency_ns: dict[int, int] = field(default_factory=dict)
+    index: int = 0  # position in the network's node table; links and events use it
+    latency_ns: dict[int, int] = field(default_factory=dict)  # live links: the adjacency
+    # latency to each peer this end unlinked, taken back by a relink from either
+    # end, so a reconnect draws none; the other end keeps no copy
+    former_ns: dict[int, int] = field(default_factory=dict)
     # store and cache change only through Network.provide, fetches and
     # purge_cache, so no node holds a cid that was never provided; the
     # re-broadcast rule (rule 2 in the module docstring) relies on that
@@ -328,16 +328,16 @@ class SimNode:
 
     @property
     def peers(self) -> set[NodeId]:
-        return {self._ids[p] for p in self.adj}
+        return {self._ids[p] for p in self.latency_ns}
 
     def has_block(self, cid: Cid) -> bool:
         return cid in self.store or cid in self.cache
 
     def peer_order(self) -> list[int]:
-        """``adj`` in id order; cached until the next connect or
+        """Peer indices in id order; cached until the next connect or
         disconnect, so callers must not mutate it."""
         if self._order is None:
-            self._order = sorted(self.adj, key=self._ids.__getitem__)
+            self._order = sorted(self.latency_ns, key=self._ids.__getitem__)
         return self._order
 
 
@@ -571,24 +571,23 @@ class Network:
 
     def _link(self, i: int, j: int, latency_s: float | None = None) -> None:
         na, nb = self._at[i], self._at[j]
-        if j in na.adj:
+        if j in na.latency_ns:
             return
-        na.adj.add(j)
-        nb.adj.add(i)
         na._order = nb._order = None
+        lat = na.former_ns.pop(j, nb.former_ns.pop(i, None))
         if latency_s is not None:
-            na.latency_ns[j] = nb.latency_ns[i] = int(latency_s * NS)
-        elif j not in na.latency_ns:
-            lo, hi = self.cfg.latency_range_s
-            na.latency_ns[j] = nb.latency_ns[i] = int(self.rng.uniform(lo, hi) * NS)
+            lat = int(latency_s * NS)
+        elif lat is None:
+            lat = int(self.rng.uniform(*self.cfg.latency_range_s) * NS)
+        na.latency_ns[j] = nb.latency_ns[i] = lat
         self._log_conn(na, nb, ConnEventKind.CONNECT)
 
     def _unlink(self, i: int, j: int) -> None:
         na, nb = self._at[i], self._at[j]
-        if j not in na.adj:
+        if j not in na.latency_ns:
             return
-        na.adj.discard(j)
-        nb.adj.discard(i)
+        na.former_ns[j] = na.latency_ns.pop(j)
+        del nb.latency_ns[i]
         na._order = nb._order = None
         self._log_conn(na, nb, ConnEventKind.DISCONNECT)
 
@@ -630,7 +629,7 @@ class Network:
             self.now_ns = t
             if code <= _BLOCK:
                 src, dst = at[a], at[b]
-                if not (src.online and dst.online and b in src.adj):
+                if not (src.online and dst.online and b in src.latency_ns):
                     continue
                 if log is not None:
                     log.append(Message(t, src.id, dst.id, _KINDS[code], self._cids[c]))
@@ -711,7 +710,7 @@ class Network:
         self._cache_insert(node, self._cids[c])
         # withdraw the want where it was announced; with the message log off,
         # only a monitor can tell (see _on_cancel)
-        withdraw = h._notified & node.adj
+        withdraw = h._notified & node.latency_ns.keys()
         if self.message_log is None:
             withdraw &= self._monitor_idx
         for p in sorted(withdraw, key=self._ids.__getitem__):
@@ -791,7 +790,12 @@ class Network:
         h._target = target
         h._tried.add(target)
         h._notified.add(target)
-        self._send(_WANT_BLOCK, self._at[h._node], target, h._cid)
+        node = self._at[h._node]  # the one send to a peer that may have unlinked
+        lat = node.latency_ns.get(target, node.former_ns.get(target))
+        if lat is None:
+            lat = self._at[target].former_ns[node.index]
+        heappush(self._heap, (self.now_ns + lat, next(self._seq),
+                              _WANT_BLOCK, node.index, target, h._cid))
         self._timer(WANT_BLOCK_TIMEOUT_NS, _FETCH_TIMEOUT, h._serial, target)
 
     def _fetch_timeout(self, serial: int, target: int, _: int) -> None:
@@ -824,12 +828,12 @@ class Network:
         i, at = h._node, self._at
         node = at[i]
         new = sorted((p for p in self._providers.get(h._cid, ())
-                      if p != i and at[p].online and p not in node.adj), key=self._ids.__getitem__)
+                      if p != i and at[p].online and p not in node.latency_ns),
+                     key=self._ids.__getitem__)
         for p in new:
             self._link(i, p)
-        h._notified.update(new)
-        for p in new:
             self._send(_WANT_HAVE, node, p, h._cid)
+        h._notified.update(new)
         return len(new)
 
     # ------------------------------------------------------------------
@@ -936,8 +940,7 @@ class Network:
             raise ProbeUnreachableError("target is offline")
         if not pn.online:
             raise ProbeUnreachableError("prober is offline")
-        if tn.index not in pn.adj:
-            self.connect(prober, target)
+        self.connect(prober, target)  # no-op if linked
         waits, key = self._probe_waits, (pn.index, tn.index, self._intern(cid))
         waits[key] = None
         self._send(_WANT_HAVE, pn, tn.index, key[2])
@@ -949,7 +952,6 @@ class Network:
 
     def _build(self) -> None:
         cfg = self.cfg
-        rng = self.rng
         countries = self._plan_countries()
         servers = [self.add_node(NodeKind.DHT_SERVER, country=next(countries)) for _ in range(cfg.n_dht_servers)]
         clients = [self.add_node(NodeKind.DHT_CLIENT, country=next(countries)) for _ in range(cfg.n_clients)]
@@ -1063,9 +1065,7 @@ class Network:
         )
         for i in order[:leftover]:
             counts[i] += 1
-        plan: list[Codec] = []
-        for (codec, _), k in zip(shares, counts):
-            plan.extend([codec] * k)
+        plan = [codec for (codec, _), k in zip(shares, counts) for _ in range(k)]
         self.rng.shuffle(plan)
         return plan
 
@@ -1077,14 +1077,13 @@ class Network:
         n_unresolvable = round(cfg.unresolvable_fraction * cfg.catalog_size)
         resolvable_flags = [i >= n_unresolvable for i in range(cfg.catalog_size)]
         self.rng.shuffle(resolvable_flags)
-        provider_pool = servers
         for i in range(cfg.catalog_size):
             content = f"item-{cfg.seed}-{i}".encode()
             cid = hash_content(content, codecs[i])
             providers: tuple[NodeId, ...] = ()
-            if resolvable_flags[i] and provider_pool:
-                k = min(cfg.catalog_replication, len(provider_pool))
-                providers = tuple(self.rng.sample(provider_pool, k))
+            if resolvable_flags[i] and servers:
+                k = min(cfg.catalog_replication, len(servers))
+                providers = tuple(self.rng.sample(servers, k))
                 for p in providers:
                     self.provide(p, cid)
             self.catalog.append(
