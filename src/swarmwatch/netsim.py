@@ -824,11 +824,11 @@ class Network:
             h.idle = True
 
     def _dht_extend(self, h: RequestHandle) -> int:
-        """Connect to unconnected providers and ask them directly."""
+        """Link to unlinked online providers and ask them; an offline requester asks none."""
         i, at = h._node, self._at
         node = at[i]
         new = sorted((p for p in self._providers.get(h._cid, ())
-                      if p != i and at[p].online and p not in node.latency_ns),
+                      if node.online and p != i and at[p].online and p not in node.latency_ns),
                      key=self._ids.__getitem__)
         for p in new:
             self._link(i, p)

@@ -100,8 +100,10 @@ ESTIMATE_GOLDEN = {
 # A small world with churn, gateway traffic through the overlay and the
 # message log on. The reference world has no churn, so it never disconnects
 # a pair, reconnects one (reusing the pair's latency) or sends to a peer
-# that has left. Under this seed, nine messages go to peers that have left,
-# and five of those arrive after the pair has reconnected.
+# that has left. Under this seed, seven want_blocks go to peers that have
+# left; none arrives after the pair has reconnected, a corner that
+# test_netsim's test_want_block_to_unlinked_session_peer_arrives_after_relink
+# covers.
 CHURN_CONFIG = {
     "n_dht_servers": 24,
     "n_clients": 12,
@@ -124,16 +126,16 @@ CHURN_CONFIG = {
 }
 
 CHURN_GOLDEN_SHA256 = {
-    "messages": "b466c48d53111ceaddd2750efb0e694fae3877940eab58d70a5f155a966c0fec",
-    "summary": "25825c7fd0831bba0946332799be0e4046bf3b05108c5068935bbae32bd43e17",
-    "conn_m0.csv": "ca8871488cf134a253229a401273be60e61b7e0ae64cf9ab27928d127e077997",
-    "conn_m1.csv": "69c72a94cccf159997f83f276c58d04ecdbc3793a1c4c86001142e4834878ce5",
-    "trace_m0.csv": "c3f21e8ca652712536a946532bd4be0bb115a215547253f70011f80b8a079edc",
-    "trace_m1.csv": "334fdcb576a7626b9cee79b941f5056ee3f7a5eeec7ab858c869a6a3b51bd718",
+    "messages": "4dfe331274dde00bb70c9b560cb5f7652b118ddb836c5275d1ec00d0fb23a932",
+    "summary": "8b9e9d2cfce3380d077f657a3afb4d8034fd6220c7b3bcd6fc60d1ce6c1e0771",
+    "conn_m0.csv": "5d79c62b66495f4df1a427daa816d35efc02c4a328a9f104ca1f287a1fd5b02f",
+    "conn_m1.csv": "fe88253c036ac72e4e82d6ad6f9f27cbb08b6e248c7d2eecf6619107e9229891",
+    "trace_m0.csv": "ed2cdd199006c23020940c58ff0ba24493dd5a8237592e899376a0c18c919519",
+    "trace_m1.csv": "23ba9c6f6bcde3b93db9bf129c4f77013fad4ea8b32d2198abf0181a3f89a485",
 }
 
 CHURN_CID = "dag-pb:769094a6b01e939aad1b2df1afe2cbc5ae5c68a3da198ce45888ea82552bce54"
-CHURN_HIT_NODE = "010c4759482c9cbc43435cc52eae05cf96d0cc5fd4c28c2e7c26847f0316909e"
+CHURN_HIT_NODE = "0726e25cfd56a926076b3e36bb2313f55b06258e7e26f36a8483f8b8332dd331"
 CHURN_MISS_NODE = "0a097c976bf46c697d2caf82eeeacbe226e875555790f82ec1d3fcff2a3af4d4"
 
 # verb arguments (after --config) -> digests of its outputs on the churn
@@ -143,13 +145,13 @@ CHURN_VERB_GOLDEN = {
     "probe-gateways": (
         ["probe-gateways"],
         {
-            "gateways.csv": "9dc255418cccb7659c8e2f865035065bd538d92244774c35701fdce7bd2c1a1f",
+            "gateways.csv": "127a73a4a94bb1ee668c334ec047f0205af10758e798a36b22b741bf3256ac5e",
             "crossref.csv": "cc0179a8e9f81c160e13bfda113d9249584fd80bd5f4658277bb5476ecf3d9a2",
         },
     ),
     "tpi-hit": (
         ["tpi", "--target", CHURN_HIT_NODE, "--cid", CHURN_CID],
-        {"tpi.json": "a2fe9f499f93b4c04adbf3d33af8e447cd0630fd1112c0faffc8e402d450604a"},
+        {"tpi.json": "3c40712c6e9c807bcbbe69581706798cde7f7cca6cb755f8c2d0296114211cb7"},
     ),
     "tpi-miss": (
         ["tpi", "--target", CHURN_MISS_NODE, "--cid", CHURN_CID],

@@ -550,6 +550,32 @@ class TestWantPersistence:
 
 
 
+class TestOfflineRequester:
+    @pytest.mark.parametrize("offline_first", [True, False],
+                             ids=["offline-before-request", "offline-after-request"])
+    def test_offline_requester_links_to_no_provider(self, offline_first):
+        # the DHT fallback runs at once (no peers) or at the broadcast
+        # timeout; either way an offline requester opens no connection
+        net = scripted_net()
+        r = net.add_node(NodeKind.DHT_CLIENT)
+        bystander = net.add_node(NodeKind.DHT_SERVER)
+        far = net.add_node(NodeKind.DHT_SERVER)
+        net.connect(r, bystander, latency_s=0.02)
+        cid = hash_content(b"far away", RAW)
+        net.provide(far, cid)
+        if offline_first:
+            net.set_offline(r)
+        h = net.request(r, cid)
+        net.set_offline(r)
+        net.run_for(2.0)
+        assert net.nodes[r].peers == set() and net.nodes[far].peers == set()
+        assert h.idle and not h.done
+        # back online, the next re-broadcast's lookup finds the provider
+        net.set_online(r)
+        net.run_for(30.0)
+        assert h.status is RequestStatus.FETCHED and h.provider == far
+
+
 class TestChurn:
     def test_churned_nodes_come_back_and_events_alternate(self):
         cfg = SimConfig(
