@@ -327,7 +327,9 @@ def cmd_analyze(args) -> int:
 # the keys each method reads from a --stats document: "sizes" maps each of
 # two monitors to its peer count and "intersections" maps "a|b", the two
 # names in sorted order, to the peers both saw; "m" is the union size of "r"
-# peer sets of mean size "w"
+# monitors' peer sets and "w" their mean concurrent connection count, each
+# monitor's open connections sampled every sample_interval_s over the window
+# and averaged, then averaged over the monitors
 _STATS_KEYS = {"two-monitor": ("sizes", "intersections"), "coupon": ("m", "r", "w")}
 
 

@@ -175,7 +175,12 @@ def dht_size_from_min_distance(xs: Sequence[float]) -> SizeEstimate:
 
 @dataclass(frozen=True)
 class PeerSetStats:
-    """Peer-set cardinalities over a time window, per monitor and joint."""
+    """Peer-set cardinalities over a time window, per monitor and joint.
+
+    ``w_per_monitor`` is each monitor's mean concurrent connection count:
+    its open connections sampled every ``sample_interval_s`` over the
+    window, averaged. ``w`` averages those over the monitors; neither is a
+    peer-set size."""
 
     sizes: dict[str, int]
     intersections: dict[tuple[str, str], int]

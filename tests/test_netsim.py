@@ -5,6 +5,8 @@ import re
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from swarmwatch.core import RAW, NodeId, RequestType, hash_content
@@ -574,6 +576,93 @@ class TestOfflineRequester:
         net.set_online(r)
         net.run_for(30.0)
         assert h.status is RequestStatus.FETCHED and h.provider == far
+
+
+class TestLinkTable:
+    @staticmethod
+    def _check(net, live, first):
+        """Both ends of every live link hold it at its first latency,
+        ``latency_ns`` keys are exactly the live peers, and a former link's
+        latency waits at one end only."""
+        for node in net.nodes.values():
+            want = {b for a, b in live if a == node.id} | {a for a, b in live if b == node.id}
+            assert node.peers == want
+            assert [net._ids[p] for p in node.peer_order()] == sorted(want)
+            assert not node.latency_ns.keys() & node.former_ns.keys()
+            for p, lat in node.latency_ns.items():
+                peer = net._at[p]
+                assert peer.latency_ns[node.index] == lat
+                assert lat == first[frozenset((node.id, peer.id))]
+            for p, lat in node.former_ns.items():
+                assert node.index not in net._at[p].former_ns
+                assert lat == first[frozenset((node.id, net._ids[p]))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["connect", "disconnect", "set_offline",
+                                               "set_online"]),
+                              st.integers(0, 4), st.integers(0, 4)), max_size=40))
+    def test_link_table_follows_connects_and_churn(self, steps):
+        net = scripted_net()
+        ids = [net.add_node(NodeKind.DHT_SERVER) for _ in range(4)]
+        ids.append(net.add_node(NodeKind.MONITOR))
+        # the test's own model: live pairs, liveness and the peers to resume
+        live: set[tuple] = set()
+        online = dict.fromkeys(ids, True)
+        resume: dict = {}
+        first: dict = {}
+        for op, x, y in steps:
+            a, b = ids[x], ids[y]
+            if op in ("connect", "disconnect") and a == b:
+                continue
+            pair = (min(a, b), max(a, b))
+            before = net.rng.getstate()
+            fresh = op == "connect" and frozenset(pair) not in first
+            getattr(net, op)(*((a, b) if op in ("connect", "disconnect") else (a,)))
+            if op == "connect":
+                live.add(pair)
+            elif op == "disconnect":
+                live.discard(pair)
+            elif op == "set_offline" and online[a]:
+                resume[a] = [p for p in live if a in p]
+                live -= set(resume[a])
+                online[a] = False
+            elif op == "set_online" and not online[a]:
+                online[a] = True
+                live |= {p for p in resume.pop(a) if online[p[0]] and online[p[1]]}
+            if fresh:
+                first[frozenset(pair)] = net.nodes[a].latency_ns[net.nodes[b].index]
+            # only a first link draws a latency; a relink reuses the pair's
+            assert (net.rng.getstate() != before) == fresh
+            self._check(net, live, first)
+
+    def test_want_block_to_unlinked_session_peer_arrives_after_relink(self):
+        # p1 and p2 both answer have; p1 leaves before the want_block reaches
+        # it, so at the fetch timeout the request asks p2, which unlinked
+        # meanwhile and relinks before that want_block arrives
+        net = scripted_net(record_messages=True)
+        r = net.add_node(NodeKind.DHT_CLIENT)
+        p1 = net.add_node(NodeKind.DHT_SERVER)
+        p2 = net.add_node(NodeKind.DHT_SERVER)
+        net.connect(r, p1, latency_s=0.1)
+        net.connect(r, p2, latency_s=0.2)
+        cid = hash_content(b"two holders", RAW)
+        net.provide(p1, cid)
+        net.provide(p2, cid)
+        h = net.request(r, cid)
+        net.run_for(0.25)  # p1's have arrived at 0.2 s; its want_block is in flight
+        net.set_offline(p1)
+        net.run_for(0.75)
+        net.disconnect(r, p2)
+        net.run_for(0.3)  # the fetch timeout at 1.2 s sends the want_block to p2
+        state = net.rng.getstate()
+        net.connect(r, p2)
+        assert net.rng.getstate() == state
+        assert net.nodes[r].latency_ns[net.nodes[p2].index] == int(0.2 * NS)
+        net.run_for(1.0)
+        assert h.status is RequestStatus.FETCHED and h.provider == p2
+        to_p2 = [(m.timestamp_ns, m.kind) for m in net.message_log if m.dst == p2]
+        assert to_p2 == [(int(0.2 * NS), "want_have"), (int(1.4 * NS), "want_block"),
+                         (int(1.8 * NS), "cancel")]
 
 
 class TestChurn:
