@@ -635,10 +635,13 @@ class TestLinkTable:
             assert (net.rng.getstate() != before) == fresh
             self._check(net, live, first)
 
-    def test_want_block_to_unlinked_session_peer_arrives_after_relink(self):
+    @pytest.mark.parametrize("requester_unlinks", [True, False],
+                             ids=["requester-unlinks", "peer-unlinks"])
+    def test_want_block_to_unlinked_session_peer_arrives_after_relink(self, requester_unlinks):
         # p1 and p2 both answer have; p1 leaves before the want_block reaches
         # it, so at the fetch timeout the request asks p2, which unlinked
-        # meanwhile and relinks before that want_block arrives
+        # meanwhile (the latency waits at the end that unlinked) and relinks
+        # before that want_block arrives
         net = scripted_net(record_messages=True)
         r = net.add_node(NodeKind.DHT_CLIENT)
         p1 = net.add_node(NodeKind.DHT_SERVER)
@@ -652,7 +655,7 @@ class TestLinkTable:
         net.run_for(0.25)  # p1's have arrived at 0.2 s; its want_block is in flight
         net.set_offline(p1)
         net.run_for(0.75)
-        net.disconnect(r, p2)
+        net.disconnect(*((r, p2) if requester_unlinks else (p2, r)))
         net.run_for(0.3)  # the fetch timeout at 1.2 s sends the want_block to p2
         state = net.rng.getstate()
         net.connect(r, p2)
