@@ -9,7 +9,8 @@ record of their peers' wants, they only answer each one as it arrives.
 
 The DHT is modeled as a global provider-record table filtered by liveness;
 lookups are always correct. A node's link table ``latency_ns`` holds live
-links only; an unlink parks the latency in one end's ``former_ns`` till a relink.
+links only, in link order (a relink goes to the end), and a broadcast sends in
+that order. An unlink parks the latency in one end's ``former_ns`` till a relink.
 All randomness flows from the config seed, and event ordering is fixed by
 (time, insertion sequence), so a given config reproduces bit-identical
 traces and ground truth.
@@ -28,7 +29,8 @@ while the message log is off, and a logged run gives the same traces,
 ground truth and results:
 
 - A cancel goes only to monitors: a regular node keeps no record of its
-  peers' wants, so a cancel changes nothing there.
+  peers' wants, so a cancel changes nothing there. So a request's
+  ``_notified``, the peers its want is withdrawn from, holds only monitors.
 - Rule 1: a node answers ``dont_have`` only while the requester's live
   request still awaits its answer or a probe waits for it; any other one
   would be dropped on arrival, since the awaited set only shrinks.
@@ -324,7 +326,6 @@ class SimNode:
     resume_peers: list[int] = field(default_factory=list)
     # the network's index -> NodeId table, shared by every node
     _ids: list[NodeId] = field(default_factory=list, repr=False, compare=False)
-    _order: list[int] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def peers(self) -> set[NodeId]:
@@ -332,13 +333,6 @@ class SimNode:
 
     def has_block(self, cid: Cid) -> bool:
         return cid in self.store or cid in self.cache
-
-    def peer_order(self) -> list[int]:
-        """Peer indices in id order; cached until the next connect or
-        disconnect, so callers must not mutate it."""
-        if self._order is None:
-            self._order = sorted(self.latency_ns, key=self._ids.__getitem__)
-        return self._order
 
 
 @dataclass(frozen=True)
@@ -573,7 +567,6 @@ class Network:
         na, nb = self._at[i], self._at[j]
         if j in na.latency_ns:
             return
-        na._order = nb._order = None
         lat = na.former_ns.pop(j, nb.former_ns.pop(i, None))
         if latency_s is not None:
             lat = int(latency_s * NS)
@@ -588,7 +581,6 @@ class Network:
             return
         na.former_ns[j] = na.latency_ns.pop(j)
         del nb.latency_ns[i]
-        na._order = nb._order = None
         self._log_conn(na, nb, ConnEventKind.DISCONNECT)
 
     def _log_conn(self, na: SimNode, nb: SimNode, kind: ConnEventKind) -> None:
@@ -682,6 +674,8 @@ class Network:
         if h is None:
             return
         h._pending_answers.discard(src)
+        if not h._pending_answers:
+            h._pending_answers = set()  # CPython never shrinks a set's table
         if src not in h._session:
             h._session.append(src)
         if h._target is None:
@@ -696,8 +690,10 @@ class Network:
         if h is None or src not in h._pending_answers:
             return
         h._pending_answers.discard(src)
-        if not (h._pending_answers or h._session or h._target is not None or h._dht_searched):
-            self._dht_step(h)
+        if not h._pending_answers:
+            h._pending_answers = set()  # as in _on_have
+            if not (h._session or h._target is not None or h._dht_searched):
+                self._dht_step(h)
 
     def _on_block(self, src: int, dst: int, c: int) -> None:
         h = self._requests.pop((dst, c), None)
@@ -708,12 +704,8 @@ class Network:
         h.provider = self._ids[src]
         node = self._at[dst]
         self._cache_insert(node, self._cids[c])
-        # withdraw the want where it was announced; with the message log off,
-        # only a monitor can tell (see _on_cancel)
-        withdraw = h._notified & node.latency_ns.keys()
-        if self.message_log is None:
-            withdraw &= self._monitor_idx
-        for p in sorted(withdraw, key=self._ids.__getitem__):
+        # withdraw the want where it was announced (the _notified rule)
+        for p in sorted(h._notified & node.latency_ns.keys(), key=self._ids.__getitem__):
             self._send(_CANCEL, node, p, c)
         # a fetched request never reads its announcement sets again
         h._pending_answers.clear()
@@ -748,16 +740,17 @@ class Network:
 
     def _broadcast_want(self, h: RequestHandle, initial: bool) -> None:
         node = self._at[h._node]
-        peers = node.peer_order()
+        peers = lat = node.latency_ns  # live links, in link order
         if initial:
             self.ground_truth.want_emissions_initial += 1
             h._pending_answers = set(peers)
         else:
             self.ground_truth.want_emissions_rebroadcast += 1
-        h._notified.update(peers)
-        heap, seq, now, lat = self._heap, self._seq, self.now_ns, node.latency_ns
+        log = self.message_log is not None
+        h._notified.update(peers if log else peers.keys() & self._monitor_idx)
+        heap, seq, now = self._heap, self._seq, self.now_ns
         i, c = node.index, h._cid
-        if not initial and self.message_log is None and c not in self._providers:
+        if not initial and not log and c not in self._providers:
             # rule 2 (module docstring): other peers could only answer a
             # dont_have that rule 1 drops
             mon, pending, waits = self._monitor_idx, h._pending_answers, self._probe_waits
@@ -789,7 +782,8 @@ class Network:
     def _send_want_block(self, h: RequestHandle, target: int) -> None:
         h._target = target
         h._tried.add(target)
-        h._notified.add(target)
+        if self.message_log is not None or target in self._monitor_idx:
+            h._notified.add(target)
         node = self._at[h._node]  # the one send to a peer that may have unlinked
         lat = node.latency_ns.get(target, node.former_ns.get(target))
         if lat is None:
@@ -827,13 +821,14 @@ class Network:
         """Link to unlinked online providers and ask them; an offline requester asks none."""
         i, at = h._node, self._at
         node = at[i]
+        # id order, not set order: each new link may draw its latency from rng
         new = sorted((p for p in self._providers.get(h._cid, ())
                       if node.online and p != i and at[p].online and p not in node.latency_ns),
                      key=self._ids.__getitem__)
         for p in new:
             self._link(i, p)
             self._send(_WANT_HAVE, node, p, h._cid)
-        h._notified.update(new)
+        h._notified.update(new if self.message_log is not None else self._monitor_idx.intersection(new))
         return len(new)
 
     # ------------------------------------------------------------------
@@ -887,7 +882,7 @@ class Network:
         node = self.nodes[nid]
         if not node.online:
             return
-        node.resume_peers = node.peer_order()
+        node.resume_peers = list(node.latency_ns)
         for p in node.resume_peers:
             self._unlink(node.index, p)
         node.online = False
@@ -1105,18 +1100,20 @@ class Network:
     def _attach_monitors(self) -> None:
         cov = self.cfg.monitor_coverage
         for m in self.monitors:
+            # id order: each node may draw a coverage roll and a latency
             for nid in sorted(self.regular_ids()):
                 if cov >= 1.0 or self.rng.random() < cov:
                     self.connect(nid, m)
 
     def _start_churn(self) -> None:
-        for nid in sorted(self.regular_ids()):
+        for nid in sorted(self.regular_ids()):  # id order: one session draw each
             delay = self.rng.expovariate(1.0 / self.cfg.churn.mean_session_s)
             self._timer(delay * NS, _CHURN_OFF, self.nodes[nid].index)
 
     def _schedule_workload(self, duration_s: float) -> None:
         cfg = self.cfg
         if cfg.request_rate_per_node > 0 and self.catalog:
+            # id order: each requester draws its times and items in turn
             requesters = sorted(
                 nid
                 for nid, n in self.nodes.items()

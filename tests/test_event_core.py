@@ -29,6 +29,11 @@ from test_netsim import scripted_net
 # through every bait round
 ATTACKED_CONFIG = {**REFERENCE_CONFIG, "gateway_cache_hit_ratio": 0.0,
                    "gateway_http_rate": 0.2, "duration_s": 60.0}
+# with half coverage, a bait round's DHT lookup links a requester to the
+# monitors providing the bait mid-request, and churn relinks reorder the
+# link tables that broadcasts walk
+CHURNED_ATTACK_CONFIG = {**ATTACKED_CONFIG, "monitor_coverage": 0.5,
+                         "churn": {"mean_session_s": 40.0, "mean_offline_s": 10.0}}
 
 
 def _attack(net) -> tuple:
@@ -42,7 +47,8 @@ def _attack(net) -> tuple:
                     if spans[-1][1] is None)[:5]
     plan = (cached + [(item.providers[0], item.cid) for item in net.catalog[:20] if item.resolvable]
             + [(target, fresh) for target in sorted(net.regular_ids())[:5]])
-    return results, [probes.tpi(net, prober, target, cid) for target, cid in plan]
+    return results, [probes.tpi(net, prober, target, cid) for target, cid in plan
+                     if net.nodes[target].online]
 
 
 def _record_dispatch(monkeypatch) -> list:
@@ -72,12 +78,16 @@ def _outcome(doc: dict, record_messages: bool, attack: bool):
     (CHURN_CONFIG, False),
     ({**REFERENCE_CONFIG, "duration_s": 60.0}, False),
     (ATTACKED_CONFIG, True),
-], ids=["churn", "gateways", "attacked"])
+    (CHURNED_ATTACK_CONFIG, True),
+], ids=["churn", "gateways", "attacked", "attacked-churn"])
 def test_elided_messages_change_nothing_unless_logged(doc, attack, monkeypatch):
     handled = _record_dispatch(monkeypatch)
     logged, with_log = _outcome(doc, True, attack)
     unlogged, without_log = _outcome(doc, False, attack)
     assert with_log == without_log
+    # with the log off, a live request keeps only the monitors it told
+    assert all(h._notified <= unlogged._monitor_idx for h in unlogged._live.values())
+    assert any(h._notified for h in unlogged._live.values())
     # the logged run did send cancels to regular nodes, so the cancel rule was used
     monitors = set(logged.monitors)
     assert any(m.kind == "cancel" and m.dst not in monitors for m in logged.message_log)

@@ -580,14 +580,12 @@ class TestOfflineRequester:
 
 class TestLinkTable:
     @staticmethod
-    def _check(net, live, first):
+    def _check(net, links, first):
         """Both ends of every live link hold it at its first latency,
-        ``latency_ns`` keys are exactly the live peers, and a former link's
-        latency waits at one end only."""
+        ``latency_ns`` keys are exactly the live peers in link order, and a
+        former link's latency waits at one end only."""
         for node in net.nodes.values():
-            want = {b for a, b in live if a == node.id} | {a for a, b in live if b == node.id}
-            assert node.peers == want
-            assert [net._ids[p] for p in node.peer_order()] == sorted(want)
+            assert [net._ids[p] for p in node.latency_ns] == links[node.id]
             assert not node.latency_ns.keys() & node.former_ns.keys()
             for p, lat in node.latency_ns.items():
                 peer = net._at[p]
@@ -605,35 +603,51 @@ class TestLinkTable:
         net = scripted_net()
         ids = [net.add_node(NodeKind.DHT_SERVER) for _ in range(4)]
         ids.append(net.add_node(NodeKind.MONITOR))
-        # the test's own model: live pairs, liveness and the peers to resume
-        live: set[tuple] = set()
+        # the test's own model: each node's peers in link order (a link
+        # appends at both ends, an unlink removes), liveness and the peers
+        # to resume
+        links: dict = {nid: [] for nid in ids}
         online = dict.fromkeys(ids, True)
         resume: dict = {}
         first: dict = {}
+
+        def link(u, v):
+            if v not in links[u]:
+                links[u].append(v)
+                links[v].append(u)
+
+        def unlink(u, v):
+            if v in links[u]:
+                links[u].remove(v)
+                links[v].remove(u)
+
         for op, x, y in steps:
             a, b = ids[x], ids[y]
             if op in ("connect", "disconnect") and a == b:
                 continue
-            pair = (min(a, b), max(a, b))
+            pair = frozenset((a, b))
             before = net.rng.getstate()
-            fresh = op == "connect" and frozenset(pair) not in first
+            fresh = op == "connect" and pair not in first
             getattr(net, op)(*((a, b) if op in ("connect", "disconnect") else (a,)))
             if op == "connect":
-                live.add(pair)
+                link(a, b)
             elif op == "disconnect":
-                live.discard(pair)
+                unlink(a, b)
             elif op == "set_offline" and online[a]:
-                resume[a] = [p for p in live if a in p]
-                live -= set(resume[a])
+                resume[a] = list(links[a])
+                for p in resume[a]:
+                    unlink(a, p)
                 online[a] = False
             elif op == "set_online" and not online[a]:
                 online[a] = True
-                live |= {p for p in resume.pop(a) if online[p[0]] and online[p[1]]}
+                for p in resume.pop(a):
+                    if online[p]:
+                        link(a, p)
             if fresh:
-                first[frozenset(pair)] = net.nodes[a].latency_ns[net.nodes[b].index]
+                first[pair] = net.nodes[a].latency_ns[net.nodes[b].index]
             # only a first link draws a latency; a relink reuses the pair's
             assert (net.rng.getstate() != before) == fresh
-            self._check(net, live, first)
+            self._check(net, links, first)
 
     @pytest.mark.parametrize("requester_unlinks", [True, False],
                              ids=["requester-unlinks", "peer-unlinks"])
