@@ -798,9 +798,9 @@ class Network:
             return
         h._target = None
         nxt = next((p for p in h._session if p not in h._tried), None)
-        if nxt is not None:
+        if nxt is not None and self._at[h._node].online:
             self._send_want_block(h, nxt)
-        else:
+        else:  # an offline requester asks nobody; a re-broadcast resumes it
             self._dht_step(h)
 
     def _dht_step(self, h: RequestHandle) -> None:

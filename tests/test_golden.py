@@ -100,7 +100,7 @@ ESTIMATE_GOLDEN = {
 # A small world with churn, gateway traffic through the overlay and the
 # message log on. The reference world has no churn, so it never disconnects
 # a pair, reconnects one (reusing the pair's latency) or sends to a peer
-# that has left. Under this seed, seven want_blocks go to peers that have
+# that has left. Under this seed, three want_blocks go to peers that have
 # left; none arrives after the pair has reconnected, a corner that
 # test_netsim's test_want_block_to_unlinked_session_peer_arrives_after_relink
 # covers.
@@ -126,12 +126,12 @@ CHURN_CONFIG = {
 }
 
 CHURN_GOLDEN_SHA256 = {
-    "messages": "4dfe331274dde00bb70c9b560cb5f7652b118ddb836c5275d1ec00d0fb23a932",
-    "summary": "8b9e9d2cfce3380d077f657a3afb4d8034fd6220c7b3bcd6fc60d1ce6c1e0771",
-    "conn_m0.csv": "5d79c62b66495f4df1a427daa816d35efc02c4a328a9f104ca1f287a1fd5b02f",
-    "conn_m1.csv": "fe88253c036ac72e4e82d6ad6f9f27cbb08b6e248c7d2eecf6619107e9229891",
-    "trace_m0.csv": "ed2cdd199006c23020940c58ff0ba24493dd5a8237592e899376a0c18c919519",
-    "trace_m1.csv": "23ba9c6f6bcde3b93db9bf129c4f77013fad4ea8b32d2198abf0181a3f89a485",
+    "messages": "3f6e6fc1c54773a1031ba32729936cbd3d369bef5c576d130311f48f4ad6b08b",
+    "summary": "4e549b9f2eb03ac81ee8f22394ea50efe68089b5431f87e7c8fd385f915a9603",
+    "conn_m0.csv": "f5ebaa608d478703571bde8af447a33dcc5cfd8e9f93732acd9f852f157b6dcc",
+    "conn_m1.csv": "eb7629a5a4b967fc76d801c1be9a56c270b94c8b80242e4c887acf9d16cce01e",
+    "trace_m0.csv": "fd512bbde2189e6151342e795c0cb8fae653f66b537efc3be4378fc3820536bb",
+    "trace_m1.csv": "be73cd064a7162fbbfa9bfb99cb6c1827dfd9066920b2da96d16ef69bba1ec30",
 }
 
 CHURN_CID = "dag-pb:769094a6b01e939aad1b2df1afe2cbc5ae5c68a3da198ce45888ea82552bce54"
@@ -145,7 +145,7 @@ CHURN_VERB_GOLDEN = {
     "probe-gateways": (
         ["probe-gateways"],
         {
-            "gateways.csv": "127a73a4a94bb1ee668c334ec047f0205af10758e798a36b22b741bf3256ac5e",
+            "gateways.csv": "299bee232dedcfb119451a6c0d6a23b22fe59592126dfaece15a5b4ac58a25d8",
             "crossref.csv": "cc0179a8e9f81c160e13bfda113d9249584fd80bd5f4658277bb5476ecf3d9a2",
         },
     ),

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from swarmwatch import netsim
 from swarmwatch.core import RAW, NodeId, RequestType, hash_content
 from swarmwatch.errors import ConfigError, UnknownGatewayError
 from swarmwatch.netsim import (
@@ -576,6 +577,37 @@ class TestOfflineRequester:
         net.set_online(r)
         net.run_for(30.0)
         assert h.status is RequestStatus.FETCHED and h.provider == far
+
+    def test_offline_requester_sends_no_want_block(self):
+        # p1 and p2 both answer have; p1 leaves before the want_block reaches
+        # it, and the requester is offline at the fetch timeout (1.2 s), so
+        # it asks p2 for nothing then; back online at 1.3 s, its first
+        # re-broadcast (30 s) gets p2's have again and then the block
+        net = scripted_net(record_messages=True)
+        r = net.add_node(NodeKind.DHT_CLIENT)
+        p1 = net.add_node(NodeKind.DHT_SERVER)
+        p2 = net.add_node(NodeKind.DHT_SERVER)
+        net.connect(r, p1, latency_s=0.1)
+        net.connect(r, p2, latency_s=0.2)
+        cid = hash_content(b"two holders", RAW)
+        net.provide(p1, cid)
+        net.provide(p2, cid)
+        h = net.request(r, cid)
+        net.run_for(0.25)
+        net.set_offline(p1)
+        net.run_for(0.85)
+        net.set_offline(r)
+        net.run_for(0.2)
+        i = net.nodes[r].index
+        assert not [e for e in net._heap if e[2] <= netsim._BLOCK and e[3] == i]
+        net.set_online(r)
+        net.run_for(1.0)
+        assert h.idle and not h.done
+        net.run_for(29.0)
+        assert h.status is RequestStatus.FETCHED and h.provider == p2
+        to_p2 = [(m.timestamp_ns, m.kind) for m in net.message_log if m.dst == p2]
+        assert to_p2 == [(int(0.2 * NS), "want_have"), (int(30.2 * NS), "want_have"),
+                         (int(30.6 * NS), "want_block"), (int(31.0 * NS), "cancel")]
 
 
 class TestLinkTable:
