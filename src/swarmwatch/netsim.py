@@ -24,6 +24,10 @@ back to the network. ``NodeId`` and ``Cid`` appear only at the edges:
 traces, connection events, ground truth, ``Network.nodes`` and the public
 methods' arguments.
 
+A request reads its peers' answers only in its broadcast window, while its
+``_pending_answers`` is non-empty: the first HAVE and the DHT step empty it, and
+the last awaited DONT_HAVE or the timeout of an open window starts that step.
+
 Three rules leave out messages that nothing would read. Each applies only
 while the message log is off, and a logged run gives the same traces,
 ground truth and results:
@@ -34,10 +38,9 @@ ground truth and results:
 - Rule 1: a node answers ``dont_have`` only while the requester's live
   request still awaits its answer or a probe waits for it; any other one
   would be dropped on arrival, since the awaited set only shrinks.
-- Rule 2: a re-broadcast of a never-provided cid goes only to monitors,
-  to peers whose answer is still awaited and to peers the requester is
-  probing for it. No node can hold such a cid, so any other peer could
-  only answer ``dont_have``, which rule 1 drops.
+- Rule 2: a re-broadcast of a never-provided cid goes only to monitors and
+  probed peers: no node holds such a cid and the window has closed, so any
+  other peer could only answer ``dont_have``, which rule 1 drops.
 
 In three corners, an answer that nothing awaited when it was sent would
 reach a request or probe started while it was in flight; rules 1 and 2
@@ -374,9 +377,8 @@ class RequestHandle:
     _session: list[int] = field(default_factory=list)
     _tried: set[int] = field(default_factory=set)
     _target: int | None = None
-    _pending_answers: set[int] = field(default_factory=set)
+    _pending_answers: set[int] = field(default_factory=set)  # non-empty while the window is open
     _notified: set[int] = field(default_factory=set)
-    _dht_searched: bool = False
 
     @property
     def done(self) -> bool:
@@ -673,9 +675,7 @@ class Network:
         h = self._requests.get((dst, c))
         if h is None:
             return
-        h._pending_answers.discard(src)
-        if not h._pending_answers:
-            h._pending_answers = set()  # CPython never shrinks a set's table
+        h._pending_answers = set()  # the first HAVE closes the broadcast window
         if src not in h._session:
             h._session.append(src)
         if h._target is None:
@@ -690,10 +690,8 @@ class Network:
         if h is None or src not in h._pending_answers:
             return
         h._pending_answers.discard(src)
-        if not h._pending_answers:
-            h._pending_answers = set()  # as in _on_have
-            if not (h._session or h._target is not None or h._dht_searched):
-                self._dht_step(h)
+        if not h._pending_answers:  # the last awaited answer: no peer has the block
+            self._dht_step(h)
 
     def _on_block(self, src: int, dst: int, c: int) -> None:
         h = self._requests.pop((dst, c), None)
@@ -753,8 +751,8 @@ class Network:
         if not initial and not log and c not in self._providers:
             # rule 2 (module docstring): other peers could only answer a
             # dont_have that rule 1 drops
-            mon, pending, waits = self._monitor_idx, h._pending_answers, self._probe_waits
-            peers = [p for p in peers if p in mon or p in pending or (i, p, c) in waits]
+            mon, waits = self._monitor_idx, self._probe_waits
+            peers = [p for p in peers if p in mon or (i, p, c) in waits]
         for p in peers:
             heappush(heap, (now + lat[p], next(seq), _WANT_HAVE, i, p, c))
         if initial and not peers:
@@ -775,9 +773,8 @@ class Network:
 
     def _broadcast_timeout(self, serial: int, _: int, __: int) -> None:
         h = self._live.get(serial)
-        if h is None or h._target is not None or h._session or h._dht_searched:
-            return
-        self._dht_step(h)
+        if h is not None and h._pending_answers:
+            self._dht_step(h)
 
     def _send_want_block(self, h: RequestHandle, target: int) -> None:
         h._target = target
@@ -805,7 +802,7 @@ class Network:
 
     def _dht_step(self, h: RequestHandle) -> None:
         """Provider lookup after the broadcast round came up empty."""
-        h._dht_searched = True
+        h._pending_answers = set()  # closes the window; CPython never shrinks a set
         contacted = self._dht_extend(h)
         if contacted == 0 and h._target is None:
             h.idle = True

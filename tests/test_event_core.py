@@ -34,6 +34,11 @@ ATTACKED_CONFIG = {**REFERENCE_CONFIG, "gateway_cache_hit_ratio": 0.0,
 # link tables that broadcasts walk
 CHURNED_ATTACK_CONFIG = {**ATTACKED_CONFIG, "monitor_coverage": 0.5,
                          "churn": {"mean_session_s": 40.0, "mean_offline_s": 10.0}}
+# at degree 60-120 most answers to a request's broadcast are still in flight
+# when its first HAVE arrives, so the closed window drops the most dont_haves
+HIGH_DEGREE_CONFIG = {**CHURNED_ATTACK_CONFIG, "n_dht_servers": 120, "n_clients": 75,
+                      "n_gateways": 5, "gateway_group_sizes": [3, 2],
+                      "degree_range": [60, 120], "duration_s": 30.0}
 
 
 def _attack(net) -> tuple:
@@ -41,12 +46,13 @@ def _attack(net) -> tuple:
     provided and never-seen cids."""
     results = [probes.probe_gateway(net, name, net.monitors, seed=i)
                for i, name in enumerate(sorted(net.gateways))]
+    targets = sorted(net.regular_ids())[:5]  # listed before the prober joins them
     prober = net.add_node(NodeKind.DHT_CLIENT)
     fresh = hash_content(b"never wanted", RAW)
     cached = sorted(key for key, spans in net.ground_truth.cache_log.items()
                     if spans[-1][1] is None)[:5]
     plan = (cached + [(item.providers[0], item.cid) for item in net.catalog[:20] if item.resolvable]
-            + [(target, fresh) for target in sorted(net.regular_ids())[:5]])
+            + [(target, fresh) for target in targets])
     return results, [probes.tpi(net, prober, target, cid) for target, cid in plan
                      if net.nodes[target].online]
 
@@ -79,7 +85,8 @@ def _outcome(doc: dict, record_messages: bool, attack: bool):
     ({**REFERENCE_CONFIG, "duration_s": 60.0}, False),
     (ATTACKED_CONFIG, True),
     (CHURNED_ATTACK_CONFIG, True),
-], ids=["churn", "gateways", "attacked", "attacked-churn"])
+    (HIGH_DEGREE_CONFIG, True),
+], ids=["churn", "gateways", "attacked", "attacked-churn", "high-degree"])
 def test_elided_messages_change_nothing_unless_logged(doc, attack, monkeypatch):
     handled = _record_dispatch(monkeypatch)
     logged, with_log = _outcome(doc, True, attack)
@@ -154,6 +161,41 @@ def test_a_probe_by_the_requester_still_gets_its_answers(monkeypatch):
     wants = sorted((t, net._ids[b]) for _, t, code, b in handled
                    if code == netsim._WANT_HAVE and t > start)
     assert wants == sorted([(29_900_000_000, p1), (30_400_000_000, p1), (30_400_000_000, m)])
+
+
+def _window_world(record_messages: bool):
+    """A requester r wanting a cid that p holds, p at 0.12 s, and two other
+    peers and a monitor at 0.3 s; r's request is issued at 0 s."""
+    net = scripted_net(record_messages=record_messages)
+    r = net.add_node(NodeKind.DHT_CLIENT)
+    p = net.add_node(NodeKind.DHT_SERVER)
+    others = [net.add_node(NodeKind.DHT_SERVER) for _ in range(2)]
+    m = net.add_node(NodeKind.MONITOR)
+    cid = hash_content(b"held by p", RAW)
+    net.provide(p, cid)
+    net.connect(r, p, latency_s=0.12)
+    for q in others + [m]:
+        net.connect(r, q, latency_s=0.3)
+    return net, net.request(r, cid), p, others + [m]
+
+
+def test_the_first_have_closes_the_broadcast_window():
+    outcomes = []
+    for record_messages in (False, True):
+        net, h, p, late = _window_world(record_messages)
+        net.run_for(0.25)  # p's HAVE arrived at 0.24 s
+        assert h._pending_answers == set()
+        net.run_for(0.06)  # the others got the want at 0.3 s; nothing reads their answers
+        dont_haves = sorted(net._ids[a] for _, _, code, a, _, _ in net._heap
+                            if code == netsim._DONT_HAVE)
+        assert dont_haves == (sorted(late) if record_messages else [])
+        net.run_for(1.0)
+        assert h.status is RequestStatus.FETCHED and h.provider == p
+        gt = net.ground_truth
+        outcomes.append((net.traces, net.conn_events, gt.summary(), gt.cache_log, net.now_ns))
+    # the logged run delivered those dont_haves after the block and changed nothing
+    assert sorted(msg.src for msg in net.message_log if msg.kind == "dont_have") == sorted(late)
+    assert outcomes[0] == outcomes[1]
 
 
 def test_finished_network_is_freed_without_a_collection():
