@@ -172,6 +172,8 @@ class SimConfig:
             weights = [w for _, w in getattr(self, name) or ()]
             if weights and (min(weights) < 0 or sum(weights) == 0):
                 raise ConfigError(f"{name} must be non-negative with a positive total")
+            if len(dict(getattr(self, name) or ())) < len(weights):
+                raise ConfigError(f"{name} lists a name more than once")
         dmin, dmax = self.degree_range
         if dmin < 0 or dmin > dmax:
             raise ConfigError("degree_range must satisfy 0 <= min <= max")

@@ -86,6 +86,12 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
         assert "degree_range" in capsys.readouterr().err
 
+    def test_country_listed_twice_exits_2(self, tmp_path, capsys):
+        # the country plan is keyed by name, so a repeat would leave nodes without one
+        path = write_cfg(tmp_path, dict(SIM_CFG, country_weights=[["US", 1.0], ["US", 1.0]]))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert "country_weights lists a name more than once" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x")]) == 2

@@ -172,6 +172,12 @@ class TestBuildNetwork:
         ({"codec_weights": (("raw", 2.0), ("dag-pb", -1.0))}, "codec_weights must be non-negative"),
         ({"country_weights": (("US", 0.0),)}, "country_weights must be non-negative"),
         ({"country_weights": (("US", -1.0), ("DE", 2.0))}, "country_weights must be non-negative"),
+        ({"country_weights": (("US", 1.0), ("US", 1.0))},
+         "country_weights lists a name more than once"),
+        ({"country_weights": (("US", 1.0), ("DE", 0.0), ("US", 2.0))},
+         "country_weights lists a name more than once"),
+        ({"codec_weights": (("raw", 1.0), ("dag-pb", 1.0), ("raw", 1.0))},
+         "codec_weights lists a name more than once"),
     ])
     def test_out_of_domain_field_names_itself(self, patch, message):
         cfg = SimConfig(**patch)
