@@ -34,8 +34,8 @@ ATTACKED_CONFIG = {**REFERENCE_CONFIG, "gateway_cache_hit_ratio": 0.0,
 # link tables that broadcasts walk
 CHURNED_ATTACK_CONFIG = {**ATTACKED_CONFIG, "monitor_coverage": 0.5,
                          "churn": {"mean_session_s": 40.0, "mean_offline_s": 10.0}}
-# at degree 60-120 most answers to a request's broadcast are still in flight
-# when its first HAVE arrives, so the closed window drops the most dont_haves
+# at degree 60-120 many answers to a request's broadcast are still in flight
+# when its first HAVE closes the window, so rule 1 leaves out many dont_haves
 HIGH_DEGREE_CONFIG = {**CHURNED_ATTACK_CONFIG, "n_dht_servers": 120, "n_clients": 75,
                       "n_gateways": 5, "gateway_group_sizes": [3, 2],
                       "degree_range": [60, 120], "duration_s": 30.0}
