@@ -73,6 +73,45 @@ def _record_dispatch(monkeypatch) -> list:
     return handled
 
 
+@pytest.mark.parametrize("doc, attack", [
+    (CHURN_CONFIG, False),
+    (CHURNED_ATTACK_CONFIG, True),
+    (HIGH_DEGREE_CONFIG, True),
+], ids=["churn", "attacked-churn", "high-degree"])
+def test_request_timers_keep_their_invariants(doc, attack, monkeypatch):
+    """The request timers rest on three invariants: one want_block out at a
+    time, re-broadcasts on each request's own 30 s grid, and a broadcast
+    window already closed when a request's block arrives."""
+    seen = {"want_block": 0, "tick": 0, "block": 0}
+    send_want_block = netsim.Network._send_want_block
+
+    def checked_send(net, h, target):
+        assert h._target is None
+        seen["want_block"] += 1
+        send_want_block(net, h, target)
+
+    def checked(code, fn):
+        def handler(net, a, b, c):
+            if code == netsim._REBROADCAST and (h := net._live.get(a)) is not None:
+                since = net.now_ns - h.t_start_ns
+                assert since > 0 and since % netsim.REBROADCAST_INTERVAL_NS == 0
+                seen["tick"] += 1
+            if code == netsim._BLOCK and (h := net._requests.get((b, c))) is not None:
+                assert h._pending_answers == set()
+                seen["block"] += 1
+            fn(net, a, b, c)
+        return handler
+
+    monkeypatch.setattr(netsim.Network, "_send_want_block", checked_send)
+    monkeypatch.setattr(netsim, "_DISPATCH", tuple(
+        checked(code, fn) for code, fn in enumerate(netsim._DISPATCH)))
+    net = build_network(config_from_dict({**doc, "record_messages": False}))
+    run(net)
+    if attack:
+        _attack(net)
+    assert all(seen.values()), seen
+
+
 def _outcome(doc: dict, record_messages: bool, attack: bool):
     net = build_network(config_from_dict({**doc, "record_messages": record_messages}))
     traces, conns, gt = run(net)
