@@ -3,9 +3,10 @@
 Models the two-step retrieval strategy (broadcast a WANT_HAVE to every
 connected peer, fall back to a DHT provider lookup), block caching with LRU
 eviction, HTTP gateway frontends, node churn, and passive monitor nodes that
-accept all inbound connections and log every want they receive. A requester
-keeps its unresolved want and re-broadcasts it periodically; nodes keep no
-record of their peers' wants, they only answer each one as it arrives.
+accept all inbound connections and log every want they receive. A request
+has a 1 s broadcast window, one want_block out at a time with a 1 s timeout,
+and a re-broadcast of its unresolved want every 30 s; nodes keep no record
+of their peers' wants, they only answer each one as it arrives.
 
 The DHT is modeled as a global provider-record table filtered by liveness;
 lookups are always correct. A node's link table ``latency_ns`` holds live
@@ -408,7 +409,6 @@ class GroundTruth:
     counts_by_kind: dict[str, int] = field(default_factory=dict)
     requests_issued: list[IssuedRequest] = field(default_factory=list)
     gateway_map: dict[str, tuple[NodeId, ...]] = field(default_factory=dict)
-    want_emissions_initial: int = 0
     want_emissions_rebroadcast: int = 0
     cache_log: dict[tuple[NodeId, Cid], list[list]] = field(default_factory=dict)
 
@@ -417,7 +417,8 @@ class GroundTruth:
         return any(start <= t_ns and (end is None or t_ns < end) for start, end in spans)
 
     def rebroadcast_share(self) -> float:
-        total = self.want_emissions_initial + self.want_emissions_rebroadcast
+        initial = sum(req.kind == "broadcast" for req in self.requests_issued)
+        total = initial + self.want_emissions_rebroadcast
         return self.want_emissions_rebroadcast / total if total else 0.0
 
     def broadcast_tally(self) -> dict[Cid, tuple[int, int]]:
@@ -442,7 +443,7 @@ class GroundTruth:
             "counts_by_kind": dict(self.counts_by_kind),
             "requests_issued": len(self.requests_issued),
             "requests_by_kind": by_kind,
-            "want_emissions_initial": self.want_emissions_initial,
+            "want_emissions_initial": by_kind.get("broadcast", 0),
             "want_emissions_rebroadcast": self.want_emissions_rebroadcast,
         }
 
@@ -707,9 +708,7 @@ class Network:
         # withdraw the want where it was announced (the _notified rule)
         for p in sorted(h._notified & node.latency_ns.keys(), key=self._ids.__getitem__):
             self._send(_CANCEL, node, p, c)
-        # a fetched request never reads its announcement sets again
-        h._pending_answers.clear()
-        h._notified.clear()
+        h._notified.clear()  # a fetched request never reads it again
 
     # ------------------------------------------------------------------
     # retrieval state machine
@@ -735,14 +734,13 @@ class Network:
         issued.append(IssuedRequest(now, requester, cid, "broadcast"))
         self._broadcast_want(h, initial=True)
         self._timer(BROADCAST_TIMEOUT_NS, _BROADCAST_TIMEOUT, h._serial)
-        self._schedule_rebroadcast(h, 1)
+        self._timer(REBROADCAST_INTERVAL_NS, _REBROADCAST, h._serial)
         return h
 
     def _broadcast_want(self, h: RequestHandle, initial: bool) -> None:
         node = self._at[h._node]
         peers = lat = node.latency_ns  # live links, in link order
         if initial:
-            self.ground_truth.want_emissions_initial += 1
             h._pending_answers = set(peers)
         else:
             self.ground_truth.want_emissions_rebroadcast += 1
@@ -760,18 +758,14 @@ class Network:
         if initial and not peers:
             self._dht_step(h)
 
-    def _schedule_rebroadcast(self, h: RequestHandle, k: int) -> None:
-        t_next = h.t_start_ns + k * REBROADCAST_INTERVAL_NS
-        self._timer(max(0, t_next - self.now_ns), _REBROADCAST, h._serial, k)
-
-    def _rebroadcast_tick(self, serial: int, k: int, _: int) -> None:
+    def _rebroadcast_tick(self, serial: int, _: int, __: int) -> None:
         h = self._live.get(serial)
         if h is None:
             return
         if self._at[h._node].online:
             self._broadcast_want(h, initial=False)
             self._dht_extend(h)
-        self._schedule_rebroadcast(h, k + 1)
+        self._timer(REBROADCAST_INTERVAL_NS, _REBROADCAST, serial)
 
     def _broadcast_timeout(self, serial: int, _: int, __: int) -> None:
         h = self._live.get(serial)
@@ -789,11 +783,11 @@ class Network:
             lat = self._at[target].former_ns[node.index]
         heappush(self._heap, (self.now_ns + lat, next(self._seq),
                               _WANT_BLOCK, node.index, target, h._cid))
-        self._timer(WANT_BLOCK_TIMEOUT_NS, _FETCH_TIMEOUT, h._serial, target)
+        self._timer(WANT_BLOCK_TIMEOUT_NS, _FETCH_TIMEOUT, h._serial)
 
-    def _fetch_timeout(self, serial: int, target: int, _: int) -> None:
+    def _fetch_timeout(self, serial: int, _: int, __: int) -> None:
         h = self._live.get(serial)
-        if h is None or h._target != target:
+        if h is None:
             return
         h._target = None
         nxt = next((p for p in h._session if p not in h._tried), None)
@@ -946,7 +940,7 @@ class Network:
 
     def _build(self) -> None:
         cfg = self.cfg
-        countries = self._plan_countries()
+        countries = iter(self._plan_countries())
         servers = [self.add_node(NodeKind.DHT_SERVER, country=next(countries)) for _ in range(cfg.n_dht_servers)]
         clients = [self.add_node(NodeKind.DHT_CLIENT, country=next(countries)) for _ in range(cfg.n_clients)]
         gateway_nodes = [self.add_node(NodeKind.GATEWAY, country=next(countries)) for _ in range(cfg.n_gateways)]
@@ -967,29 +961,36 @@ class Network:
             gt.counts_by_kind[node.kind.value] = gt.counts_by_kind.get(node.kind.value, 0) + 1
         gt.gateway_map = {name: tuple(g.nodes) for name, g in self.gateways.items()}
 
-    def _plan_countries(self):
-        """Quota country assignment (largest remainder) over regular nodes."""
+    def _quota_plan(self, weights: tuple[tuple[str, float], ...], n: int,
+                    tie: Callable[[int, str], object]) -> list[str]:
+        """``n`` names in exact largest-remainder proportions to ``weights``,
+        shuffled; equal remainders go first to the larger ``tie(i, name)``."""
+        total = sum(w for _, w in weights)
+        shares = [w / total * n for _, w in weights]
+        counts = [int(s) for s in shares]
+        by_fraction = sorted(range(len(weights)), reverse=True,
+                             key=lambda i: (shares[i] - counts[i], tie(i, weights[i][0])))
+        for i in by_fraction[:n - sum(counts)]:
+            counts[i] += 1
+        plan = [name for (name, _), k in zip(weights, counts) for _ in range(k)]
+        self.rng.shuffle(plan)
+        return plan
+
+    def _plan_countries(self) -> list[str]:
+        """Each regular node's country, in build order; sets the address plan,
+        which stays empty in a world without regular nodes."""
         cfg = self.cfg
-        n_quota = cfg.n_dht_servers + cfg.n_clients + cfg.n_gateways
+        n = cfg.n_dht_servers + cfg.n_clients + cfg.n_gateways
+        if n == 0:
+            return []
         if not cfg.country_weights:
             self._country_prefixes = {"ZZ": 10}
-            while True:
-                yield "ZZ"
-        weights = list(cfg.country_weights)
-        total = sum(w for _, w in weights)
+            return ["ZZ"] * n
         self._country_prefixes = {
-            country: 60 + i for i, (country, _) in enumerate(sorted(weights))
+            country: 60 + i for i, (country, _) in enumerate(sorted(cfg.country_weights))
         }
         self._country_prefixes.setdefault("ZZ", 10)
-        shares = [(c, w / total * n_quota) for c, w in weights]
-        counts = {c: int(s) for c, s in shares}
-        leftover = n_quota - sum(counts.values())
-        by_fraction = sorted(shares, key=lambda cs: (cs[1] - int(cs[1]), cs[0]), reverse=True)
-        for c, _ in by_fraction[:leftover]:
-            counts[c] += 1
-        plan = [c for c, k in counts.items() for _ in range(k)]
-        self.rng.shuffle(plan)
-        yield from plan
+        return self._quota_plan(cfg.country_weights, n, lambda i, name: name)
 
     def geo_entries(self) -> list[tuple[str, str]]:
         """CIDR-to-country pairs matching the simulated address plan."""
@@ -1043,31 +1044,14 @@ class Network:
             )
             at += size
 
-    def _codec_plan(self) -> list[Codec]:
-        """Catalog codec assignment in exact largest-remainder proportions."""
-        cfg = self.cfg
-        size = cfg.catalog_size
-        weights = cfg.codec_weights or (("dag-pb", 1.0),)
-        total = sum(w for _, w in weights)
-        shares = [(Codec.from_name(name), w / total * size) for name, w in weights]
-        counts = [int(s) for _, s in shares]
-        leftover = size - sum(counts)
-        order = sorted(
-            range(len(shares)),
-            key=lambda i: (shares[i][1] - counts[i], -i),
-            reverse=True,
-        )
-        for i in order[:leftover]:
-            counts[i] += 1
-        plan = [codec for (codec, _), k in zip(shares, counts) for _ in range(k)]
-        self.rng.shuffle(plan)
-        return plan
-
     def _build_catalog(self, servers: list[NodeId]) -> None:
         cfg = self.cfg
         if cfg.catalog_size == 0:
             return
-        codecs = self._codec_plan()
+        # equal remainders go first to the codec listed earlier
+        names = self._quota_plan(cfg.codec_weights or (("dag-pb", 1.0),), cfg.catalog_size,
+                                 lambda i, name: -i)
+        codecs = [Codec.from_name(name) for name in names]
         n_unresolvable = round(cfg.unresolvable_fraction * cfg.catalog_size)
         resolvable_flags = [i >= n_unresolvable for i in range(cfg.catalog_size)]
         self.rng.shuffle(resolvable_flags)
