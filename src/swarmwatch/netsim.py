@@ -175,6 +175,11 @@ class SimConfig:
                 raise ConfigError(f"{name} must be non-negative with a positive total")
             if len(dict(getattr(self, name) or ())) < len(weights):
                 raise ConfigError(f"{name} lists a name more than once")
+        for i, (name, _) in enumerate(self.codec_weights or ()):
+            try:
+                Codec.from_name(name)
+            except InputError:
+                raise ConfigError(f"codec_weights[{i}][0]: unknown codec name {name!r}") from None
         dmin, dmax = self.degree_range
         if dmin < 0 or dmin > dmax:
             raise ConfigError("degree_range must satisfy 0 <= min <= max")
@@ -193,9 +198,18 @@ class SimConfig:
                 raise ConfigError("gateway_group_sizes must sum to n_gateways")
             if any(s < 1 for s in self.gateway_group_sizes):
                 raise ConfigError("gateway_group_sizes: every group needs at least one node")
+        unknown = sorted(set(self.broken_gateway_names) - _gateway_groups(self).keys())
+        if unknown:
+            raise ConfigError(f"broken_gateway_names: no gateway group is named {unknown[0]!r}")
         churn = self.churn
         if churn is not None and min(churn.mean_session_s, churn.mean_offline_s) <= 0:
             raise ConfigError("churn.mean_session_s and churn.mean_offline_s must be positive")
+
+
+def _gateway_groups(cfg: SimConfig) -> dict[str, int]:
+    """DNS name -> backing-node count of each gateway group; one node each by default."""
+    sizes = cfg.gateway_group_sizes or (1,) * cfg.n_gateways
+    return {f"gw{i}.example": size for i, size in enumerate(sizes)}
 
 
 def _floats(value, where: str):
@@ -1034,10 +1048,8 @@ class Network:
                 self._link(index[u], index[v])
 
     def _build_gateway_groups(self, gateway_nodes: list[NodeId]) -> None:
-        sizes = self.cfg.gateway_group_sizes or tuple([1] * len(gateway_nodes))
         at = 0
-        for i, size in enumerate(sizes):
-            name = f"gw{i}.example"
+        for name, size in _gateway_groups(self.cfg).items():
             self.gateways[name] = _GatewayGroup(
                 nodes=gateway_nodes[at : at + size],
                 functional=name not in self.cfg.broken_gateway_names,

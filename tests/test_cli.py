@@ -92,6 +92,13 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
         assert "country_weights lists a name more than once" in capsys.readouterr().err
 
+    def test_unknown_broken_gateway_exits_2(self, tmp_path, capsys):
+        # a name no group has would leave every gateway working
+        path = write_cfg(tmp_path, dict(SIM_CFG, n_gateways=2, broken_gateway_names=["gw7.example"]))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert "broken_gateway_names: no gateway group is named 'gw7.example'" in (
+            capsys.readouterr().err)
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x")]) == 2

@@ -102,6 +102,7 @@ class TestBuildNetwork:
     def test_config_dict_lists_every_field(self):
         cfg = SimConfig(
             n_dht_servers=4,
+            n_gateways=1,
             degree_range=(1, 3),
             popularity_sampler=ZipfPopularity(1.3),
             latency_range_s=(0.02, 0.05),
@@ -178,6 +179,15 @@ class TestBuildNetwork:
          "country_weights lists a name more than once"),
         ({"codec_weights": (("raw", 1.0), ("dag-pb", 1.0), ("raw", 1.0))},
          "codec_weights lists a name more than once"),
+        # the check needs no catalog: a world with none still names the field
+        ({"codec_weights": (("raw", 1.0), ("foo", 1.0))},
+         "codec_weights[1][0]: unknown codec name 'foo'"),
+        ({"n_gateways": 2, "degree_range": (0, 1), "broken_gateway_names": ("gw7.example",)},
+         "broken_gateway_names: no gateway group is named 'gw7.example'"),
+        # two groups, gw0 and gw1, though three gateway nodes
+        ({"n_gateways": 3, "degree_range": (0, 1), "gateway_group_sizes": (2, 1),
+          "broken_gateway_names": ("gw1.example", "gw2.example")},
+         "broken_gateway_names: no gateway group is named 'gw2.example'"),
     ])
     def test_out_of_domain_field_names_itself(self, patch, message):
         cfg = SimConfig(**patch)
