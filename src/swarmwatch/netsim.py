@@ -78,6 +78,7 @@ from .core import (
     TraceRecord,
     build_trace_record,
     hash_content,
+    to_ns,
 )
 from .errors import ConfigError, InputError, ProbeUnreachableError, UnknownGatewayError
 
@@ -619,7 +620,12 @@ class Network:
                               code, src.index, dst, c))
 
     def run_for(self, duration_s: float) -> None:
-        end = self.now_ns + int(duration_s * NS)
+        """Handle the events due in the next ``duration_s`` seconds, a finite
+        span of at least 0, and move the clock to its end."""
+        span = to_ns(duration_s, "duration_s")
+        if duration_s < 0:
+            raise InputError(f"duration_s must be non-negative, got {duration_s!r}")
+        end = self.now_ns + span
         self._drain(end)
         self.now_ns = end
 

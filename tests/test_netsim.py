@@ -11,7 +11,7 @@ from scipy import stats
 
 from swarmwatch import netsim
 from swarmwatch.core import RAW, NodeId, RequestType, hash_content
-from swarmwatch.errors import ConfigError, UnknownGatewayError
+from swarmwatch.errors import ConfigError, InputError, UnknownGatewayError
 from swarmwatch.netsim import (
     ChurnConfig,
     Network,
@@ -236,6 +236,16 @@ class TestRun:
         assert len(times) == 4
         for got, want in zip(times, (0.02, 30.02, 60.02, 90.02)):
             assert got == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("span", [-3.0, math.nan, math.inf])
+    def test_run_for_never_moves_the_clock_backwards(self, span):
+        net = scripted_net()
+        net.run_for(5.0)
+        with pytest.raises(InputError, match="duration_s must be"):
+            net.run_for(span)
+        assert net.now_ns == 5 * NS
+        net.run_for(0.0)  # an empty span stays valid
+        assert net.now_ns == 5 * NS
 
     def test_two_monitors_see_request_with_latency_skew(self):
         net = scripted_net()
