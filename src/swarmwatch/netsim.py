@@ -258,8 +258,6 @@ def _decode(tp, value, where: str):
     """Check ``value`` against the declared type ``tp`` and convert JSON
     lists and objects into tuples and dataclasses."""
     if tp is PopularitySampler:
-        if type(value) in _SAMPLER_KINDS:
-            return value
         if not isinstance(value, Mapping):
             raise _type_error(where, "an object", value)
         body = dict(value)
@@ -295,8 +293,6 @@ def _decode(tp, value, where: str):
 
 
 def _decode_dataclass(cls, value, where: str):
-    if isinstance(value, cls):
-        return value
     if not isinstance(value, Mapping):
         raise _type_error(where, "an object", value)
     prefix = f"{where}." if where else ""
@@ -401,10 +397,6 @@ class RequestHandle:
     @property
     def done(self) -> bool:
         return self.status is not RequestStatus.PENDING
-
-    @property
-    def settled_or_idle(self) -> bool:
-        return self.done or self.idle
 
 
 @dataclass
@@ -1153,20 +1145,6 @@ class Network:
     def _workload_gateway(self, g: int, c: int, _: int) -> None:
         self.gateway_http_request(self._gateway_names[g], self._cids[c])
 
-    def run(self, duration_s: float | None = None):
-        """Advance the world; returns (traces, conn events, ground truth)."""
-        dur = self.cfg.duration_s if duration_s is None else duration_s
-        if not self._monitors_attached:
-            self._attach_monitors()
-            self._monitors_attached = True
-        if self.cfg.churn is not None and not self._churn_started:
-            self._start_churn()
-            self._churn_started = True
-        if dur > 0:
-            self._schedule_workload(dur)
-            self.run_for(dur)
-        return self.traces, self.conn_events, self.ground_truth
-
 
 # event code -> handler(network, a, b, c); plain functions, so that no queued
 # event or table refers back to a network and a finished one is freed as soon
@@ -1193,7 +1171,20 @@ def build_network(cfg: SimConfig) -> Network:
 
 
 def run(net: Network, duration_s: float | None = None):
-    return net.run(duration_s)
+    """Advance the world by ``duration_s`` (the config's by default), attaching
+    the monitors and starting churn on the first call; returns (traces,
+    connection events, ground truth)."""
+    dur = net.cfg.duration_s if duration_s is None else duration_s
+    if not net._monitors_attached:
+        net._attach_monitors()
+        net._monitors_attached = True
+    if net.cfg.churn is not None and not net._churn_started:
+        net._start_churn()
+        net._churn_started = True
+    if dur > 0:
+        net._schedule_workload(dur)
+        net.run_for(dur)
+    return net.traces, net.conn_events, net.ground_truth
 
 
 def node_request(net: Network, node: NodeId, cid: Cid) -> RequestHandle:
@@ -1201,8 +1192,7 @@ def node_request(net: Network, node: NodeId, cid: Cid) -> RequestHandle:
     parks in the periodic-retry loop. The handle stays live: an idle
     request may still resolve during later simulation time."""
     h = net.request(node, cid)
-    if not h.settled_or_idle:
-        net._advance_until(lambda: h.settled_or_idle, net.now_ns + 3600 * NS)
+    net._advance_until(lambda: h.done or h.idle, net.now_ns + 3600 * NS)
     return h
 
 
