@@ -62,7 +62,7 @@ from heapq import heappop, heappush
 from itertools import accumulate, count, repeat, starmap
 from random import Random
 from types import UnionType
-from typing import Callable, Mapping, Union, get_args, get_origin, get_type_hints
+from typing import Callable, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -973,10 +973,10 @@ class Network:
             gt.counts_by_kind[node.kind.value] = gt.counts_by_kind.get(node.kind.value, 0) + 1
         gt.gateway_map = {name: tuple(g.nodes) for name, g in self.gateways.items()}
 
-    def _quota_plan(self, weights: tuple[tuple[str, float], ...], n: int,
-                    tie: Callable[[int, str], object]) -> list[str]:
-        """``n`` names in exact largest-remainder proportions to ``weights``,
-        shuffled; equal remainders go first to the larger ``tie(i, name)``."""
+    def _quota_plan(self, weights: Sequence[tuple[object, float]], n: int,
+                    tie: Callable[[int, object], object]) -> list:
+        """``n`` values in exact largest-remainder proportions to ``weights``,
+        shuffled; equal remainders go first to the larger ``tie(i, value)``."""
         total = sum(w for _, w in weights)
         shares = [w / total * n for _, w in weights]
         counts = [int(s) for s in shares]
@@ -984,7 +984,7 @@ class Network:
                              key=lambda i: (shares[i] - counts[i], tie(i, weights[i][0])))
         for i in by_fraction[:n - sum(counts)]:
             counts[i] += 1
-        plan = [name for (name, _), k in zip(weights, counts) for _ in range(k)]
+        plan = [value for (value, _), k in zip(weights, counts) for _ in range(k)]
         self.rng.shuffle(plan)
         return plan
 
@@ -1058,10 +1058,10 @@ class Network:
         cfg = self.cfg
         if cfg.catalog_size == 0:
             return
+        weights = cfg.codec_weights or (("dag-pb", 1.0),)
         # equal remainders go first to the codec listed earlier
-        names = self._quota_plan(cfg.codec_weights or (("dag-pb", 1.0),), cfg.catalog_size,
-                                 lambda i, name: -i)
-        codecs = [Codec.from_name(name) for name in names]
+        codecs = self._quota_plan([(Codec.from_name(name), w) for name, w in weights],
+                                  cfg.catalog_size, lambda i, codec: -i)
         n_unresolvable = round(cfg.unresolvable_fraction * cfg.catalog_size)
         resolvable_flags = [i >= n_unresolvable for i in range(cfg.catalog_size)]
         self.rng.shuffle(resolvable_flags)
