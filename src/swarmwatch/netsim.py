@@ -12,6 +12,13 @@ The DHT is modeled as a global provider-record table filtered by liveness;
 lookups are always correct. A node's link table ``latency_ns`` holds live
 links only, in link order (a relink goes to the end), and a broadcast sends in
 that order. An unlink parks the latency in one end's ``former_ns`` till a relink.
+The connection graph is Havel and Hakimi's construction: each regular node
+draws a target degree, and each step joins the node of most remaining need,
+k, to the next k nodes in (need descending, fresh random tie) order; a
+sequence it cannot realize raises ``ConfigError``. Ties and link latencies
+come from the seed's stream through numpy's MT19937 loaded from the rng's
+state, which draws the floats ``Random.random`` would. A step sorts only the
+top need levels that hold k + 1 nodes, the first k + 1 of the full order.
 All randomness flows from the config seed, and event ordering is fixed by
 (time, insertion sequence), so a given config reproduces bit-identical
 traces and ground truth.
@@ -56,13 +63,14 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from itertools import accumulate, count, repeat, starmap
+from itertools import accumulate, count
 from random import Random
 from types import UnionType
-from typing import Callable, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Callable, Iterator, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -1024,26 +1032,36 @@ class Network:
             # parity repair; may leave one node a single step outside the range
             i = rng.randrange(n)
             targets[i] += -1 if targets[i] > dmin else 1
-        # Each step joins the node of most remaining need to the next k in
-        # (need descending, fresh random tie) order. lexsort is stable, so
-        # equal keys keep index order, as a stable sort over range(n) did.
-        need = np.array(targets, dtype=np.int64)
-        draw = rng.random
+        with _numpy_view(rng) as gen:  # ties and latencies, drawn in blocks
+            self._join_by_need(regular, np.array(targets, dtype=np.int64), gen)
+
+    def _join_by_need(self, regular: list[NodeId], need: np.ndarray,
+                      gen: np.random.Generator) -> None:
+        """Havel-Hakimi as the module docstring states it: each step joins the
+        node of most remaining need to the next k in (need descending, fresh
+        random tie) order."""
+        n = len(regular)
+        lo, hi = self.cfg.latency_range_s
         index = [self.nodes[nid].index for nid in regular]
         while True:
-            tie = np.fromiter(starmap(draw, repeat((), n)), np.float64, n)
-            order = np.lexsort((tie, -need))
-            u = order[0]
-            k = int(need[u])
+            tie = gen.random(n)
+            k = int(need.max())
             if k == 0:
                 break
-            if n - 1 < k or need[order[k]] == 0:
+            # the (k+1)-th largest need; the nodes at or above it are the
+            # first k+1 of the full order, and a stable sort of them in index
+            # order ranks them as lexsort over all n does
+            level = 0 if n - 1 < k else -np.partition(-need, k)[k]
+            if level == 0:
                 raise ConfigError("degree sequence not realizable, lower the range")
-            partners = order[1 : k + 1]
+            top = np.flatnonzero(need >= level)
+            order = top[np.lexsort((tie[top], -need[top]))]
+            u, partners = order[0], order[1 : k + 1]
             need[u] = 0
             need[partners] -= 1
-            for v in partners.tolist():
-                self._link(index[u], index[v])
+            # lo + (hi - lo) * r is rng.uniform(lo, hi), bit for bit
+            for v, r in zip(partners.tolist(), gen.random(k).tolist()):
+                self._link(index[u], index[v], lo + (hi - lo) * r)
 
     def _build_gateway_groups(self, gateway_nodes: list[NodeId]) -> None:
         at = 0
@@ -1144,6 +1162,23 @@ class Network:
 
     def _workload_gateway(self, g: int, c: int, _: int) -> None:
         self.gateway_http_request(self._gateway_names[g], self._cids[c])
+
+
+@contextmanager
+def _numpy_view(rng: Random) -> Iterator[np.random.Generator]:
+    """A numpy Generator on ``rng``'s own stream: both are MT19937, and
+    ``Generator.random`` makes each float from two 32-bit words as
+    ``Random.random`` does, so it draws the same floats, bit for bit. On exit
+    ``rng`` goes on where the Generator stopped, also after an error."""
+    version, key, gauss = rng.getstate()
+    bits = np.random.MT19937()
+    bits.state = {"bit_generator": "MT19937",
+                  "state": {"key": np.array(key[:-1], np.uint32), "pos": key[-1]}}
+    try:
+        yield np.random.Generator(bits)
+    finally:
+        state = bits.state["state"]
+        rng.setstate((version, (*state["key"].tolist(), int(state["pos"])), gauss))
 
 
 # event code -> handler(network, a, b, c); plain functions, so that no queued

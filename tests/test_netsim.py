@@ -826,11 +826,13 @@ BUILDER_WORLDS = [
     (25, 14, 1, (1, 3)),
     (30, 10, 1, (5, 5)),
     (10, 4, 1, (8, 14)),
+    # 61 need levels, so most steps sort only a few top levels of 150 nodes
+    (100, 45, 5, (40, 100)),
 ]
 
 
 @pytest.mark.parametrize("servers, clients, gateways, degree", BUILDER_WORLDS,
-                         ids=["8-14", "1-3", "5-5-odd", "n-just-above-dmax"])
+                         ids=["8-14", "1-3", "5-5-odd", "n-just-above-dmax", "many-levels"])
 def test_degree_graph_matches_sort_per_step_builder(servers, clients, gateways, degree,
                                                     monkeypatch):
     built = 0
@@ -864,3 +866,31 @@ def test_degree_graph_failures_match_sort_per_step_builder(monkeypatch):
                 assert new == old, (n, dmin, seed)
                 outcomes.add("raised" if isinstance(new, str) else "built")
     assert outcomes == {"raised", "built"}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_numpy_view_draws_the_rngs_own_floats(seed):
+    """The builder's Generator draws what ``Random.random`` would, bit for bit,
+    from any position in the 624-word key, and hands the stream back."""
+    rng = random.Random(seed)
+    for offset in range(5):
+        rng.getrandbits(32 * offset)  # an odd offset moves pos off a float's two words
+        for size in (1, 2, 311, 312, 313, 624, 625, 1000, 2001):
+            ref = random.Random()
+            ref.setstate(rng.getstate())
+            with netsim._numpy_view(rng) as gen:
+                got = gen.random(size)
+            want = [ref.random() for _ in range(size)]
+            assert got.tolist() == want and rng.getstate() == ref.getstate()
+            assert rng.random() == ref.random()
+
+
+def test_numpy_view_hands_the_stream_back_after_an_error():
+    rng, ref = random.Random(7), random.Random(7)
+    with pytest.raises(ConfigError):
+        with netsim._numpy_view(rng) as gen:
+            gen.random(3)
+            raise ConfigError("not realizable")
+    for _ in range(3):
+        ref.random()
+    assert rng.getstate() == ref.getstate()
