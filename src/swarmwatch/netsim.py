@@ -33,12 +33,13 @@ traces, connection events, ground truth, ``Network.nodes`` and the public
 methods' arguments.
 
 A request reads its peers' answers only in its broadcast window, while its
-``_pending_answers`` is non-empty: the first HAVE and the DHT step empty it, and
-the last awaited DONT_HAVE or the timeout of an open window starts that step.
+``_pending_answers`` is non-empty or its ``_answers_due`` is at least 0: the
+first HAVE and the DHT step close it, and the last awaited DONT_HAVE or the
+timeout of an open window starts that step.
 
-Three rules leave out messages that nothing would read. Each applies only
-while the message log is off, and a logged run gives the same traces,
-ground truth and results:
+Four rules leave out messages that nothing but the requester's bookkeeping
+would read. Each applies only while the message log is off, and a logged
+run gives the same traces, ground truth and results:
 
 - A cancel goes only to monitors: a regular node keeps no record of its
   peers' wants, so a cancel changes nothing there. So a request's
@@ -49,14 +50,34 @@ ground truth and results:
 - Rule 2: a re-broadcast of a never-provided cid goes only to monitors and
   probed peers: no node holds such a cid and the window has closed, so any
   other peer could only answer ``dont_have``, which rule 1 drops.
+- Rule 3: any other broadcast of an online requester queues its want only
+  to monitors, peers that hold the cid, peers a probe waits on and offline
+  peers. It schedules the rest on the request, each with its answer due a
+  round trip later: such a peer would log nothing and answer ``dont_have``
+  if the window is open when the want lands. So ``_answers_due``, the last
+  due time, holds the window open, the timeout counts an answer due at its
+  own nanosecond as pending (it sorts before a later-queued ``dont_have``),
+  and a timer at the last due time starts the DHT step if the window is
+  still open and no queued answer is awaited. A change that could alter
+  what a scheduled message does first queues it as that want or answer, and
+  delivery then decides as for any message: the peer comes to hold the cid
+  (a fetch or ``provide``) before its want lands; either end unlinks or goes
+  offline; the requester probes the peer; the requester's next request for
+  the cid, or the request's next broadcast, starts while it is in flight.
 
 In three corners, an answer that nothing awaited when it was sent would
 reach a request or probe started while it was in flight; rules 1 and 2
 leave it out, so there a logged and an unlogged run can differ: a node
 requests a cid again within one link latency of its last request's end
 (after ``purge_cache``, an eviction, or with no cache); a requester probes
-its own peer for a cid it still wants; ``provide`` is called on a
-never-provided cid while a re-broadcast is in flight.
+a peer for a cid it asked that peer for less than a round trip before;
+``provide`` is called on a never-provided cid while a re-broadcast is in
+flight. Rule 3 keeps each message's time but not always its place among
+the events of its nanosecond: a scheduled message queued late sorts after
+the events queued since the logged run queued it, and the timer's DHT step
+runs before events that the last ``dont_have`` would follow. So the runs
+can also differ where such a message or timer shares its nanosecond with
+another event.
 """
 
 from __future__ import annotations
@@ -399,8 +420,16 @@ class RequestHandle:
     _session: list[int] = field(default_factory=list)
     _tried: set[int] = field(default_factory=set)
     _target: int | None = None
-    _pending_answers: set[int] = field(default_factory=set)  # non-empty while the window is open
+    _pending_answers: set[int] = field(default_factory=set)  # awaited answers that are queued
     _notified: set[int] = field(default_factory=set)
+    # rule 3 (module docstring): the peers of the last broadcast whose want
+    # was not queued, in link order, and when that broadcast left
+    _sched: list[int] = field(default_factory=list)
+    _sched_ns: int = 0
+    _sched_end: int = 0  # no entry stands for a message from this time on
+    # the last due time of the awaited scheduled answers; -1 once none is awaited
+    _answers_due: int = -1
+    _answered_by: int = 0  # peers whose want arrived by this time answered it
 
     @property
     def done(self) -> bool:
@@ -491,7 +520,7 @@ class GatewayResult:
 # event codes (see the module docstring): messages up to _BLOCK, then timers
 (_WANT_HAVE, _WANT_BLOCK, _CANCEL, _HAVE, _DONT_HAVE, _BLOCK,
  _BROADCAST_TIMEOUT, _REBROADCAST, _FETCH_TIMEOUT, _IDLE_CHECK,
- _CHURN_OFF, _CHURN_ON, _WORKLOAD_REQUEST, _WORKLOAD_GATEWAY) = range(14)
+ _CHURN_OFF, _CHURN_ON, _WORKLOAD_REQUEST, _WORKLOAD_GATEWAY, _ANSWERS_DUE) = range(15)
 _KINDS = ("want_have", "want_block", "cancel", "have", "dont_have", "block")
 _WANT_TYPES = (RequestType.WANT_HAVE, RequestType.WANT_BLOCK, RequestType.CANCEL)
 
@@ -526,6 +555,9 @@ class Network:
         self._live: dict[int, RequestHandle] = {}
         self._serials = count()
         self._probe_waits: dict[tuple[int, int, int], bool | None] = {}
+        # requests whose schedule may stand for a message, by serial, in
+        # broadcast order (rule 3)
+        self._schedules: dict[int, RequestHandle] = {}
         self._monitors_attached = False
         self._churn_started = False
         self._pop_cum: list[float] | None = None
@@ -599,6 +631,11 @@ class Network:
         na, nb = self._at[i], self._at[j]
         if j not in na.latency_ns:
             return
+        for h in self._scheduled():  # rule 3: a scheduled message may now be dropped
+            if h._node == i and j in h._sched:
+                self._queue_scheduled(h, j)
+            elif h._node == j and i in h._sched:
+                self._queue_scheduled(h, i)
         na.former_ns[j] = na.latency_ns.pop(j)
         del nb.latency_ns[i]
         self._log_conn(na, nb, ConnEventKind.DISCONNECT)
@@ -622,10 +659,7 @@ class Network:
     def run_for(self, duration_s: float) -> None:
         """Handle the events due in the next ``duration_s`` seconds, a finite
         span of at least 0, and move the clock to its end."""
-        span = to_ns(duration_s, "duration_s")
-        if duration_s < 0:
-            raise InputError(f"duration_s must be non-negative, got {duration_s!r}")
-        end = self.now_ns + span
+        end = self.now_ns + _duration_ns(duration_s)
         self._drain(end)
         self.now_ns = end
 
@@ -698,7 +732,7 @@ class Network:
         h = self._requests.get((dst, c))
         if h is None:
             return
-        h._pending_answers = set()  # the first HAVE closes the broadcast window
+        self._close_window(h)  # the first HAVE closes the broadcast window
         if src not in h._session:
             h._session.append(src)
         if h._target is None:
@@ -713,8 +747,13 @@ class Network:
         if h is None or src not in h._pending_answers:
             return
         h._pending_answers.discard(src)
-        if not h._pending_answers:  # the last awaited answer: no peer has the block
-            self._dht_step(h)
+        if not h._pending_answers and h._answers_due <= self.now_ns:
+            self._dht_step(h)  # the last awaited answer: no peer has the block
+
+    def _scheduled_answers_due(self, serial: int, _: int, __: int) -> None:
+        h = self._live.get(serial)
+        if h is not None and not h._pending_answers and 0 <= h._answers_due <= self.now_ns:
+            self._dht_step(h)  # the last scheduled answer was the last awaited one
 
     def _on_block(self, src: int, dst: int, c: int) -> None:
         h = self._requests.pop((dst, c), None)
@@ -747,36 +786,127 @@ class Network:
                 node.cache.move_to_end(cid)
             issued.append(IssuedRequest(now, requester, cid, "local_hit"))
             return RequestHandle(requester, cid, now, status=RequestStatus.LOCAL_HIT)
+        # rule 3: this request reads the answers to the last one's wants that
+        # are still in flight, so it awaits those peers' answers as queued ones
+        read = [p for old in self._scheduled() if old._node == node.index and old._cid == c
+                for p in self._queue_scheduled(old)]
         h = RequestHandle(requester, cid, now, _node=node.index, _cid=c,
                           _serial=next(self._serials))
         self._requests[node.index, c] = h
         self._live[h._serial] = h
         issued.append(IssuedRequest(now, requester, cid, "broadcast"))
-        self._broadcast_want(h, initial=True)
+        self._broadcast_want(h, initial=True, queued=read)
         self._timer(BROADCAST_TIMEOUT_NS, _BROADCAST_TIMEOUT, h._serial)
         self._timer(REBROADCAST_INTERVAL_NS, _REBROADCAST, h._serial)
         return h
 
-    def _broadcast_want(self, h: RequestHandle, initial: bool) -> None:
+    def _broadcast_want(self, h: RequestHandle, initial: bool, queued: Sequence[int] = ()) -> None:
         node = self._at[h._node]
         peers = lat = node.latency_ns  # live links, in link order
-        if initial:
-            h._pending_answers = set(peers)
-        else:
+        if not initial:
             self.ground_truth.want_emissions_rebroadcast += 1
         log = self.message_log is not None
         h._notified.update(peers if log else peers.keys() & self._monitor_idx)
         heap, seq, now = self._heap, self._seq, self.now_ns
         i, c = node.index, h._cid
-        if not initial and not log and c not in self._providers:
+        if h._sched and h._sched_end > now:  # one schedule per request: queue the last one
+            self._queue_scheduled(h)
+        h._sched = []
+        if log or not node.online:
+            send = peers
+        elif initial or c in self._providers:
+            send = self._schedule(h, initial, queued)
+        else:
             # rule 2 (module docstring): other peers could only answer a
             # dont_have that rule 1 drops
             mon, waits = self._monitor_idx, self._probe_waits
-            peers = [p for p in peers if p in mon or (i, p, c) in waits]
-        for p in peers:
+            send = [p for p in peers if p in mon or (i, p, c) in waits]
+        if initial:
+            h._pending_answers = set(send)
+            if not peers:
+                self._dht_step(h)
+        for p in send:
             heappush(heap, (now + lat[p], next(seq), _WANT_HAVE, i, p, c))
-        if initial and not peers:
-            self._dht_step(h)
+        if h._answers_due >= 0:  # the scheduled answers are awaited
+            self._timer(h._answers_due - now, _ANSWERS_DUE, h._serial)
+
+    def _schedule(self, h: RequestHandle, initial: bool, queued: Sequence[int]) -> list[int]:
+        """Rule 3 (module docstring): schedule the wants of a broadcast that
+        only the requester's bookkeeping would read; return the peers whose
+        want is queued, which include ``queued``."""
+        node, at, now = self._at[h._node], self._at, self.now_ns
+        i, c, cid = node.index, h._cid, self._cids[h._cid]
+        mon, waits, provided = self._monitor_idx, self._probe_waits, c in self._providers
+        send: list[int] = []
+        sched: list[int] = []
+        for p in node.latency_ns:
+            peer = at[p]
+            if (p in mon or not peer.online or (waits and (i, p, c) in waits)
+                    or provided and (cid in peer.store or cid in peer.cache)
+                    or queued and p in queued):
+                send.append(p)
+            else:
+                sched.append(p)
+        h._sched = sched
+        if sched:
+            lat = node.latency_ns
+            end = now + 2 * max(map(lat.__getitem__, sched))
+            h._sched_ns, h._sched_end = now, end
+            # answers are awaited while the window is open; a re-broadcast gets none
+            h._answers_due, h._answered_by = (end, end) if initial else (-1, now - 1)
+            self._schedules.pop(h._serial, None)
+            self._schedules[h._serial] = h
+        return send
+
+    def _scheduled(self) -> list[RequestHandle]:
+        """The requests whose schedule may still stand for a message; drops the rest."""
+        now, reg = self.now_ns, self._schedules
+        if not reg:
+            return []
+        live = [h for h in reg.values() if h._sched_end > now]
+        if len(live) < len(reg):
+            for h in reg.values():
+                if h._sched_end <= now:
+                    h._sched = []
+            self._schedules = {h._serial: h for h in live}
+        return live
+
+    def _queue_scheduled(self, h: RequestHandle, only: int | None = None) -> list[int]:
+        """Queue the message that the entry of peer ``only`` (of every peer by
+        default) in ``h``'s schedule still stands for: its want, if in
+        flight, or else its answer, if one was sent and is in flight. A peer
+        whose answer is awaited is then awaited as a queued one. Returns the
+        peers whose message was queued."""
+        i, c, lat, now = h._node, h._cid, self._at[h._node].latency_ns, self.now_ns
+        awaited = h._answers_due >= 0
+        peers = h._sched if only is None else (only,)
+        h._sched = [] if only is None else [q for q in h._sched if q != only]
+        queued = []
+        for p in peers:
+            arrive = h._sched_ns + lat[p]
+            if now < arrive:
+                event = (arrive, next(self._seq), _WANT_HAVE, i, p, c)
+            elif arrive <= h._answered_by and now < arrive + lat[p]:
+                event = (arrive + lat[p], next(self._seq), _DONT_HAVE, p, i, c)
+            else:
+                continue
+            heappush(self._heap, event)
+            queued.append(p)
+            if awaited:
+                h._pending_answers.add(p)
+        if awaited:
+            due = max((h._sched_ns + 2 * lat[q] for q in h._sched), default=-1)
+            if due < h._answers_due:
+                h._answers_due = due
+                if due > now:
+                    self._timer(due - now, _ANSWERS_DUE, h._serial)
+        return queued
+
+    def _close_window(self, h: RequestHandle) -> None:
+        if h._answers_due >= 0:
+            h._answers_due = -1
+            h._answered_by = self.now_ns
+        h._pending_answers = set()  # CPython never shrinks a set
 
     def _rebroadcast_tick(self, serial: int, _: int, __: int) -> None:
         h = self._live.get(serial)
@@ -789,7 +919,8 @@ class Network:
 
     def _broadcast_timeout(self, serial: int, _: int, __: int) -> None:
         h = self._live.get(serial)
-        if h is not None and h._pending_answers:
+        # an answer scheduled for now still counts: its dont_have would sort after this timer
+        if h is not None and (h._pending_answers or h._answers_due >= 0):
             self._dht_step(h)
 
     def _send_want_block(self, h: RequestHandle, target: int) -> None:
@@ -818,7 +949,7 @@ class Network:
 
     def _dht_step(self, h: RequestHandle) -> None:
         """Provider lookup after the broadcast round came up empty."""
-        h._pending_answers = set()  # closes the window; CPython never shrinks a set
+        self._close_window(h)
         contacted = self._dht_extend(h)
         if contacted == 0 and h._target is None:
             h.idle = True
@@ -857,6 +988,7 @@ class Network:
             node.cache.move_to_end(cid)
             return
         node.cache[cid] = None
+        self._now_holds(node.index, cid)
         self.ground_truth.cache_log.setdefault((node.id, cid), []).append([self.now_ns, None])
         if len(node.cache) > cap:
             evicted, _ = node.cache.popitem(last=False)
@@ -882,6 +1014,14 @@ class Network:
         node = self.nodes[nid]
         node.store.add(cid)
         self._providers.setdefault(self._intern(cid), set()).add(node.index)
+        self._now_holds(node.index, cid)
+
+    def _now_holds(self, p: int, cid: Cid) -> None:
+        """Rule 3: a scheduled want that reaches ``p`` now gets a HAVE."""
+        c = self._cid_index[cid]
+        for h in self._scheduled():
+            if h._cid == c and p in h._sched:
+                self._queue_scheduled(h, p)
 
     def find_providers(self, cid: Cid) -> set[NodeId]:
         at = self._at
@@ -950,6 +1090,9 @@ class Network:
             raise ProbeUnreachableError("prober is offline")
         self.connect(prober, target)  # no-op if linked
         waits, key = self._probe_waits, (pn.index, tn.index, self._intern(cid))
+        for h in self._scheduled():  # rule 3: the probe would read the answer
+            if h._node == key[0] and h._cid == key[2] and key[1] in h._sched:
+                self._queue_scheduled(h, key[1])
         waits[key] = None
         self._send(_WANT_HAVE, pn, tn.index, key[2])
         self._advance_until(lambda: waits[key] is not None, self.now_ns + PROBE_TIMEOUT_NS)
@@ -1189,12 +1332,20 @@ _DISPATCH = (
     Network._on_have, Network._on_dont_have, Network._on_block,
     Network._broadcast_timeout, Network._rebroadcast_tick, Network._fetch_timeout,
     Network._idle_check, Network._churn_off, Network._churn_on,
-    Network._workload_request, Network._workload_gateway,
+    Network._workload_request, Network._workload_gateway, Network._scheduled_answers_due,
 )
 
 
 # ----------------------------------------------------------------------
 # module-level operation surface
+
+
+def _duration_ns(duration_s: float) -> int:
+    """A span in whole nanoseconds; InputError unless it is finite and at least 0."""
+    span = to_ns(duration_s, "duration_s")
+    if duration_s < 0:
+        raise InputError(f"duration_s must be non-negative, got {duration_s!r}")
+    return span
 
 
 def build_network(cfg: SimConfig) -> Network:
@@ -1206,10 +1357,11 @@ def build_network(cfg: SimConfig) -> Network:
 
 
 def run(net: Network, duration_s: float | None = None):
-    """Advance the world by ``duration_s`` (the config's by default), attaching
-    the monitors and starting churn on the first call; returns (traces,
-    connection events, ground truth)."""
+    """Advance the world by ``duration_s`` (the config's by default), a finite
+    span of at least 0, attaching the monitors and starting churn on the
+    first call; returns (traces, connection events, ground truth)."""
     dur = net.cfg.duration_s if duration_s is None else duration_s
+    _duration_ns(dur)  # before anything changes
     if not net._monitors_attached:
         net._attach_monitors()
         net._monitors_attached = True

@@ -19,6 +19,7 @@ from itertools import combinations
 import numpy as np
 from scipy.special import zeta
 
+from swarmwatch import netsim
 from swarmwatch.analytics import XMIN_QUANTILE, _DiscretePowerLawSampler, _log_zeta_slope
 from swarmwatch.core import (
     FLAG_INTER_MONITOR_DUPLICATE,
@@ -201,3 +202,20 @@ def synthetic_records(
         )
     records.sort(key=lambda r: (r.timestamp_ns, r.monitor))
     return records
+
+
+def record_dispatch(monkeypatch) -> list:
+    """Have the simulator's event loop record (network, time, code, a, b, c)
+    of every event it handles; for a message, a, b and c are its sender,
+    receiver and cid index."""
+    handled = []
+
+    def recorded(code, fn):
+        def handler(network, a, b, c):
+            handled.append((network, network.now_ns, code, a, b, c))
+            fn(network, a, b, c)
+        return handler
+
+    monkeypatch.setattr(netsim, "_DISPATCH", tuple(
+        recorded(code, fn) for code, fn in enumerate(netsim._DISPATCH)))
+    return handled

@@ -20,6 +20,7 @@ from swarmwatch.netsim import (
     run,
 )
 
+from helpers import record_dispatch
 from test_golden import CHURN_CONFIG, REFERENCE_CONFIG
 from test_netsim import scripted_net
 
@@ -55,22 +56,6 @@ def _attack(net) -> tuple:
             + [(target, fresh) for target in targets])
     return results, [probes.tpi(net, prober, target, cid) for target, cid in plan
                      if net.nodes[target].online]
-
-
-def _record_dispatch(monkeypatch) -> list:
-    """Have the event loop record (network, time, code, b) of every event it
-    handles; for a message, b is the receiver's index."""
-    handled = []
-
-    def recorded(code, fn):
-        def handler(network, a, b, c):
-            handled.append((network, network.now_ns, code, b))
-            fn(network, a, b, c)
-        return handler
-
-    monkeypatch.setattr(netsim, "_DISPATCH", tuple(
-        recorded(code, fn) for code, fn in enumerate(netsim._DISPATCH)))
-    return handled
 
 
 @pytest.mark.parametrize("doc, attack", [
@@ -127,7 +112,7 @@ def _outcome(doc: dict, record_messages: bool, attack: bool):
     (HIGH_DEGREE_CONFIG, True),
 ], ids=["churn", "gateways", "attacked", "attacked-churn", "high-degree"])
 def test_elided_messages_change_nothing_unless_logged(doc, attack, monkeypatch):
-    handled = _record_dispatch(monkeypatch)
+    handled = record_dispatch(monkeypatch)
     logged, with_log = _outcome(doc, True, attack)
     unlogged, without_log = _outcome(doc, False, attack)
     assert with_log == without_log
@@ -140,7 +125,7 @@ def test_elided_messages_change_nothing_unless_logged(doc, attack, monkeypatch):
     assert any(r.request_type is RequestType.CANCEL for t in with_log[1].values() for r in t)
     # and fewer wants and dont_have answers reached a node, so the answer rules were used
     for code in (netsim._WANT_HAVE, netsim._DONT_HAVE):
-        delivered = [sum(n is net and k == code for n, _, k, _ in handled)
+        delivered = [sum(n is net and k == code for n, _, k, _, _, _ in handled)
                      for net in (logged, unlogged)]
         assert delivered[0] > delivered[1]
     if attack:
@@ -177,16 +162,17 @@ def test_rebroadcast_queues_only_messages_something_reads(provided):
     h = net.request(r, cid)
     net.run_for(30.0)  # every peer answered dont_have; the re-broadcast just left
     assert h.idle
-    # a never-provided cid goes only to the monitor; a provided one to every peer
-    reached = peers + [m] if provided else [m]
-    assert _queued(net) == {("want_have", p) for p in reached}
+    # only the monitor's want is queued: no peer holds the cid; a provided
+    # one's other wants are scheduled (rule 3), a never-provided one's left out
+    assert _queued(net) == {("want_have", m)}
+    assert [net._ids[p] for p in h._sched] == (peers if provided else [])
     net.run_for(0.3)  # the wants arrived at 30.25 s; no request awaits an answer
     assert _queued(net) == set()
     assert [rec.timestamp_ns for rec in net.traces["m0"]] == [NS // 4, 30 * NS + NS // 4]
 
 
 def test_a_probe_by_the_requester_still_gets_its_answers(monkeypatch):
-    handled = _record_dispatch(monkeypatch)
+    handled = record_dispatch(monkeypatch)
     net, r, (p1, p2), m, cid = _one_requester(0.4, provided=False)
     net.request(r, cid)
     net.run_for(29.5)
@@ -197,7 +183,7 @@ def test_a_probe_by_the_requester_still_gets_its_answers(monkeypatch):
     assert net.now_ns == start + 8 * NS // 10
     # the re-broadcast at 30 s still goes to p1, whose probe wait was open
     net.run_for(1.0)
-    wants = sorted((t, net._ids[b]) for _, t, code, b in handled
+    wants = sorted((t, net._ids[b]) for _, t, code, _, b, _ in handled
                    if code == netsim._WANT_HAVE and t > start)
     assert wants == sorted([(29_900_000_000, p1), (30_400_000_000, p1), (30_400_000_000, m)])
 
@@ -271,7 +257,7 @@ def test_messages_from_one_sender_at_one_instant_arrive_in_send_order():
 
 
 def test_timer_and_message_at_one_instant_keep_insertion_order(monkeypatch):
-    handled = _record_dispatch(monkeypatch)
+    handled = record_dispatch(monkeypatch)
     net = scripted_net()
     r = net.add_node(NodeKind.DHT_CLIENT)
     m = net.add_node(NodeKind.MONITOR)
@@ -286,7 +272,7 @@ def test_timer_and_message_at_one_instant_keep_insertion_order(monkeypatch):
     net.connect(r, p, latency_s=0.5)
     h = net.request(r, cid)
     net.run_for(1.0)
-    at_one = [code for _, t, code, _ in handled if t == NS]
+    at_one = [code for _, t, code, _, _, _ in handled if t == NS]
     assert at_one == [netsim._WANT_HAVE, netsim._BROADCAST_TIMEOUT, netsim._HAVE]
     # so the timeout found no answer yet and looked the cid up in the DHT
     assert far in net.nodes[r].peers
@@ -308,3 +294,213 @@ def test_probe_answer_due_at_the_timeout_still_counts(one_way_ns, answered):
     start = net.now_ns
     assert net.probe_want_have(prober, target, cid) is answered
     assert net.now_ns == start + PROBE_TIMEOUT_NS
+
+
+def _both_ways(script, monkeypatch, **cfg):
+    """Run ``script(net)`` on an empty scripted world (of config ``cfg``)
+    with the message log on and then off. Return each run's outcome (what
+    the script returned, traces, connection logs, ground truth and the
+    clock) and the messages the unlogged run handled between the script's
+    requester and its peer q, as (time, kind, sender is the requester)."""
+    handled = record_dispatch(monkeypatch)
+    outcomes = []
+    for record_messages in (True, False):
+        del handled[:]
+        net = scripted_net(record_messages=record_messages, **cfg)
+        result = script(net)
+        gt = net.ground_truth
+        outcomes.append((result, net.traces, net.conn_events, gt.summary(), gt.cache_log,
+                         net.now_ns))
+    r, q = (net.nodes[nid].index for nid in result[:2])
+    messages = [(t, netsim._KINDS[code], a == r) for _, t, code, a, b, _ in handled
+                if code <= netsim._BLOCK and {a, b} == {r, q}]
+    return outcomes, messages
+
+
+def _requester_world(net, far_s: float = 0.3):
+    """A requester r with a monitor at 0.05 s and a regular peer q at
+    ``far_s``, wanting a cid provided by a node r is not linked to: r's DHT
+    step links r to that provider, and the monitor logs when r's want is
+    cancelled, so its trace dates the step."""
+    r, q, provider = (net.add_node(NodeKind.DHT_CLIENT), net.add_node(NodeKind.DHT_SERVER),
+                      net.add_node(NodeKind.DHT_SERVER))
+    m = net.add_node(NodeKind.MONITOR)
+    net.connect(r, m, latency_s=0.05)
+    net.connect(r, q, latency_s=far_s)
+    cid = hash_content(b"wanted by r", RAW)
+    net.provide(provider, cid)
+    return r, q, cid
+
+
+def _ms(*times_ms):
+    return [t * NS // 1000 for t in times_ms]
+
+
+def test_scheduled_peer_that_fetches_the_block_in_flight_answers_have(monkeypatch):
+    def script(net):
+        r, q, cid = _requester_world(net)
+        holder = net.add_node(NodeKind.DHT_SERVER)
+        net.connect(q, holder, latency_s=0.01)
+        net.provide(holder, cid)
+        h = net.request(r, cid)  # q holds nothing yet, so its want is scheduled
+        net.request(q, cid)  # q has the block at 0.04 s; r's want reaches it at 0.3 s
+        net.run_for(3.0)
+        return r, q, h.status, h.provider == q
+    (logged, unlogged), messages = _both_ways(script, monkeypatch)
+    assert logged == unlogged and logged[0][2:] == (RequestStatus.FETCHED, True)
+    assert messages == list(zip(_ms(300, 600, 900, 1200),
+                                ["want_have", "have", "want_block", "block"],
+                                [True, False, True, False]))
+
+
+@pytest.mark.parametrize("drop_ms, relink_ms, expected", [
+    # while the want flies (it arrives at 0.3 s): both arrive
+    (100, 200, [(300, "want_have", True), (600, "dont_have", False)]),
+    # while the answer flies (it is due at 0.6 s): it arrives
+    (400, 500, [(600, "dont_have", False)]),
+    # the answer is lost, so the window waits for its timeout
+    (400, None, []),
+    (400, 700, []),
+], ids=["want-relinked", "answer-relinked", "answer-lost", "relinked-late"])
+def test_scheduled_link_that_drops_in_flight(drop_ms, relink_ms, expected, monkeypatch):
+    def script(net):
+        r, q, cid = _requester_world(net)
+        h = net.request(r, cid)
+        net.run_for(drop_ms / 1000)
+        net.disconnect(q, r)
+        if relink_ms is not None:
+            net.run_for((relink_ms - drop_ms) / 1000)
+            net.connect(r, q)
+        net.run_for(3.0)
+        return r, q, h.status
+    (logged, unlogged), messages = _both_ways(script, monkeypatch)
+    assert logged == unlogged and logged[0][2] is RequestStatus.FETCHED
+    assert messages == [(t * NS // 1000, kind, by_r) for t, kind, by_r in expected]
+
+
+@pytest.mark.parametrize("back_ms, answered", [(250, True), (700, False), (2000, False)],
+                         ids=["before-the-want-lands", "before-the-answer-is-due", "after"])
+def test_requester_offline_in_its_window(back_ms, answered, monkeypatch):
+    # offline from 0.2 s: the want to q, due there at 0.3 s, arrives only if
+    # r is back and relinked by then
+    def script(net):
+        r, q, cid = _requester_world(net)
+        h = net.request(r, cid)
+        net.run_for(0.2)
+        net.set_offline(r)
+        net.run_for(back_ms / 1000 - 0.2)
+        net.set_online(r)
+        net.run_for(35.0)
+        return r, q, h.status, h.idle
+    (logged, unlogged), messages = _both_ways(script, monkeypatch)
+    assert logged == unlogged
+    assert messages[:2] == ([(300 * NS // 1000, "want_have", True),
+                             (600 * NS // 1000, "dont_have", False)] if answered else [])
+
+
+@pytest.mark.parametrize("probe_ms, expected", [
+    (100, [(400, "want_have", True), (500, "want_have", True),
+           (800, "dont_have", False), (900, "dont_have", False)]),
+    (500, [(800, "dont_have", False), (900, "want_have", True), (1300, "dont_have", False)]),
+], ids=["want-in-flight", "answer-in-flight"])
+def test_probe_on_a_scheduled_peer(probe_ms, expected, monkeypatch):
+    # q's answer to r's broadcast (want at 0.4 s, answer due at 0.8 s)
+    # serves r's probe of q, which then returns at 0.8 s
+    def script(net):
+        r, q, cid = _requester_world(net, far_s=0.4)
+        h = net.request(r, cid)
+        net.run_for(probe_ms / 1000)
+        answer = net.probe_want_have(r, q, cid)
+        returned_at = net.now_ns
+        net.run_for(3.0)
+        return r, q, answer, returned_at, h.status
+    (logged, unlogged), messages = _both_ways(script, monkeypatch)
+    assert logged == unlogged and logged[0][2:4] == (False, 800 * NS // 1000)
+    assert messages == [(t * NS // 1000, kind, by_r) for t, kind, by_r in expected]
+
+
+def test_relink_that_speeds_up_the_last_scheduled_answer(monkeypatch):
+    # q2's answer was the last one due (0.6 s); relinked at 0.1 s over a
+    # faster link, it comes back at 0.35 s, so q1's at 0.4 s is the last
+    def script(net):
+        r, q2, cid = _requester_world(net)
+        q1 = net.add_node(NodeKind.DHT_SERVER)
+        net.connect(r, q1, latency_s=0.2)
+        h = net.request(r, cid)
+        net.run_for(0.1)
+        net.disconnect(r, q2)
+        net.connect(r, q2, latency_s=0.05)
+        net.run_for(3.0)
+        return r, q2, h.status
+    (logged, unlogged), messages = _both_ways(script, monkeypatch)
+    assert logged == unlogged
+    assert messages == [(300 * NS // 1000, "want_have", True),
+                        (350 * NS // 1000, "dont_have", False)]
+
+
+def test_want_that_lands_after_the_window_gets_no_answer():
+    # rule 1 for a scheduled want: r's window closed at 0.04 s, so q sends
+    # nothing back for the want that reached it at 0.3 s, and r's probe of q
+    # at 0.4 s waits for q's answer to the probe itself (a logged run's q
+    # answers every want, so there the probe would return at 0.6 s)
+    net = scripted_net()
+    r, q, cid = _requester_world(net)
+    holder = net.add_node(NodeKind.DHT_SERVER)
+    net.connect(r, holder, latency_s=0.02)
+    net.provide(holder, cid)
+    net.request(r, cid)
+    net.run_for(0.4)
+    assert net.probe_want_have(r, q, cid) is False
+    assert net.now_ns == NS
+
+
+def test_new_request_reads_answers_to_the_last_ones_wants(monkeypatch):
+    # with no cache r requests again at 0.09 s, after a fetch that closed its
+    # window at 0.04 s; the first request's want still reaches q at 0.3 s,
+    # and q's answer to it counts for the second request at 0.6 s
+    def script(net):
+        r, q, cid = _requester_world(net)
+        holder = net.add_node(NodeKind.DHT_SERVER)
+        net.connect(r, holder, latency_s=0.02)
+        net.provide(holder, cid)
+        first = net.request(r, cid)
+        net.run_for(0.09)
+        net.disconnect(r, holder)
+        second = net.request(r, cid)
+        net.run_for(3.0)
+        return r, q, first.status, second.status
+    (logged, unlogged), messages = _both_ways(script, monkeypatch, cache_capacity_blocks=0)
+    assert logged == unlogged
+    assert messages == list(zip(_ms(300, 390, 600, 690), ["want_have", "want_have",
+                                                          "dont_have", "dont_have"],
+                                [True, True, False, False]))
+
+
+def test_rebroadcast_keeps_the_last_schedules_wants_in_flight(monkeypatch):
+    # over a 40 s link the first want reaches q at 40 s, after the 30 s
+    # re-broadcast; q gets the block at 35 s, so it answers that want HAVE
+    def script(net):
+        r, q, cid = _requester_world(net, far_s=40.0)
+        h = net.request(r, cid)
+        net.set_offline(net.find_providers(cid).pop())  # r's window ends with no provider
+        net.run_for(35.0)
+        net.provide(q, cid)
+        net.run_for(130.0)  # q's HAVE lands at 80 s, its block at 160 s
+        return r, q, h.status, h.provider == q
+    (logged, unlogged), messages = _both_ways(script, monkeypatch)
+    assert logged == unlogged and logged[0][2:] == (RequestStatus.FETCHED, True)
+    assert messages[:2] == [(40 * NS, "want_have", True), (70 * NS, "want_have", True)]
+
+
+# every link is slower than half the broadcast window, so every answer lands
+# after its request's timeout has started the DHT step
+SLOW_LINKS_CONFIG = {**REFERENCE_CONFIG, "latency_range_s": [0.6, 0.9], "duration_s": 90.0}
+
+
+def test_answers_that_land_after_the_timeout(monkeypatch):
+    handled = record_dispatch(monkeypatch)
+    logged, with_log = _outcome(SLOW_LINKS_CONFIG, True, False)
+    unlogged, without_log = _outcome(SLOW_LINKS_CONFIG, False, False)
+    assert with_log == without_log
+    # the unlogged run scheduled answers, and none was due by its timeout
+    assert any(n is unlogged and code == netsim._ANSWERS_DUE for n, _, code, _, _, _ in handled)

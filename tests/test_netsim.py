@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from helpers import record_dispatch
+
 from swarmwatch import netsim
 from swarmwatch.core import RAW, NodeId, RequestType, hash_content
 from swarmwatch.errors import ConfigError, InputError, UnknownGatewayError
@@ -246,6 +248,17 @@ class TestRun:
         assert net.now_ns == 5 * NS
         net.run_for(0.0)  # an empty span stays valid
         assert net.now_ns == 5 * NS
+
+    @pytest.mark.parametrize("span", [-5.0, math.nan, math.inf])
+    def test_run_rejects_a_bad_duration_before_it_changes_anything(self, span):
+        net = build_network(SimConfig(n_dht_servers=3, n_monitors=1, degree_range=(1, 2),
+                                      churn=ChurnConfig(60.0, 20.0)))
+        with pytest.raises(InputError, match="duration_s must be"):
+            run(net, span)
+        assert net.now_ns == 0 and net._heap == []
+        assert not (net._monitors_attached or net._churn_started)
+        run(net, 0.0)  # an empty span stays valid
+        assert net._monitors_attached and net._churn_started
 
     def test_two_monitors_see_request_with_latency_skew(self):
         net = scripted_net()
@@ -894,3 +907,30 @@ def test_numpy_view_hands_the_stream_back_after_an_error():
     for _ in range(3):
         ref.random()
     assert rng.getstate() == ref.getstate()
+
+
+# a sim-batch world of the benchmark: 1,000 regular nodes with churn,
+# gateway traffic and Zipf requests
+SIM_BATCH_CONFIG = {
+    "n_dht_servers": 600, "n_clients": 388, "n_gateways": 12, "n_monitors": 2,
+    "degree_range": [8, 14], "catalog_size": 2000,
+    "popularity_sampler": {"kind": "zipf", "exponent": 1.1},
+    "request_rate_per_node": 0.025, "unresolvable_fraction": 0.3,
+    "gateway_cache_hit_ratio": 0.9, "gateway_http_rate": 0.5,
+    "gateway_group_sizes": [4, 3, 3, 2],
+    "churn": {"mean_session_s": 1800.0, "mean_offline_s": 120.0},
+    "monitor_coverage": 0.8, "duration_s": 120.0, "seed": 501,
+}
+
+
+def test_unlogged_wants_reach_only_monitors_holders_and_probed_peers(monkeypatch):
+    # rules 2 and 3: no want goes to a peer that would neither log it nor
+    # have the block
+    handled = record_dispatch(monkeypatch)
+    net = build_network(config_from_dict(SIM_BATCH_CONFIG))
+    run(net)
+    at, cids = net._at, net._cids
+    wants = [(a, b, c) for _, _, code, a, b, c in handled if code == netsim._WANT_HAVE]
+    assert wants
+    assert all(b in net._monitor_idx or at[b].has_block(cids[c]) or (a, b, c) in net._probe_waits
+               for a, b, c in wants)
