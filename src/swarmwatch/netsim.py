@@ -819,8 +819,10 @@ class Network:
         else:
             # rule 2 (module docstring): other peers could only answer a
             # dont_have that rule 1 drops
-            mon, waits = self._monitor_idx, self._probe_waits
-            send = [p for p in peers if p in mon or (i, p, c) in waits]
+            keep = self._monitor_idx
+            if self._probe_waits:
+                keep = keep.union(b for a, b, x in self._probe_waits if a == i and x == c)
+            send = list(filter(keep.__contains__, peers))
         if initial:
             h._pending_answers = set(send)
             if not peers:
@@ -861,8 +863,6 @@ class Network:
     def _scheduled(self) -> list[RequestHandle]:
         """The requests whose schedule may still stand for a message; drops the rest."""
         now, reg = self.now_ns, self._schedules
-        if not reg:
-            return []
         live = [h for h in reg.values() if h._sched_end > now]
         if len(live) < len(reg):
             for h in reg.values():
@@ -1175,36 +1175,30 @@ class Network:
             # parity repair; may leave one node a single step outside the range
             i = rng.randrange(n)
             targets[i] += -1 if targets[i] > dmin else 1
-        with _numpy_view(rng) as gen:  # ties and latencies, drawn in blocks
-            self._join_by_need(regular, np.array(targets, dtype=np.int64), gen)
-
-    def _join_by_need(self, regular: list[NodeId], need: np.ndarray,
-                      gen: np.random.Generator) -> None:
-        """Havel-Hakimi as the module docstring states it: each step joins the
-        node of most remaining need to the next k in (need descending, fresh
-        random tie) order."""
-        n = len(regular)
+        # Havel-Hakimi as the module docstring states it
+        need = np.array(targets, dtype=np.int64)
         lo, hi = self.cfg.latency_range_s
         index = [self.nodes[nid].index for nid in regular]
-        while True:
-            tie = gen.random(n)
-            k = int(need.max())
-            if k == 0:
-                break
-            # the (k+1)-th largest need; the nodes at or above it are the
-            # first k+1 of the full order, and a stable sort of them in index
-            # order ranks them as lexsort over all n does
-            level = 0 if n - 1 < k else -np.partition(-need, k)[k]
-            if level == 0:
-                raise ConfigError("degree sequence not realizable, lower the range")
-            top = np.flatnonzero(need >= level)
-            order = top[np.lexsort((tie[top], -need[top]))]
-            u, partners = order[0], order[1 : k + 1]
-            need[u] = 0
-            need[partners] -= 1
-            # lo + (hi - lo) * r is rng.uniform(lo, hi), bit for bit
-            for v, r in zip(partners.tolist(), gen.random(k).tolist()):
-                self._link(index[u], index[v], lo + (hi - lo) * r)
+        with _numpy_view(rng) as gen:  # ties and latencies, drawn in blocks
+            while True:
+                tie = gen.random(n)
+                k = int(need.max())
+                if k == 0:
+                    break
+                # the (k+1)-th largest need; the nodes at or above it are the
+                # first k+1 of the full order, and a stable sort of them in
+                # index order ranks them as lexsort over all n does
+                level = 0 if n - 1 < k else -np.partition(-need, k)[k]
+                if level == 0:
+                    raise ConfigError("degree sequence not realizable, lower the range")
+                top = np.flatnonzero(need >= level)
+                order = top[np.lexsort((tie[top], -need[top]))]
+                u, partners = order[0], order[1 : k + 1]
+                need[u] = 0
+                need[partners] -= 1
+                # lo + (hi - lo) * r is rng.uniform(lo, hi), bit for bit
+                for v, r in zip(partners.tolist(), gen.random(k).tolist()):
+                    self._link(index[u], index[v], lo + (hi - lo) * r)
 
     def _build_gateway_groups(self, gateway_nodes: list[NodeId]) -> None:
         at = 0
