@@ -40,6 +40,9 @@ CHURNED_ATTACK_CONFIG = {**ATTACKED_CONFIG, "monitor_coverage": 0.5,
 HIGH_DEGREE_CONFIG = {**CHURNED_ATTACK_CONFIG, "n_dht_servers": 120, "n_clients": 75,
                       "n_gateways": 5, "gateway_group_sizes": [3, 2],
                       "degree_range": [60, 120], "duration_s": 30.0}
+# every link is slower than half the broadcast window, so every answer lands
+# after its request's timeout has started the DHT step
+SLOW_LINKS_CONFIG = {**REFERENCE_CONFIG, "latency_range_s": [0.6, 0.9], "duration_s": 90.0}
 
 
 def _attack(net) -> tuple:
@@ -110,7 +113,8 @@ def _outcome(doc: dict, record_messages: bool, attack: bool):
     (ATTACKED_CONFIG, True),
     (CHURNED_ATTACK_CONFIG, True),
     (HIGH_DEGREE_CONFIG, True),
-], ids=["churn", "gateways", "attacked", "attacked-churn", "high-degree"])
+    (SLOW_LINKS_CONFIG, False),
+], ids=["churn", "gateways", "attacked", "attacked-churn", "high-degree", "slow-links"])
 def test_elided_messages_change_nothing_unless_logged(doc, attack, monkeypatch):
     handled = record_dispatch(monkeypatch)
     logged, with_log = _outcome(doc, True, attack)
@@ -332,8 +336,9 @@ def _requester_world(net, far_s: float = 0.3):
     return r, q, cid
 
 
-def _ms(*times_ms):
-    return [t * NS // 1000 for t in times_ms]
+def _in_ns(expected):
+    """(time in ms, kind, sender is the requester) as ``_both_ways`` lists them."""
+    return [(t * NS // 1000, kind, by_r) for t, kind, by_r in expected]
 
 
 def test_scheduled_peer_that_fetches_the_block_in_flight_answers_have(monkeypatch):
@@ -348,9 +353,8 @@ def test_scheduled_peer_that_fetches_the_block_in_flight_answers_have(monkeypatc
         return r, q, h.status, h.provider == q
     (logged, unlogged), messages = _both_ways(script, monkeypatch)
     assert logged == unlogged and logged[0][2:] == (RequestStatus.FETCHED, True)
-    assert messages == list(zip(_ms(300, 600, 900, 1200),
-                                ["want_have", "have", "want_block", "block"],
-                                [True, False, True, False]))
+    assert messages == _in_ns([(300, "want_have", True), (600, "have", False),
+                               (900, "want_block", True), (1200, "block", False)])
 
 
 @pytest.mark.parametrize("drop_ms, relink_ms, expected", [
@@ -375,7 +379,7 @@ def test_scheduled_link_that_drops_in_flight(drop_ms, relink_ms, expected, monke
         return r, q, h.status
     (logged, unlogged), messages = _both_ways(script, monkeypatch)
     assert logged == unlogged and logged[0][2] is RequestStatus.FETCHED
-    assert messages == [(t * NS // 1000, kind, by_r) for t, kind, by_r in expected]
+    assert messages == _in_ns(expected)
 
 
 @pytest.mark.parametrize("back_ms, answered", [(250, True), (700, False), (2000, False)],
@@ -394,8 +398,8 @@ def test_requester_offline_in_its_window(back_ms, answered, monkeypatch):
         return r, q, h.status, h.idle
     (logged, unlogged), messages = _both_ways(script, monkeypatch)
     assert logged == unlogged
-    assert messages[:2] == ([(300 * NS // 1000, "want_have", True),
-                             (600 * NS // 1000, "dont_have", False)] if answered else [])
+    assert messages[:2] == (_in_ns([(300, "want_have", True), (600, "dont_have", False)])
+                            if answered else [])
 
 
 @pytest.mark.parametrize("probe_ms, expected", [
@@ -416,7 +420,7 @@ def test_probe_on_a_scheduled_peer(probe_ms, expected, monkeypatch):
         return r, q, answer, returned_at, h.status
     (logged, unlogged), messages = _both_ways(script, monkeypatch)
     assert logged == unlogged and logged[0][2:4] == (False, 800 * NS // 1000)
-    assert messages == [(t * NS // 1000, kind, by_r) for t, kind, by_r in expected]
+    assert messages == _in_ns(expected)
 
 
 def test_relink_that_speeds_up_the_last_scheduled_answer(monkeypatch):
@@ -434,8 +438,7 @@ def test_relink_that_speeds_up_the_last_scheduled_answer(monkeypatch):
         return r, q2, h.status
     (logged, unlogged), messages = _both_ways(script, monkeypatch)
     assert logged == unlogged
-    assert messages == [(300 * NS // 1000, "want_have", True),
-                        (350 * NS // 1000, "dont_have", False)]
+    assert messages == _in_ns([(300, "want_have", True), (350, "dont_have", False)])
 
 
 def test_want_that_lands_after_the_window_gets_no_answer():
@@ -471,9 +474,8 @@ def test_new_request_reads_answers_to_the_last_ones_wants(monkeypatch):
         return r, q, first.status, second.status
     (logged, unlogged), messages = _both_ways(script, monkeypatch, cache_capacity_blocks=0)
     assert logged == unlogged
-    assert messages == list(zip(_ms(300, 390, 600, 690), ["want_have", "want_have",
-                                                          "dont_have", "dont_have"],
-                                [True, True, False, False]))
+    assert messages == _in_ns([(300, "want_have", True), (390, "want_have", True),
+                               (600, "dont_have", False), (690, "dont_have", False)])
 
 
 def test_rebroadcast_keeps_the_last_schedules_wants_in_flight(monkeypatch):
@@ -490,17 +492,3 @@ def test_rebroadcast_keeps_the_last_schedules_wants_in_flight(monkeypatch):
     (logged, unlogged), messages = _both_ways(script, monkeypatch)
     assert logged == unlogged and logged[0][2:] == (RequestStatus.FETCHED, True)
     assert messages[:2] == [(40 * NS, "want_have", True), (70 * NS, "want_have", True)]
-
-
-# every link is slower than half the broadcast window, so every answer lands
-# after its request's timeout has started the DHT step
-SLOW_LINKS_CONFIG = {**REFERENCE_CONFIG, "latency_range_s": [0.6, 0.9], "duration_s": 90.0}
-
-
-def test_answers_that_land_after_the_timeout(monkeypatch):
-    handled = record_dispatch(monkeypatch)
-    logged, with_log = _outcome(SLOW_LINKS_CONFIG, True, False)
-    unlogged, without_log = _outcome(SLOW_LINKS_CONFIG, False, False)
-    assert with_log == without_log
-    # the unlogged run scheduled answers, and none was due by its timeout
-    assert any(n is unlogged and code == netsim._ANSWERS_DUE for n, _, code, _, _, _ in handled)
