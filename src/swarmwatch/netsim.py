@@ -837,11 +837,11 @@ class Network:
         only the requester's bookkeeping would read; return the peers whose
         want is queued, which include ``queued``."""
         node, at, now = self._at[h._node], self._at, self.now_ns
-        i, c, cid = node.index, h._cid, self._cids[h._cid]
+        i, c, cid, lat = node.index, h._cid, self._cids[h._cid], node.latency_ns
         mon, waits, provided = self._monitor_idx, self._probe_waits, c in self._providers
         send: list[int] = []
         sched: list[int] = []
-        for p in node.latency_ns:
+        for p in lat:
             peer = at[p]
             if (p in mon or not peer.online or (waits and (i, p, c) in waits)
                     or provided and (cid in peer.store or cid in peer.cache)
@@ -851,7 +851,6 @@ class Network:
                 sched.append(p)
         h._sched = sched
         if sched:
-            lat = node.latency_ns
             end = now + 2 * max(map(lat.__getitem__, sched))
             h._sched_ns, h._sched_end = now, end
             # answers are awaited while the window is open; a re-broadcast gets none
