@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import zeta
+from scipy.special import gammaln, zeta
 
 from .core import Cid, Codec, NodeId, RequestType, TraceRecord, open_text, span_ns
 from .errors import DegenerateSampleError, InputError
@@ -113,6 +113,12 @@ ALPHA_STEP = 0.01
 XMIN_QUANTILE = 0.9
 # Bootstrap replicates refitted as one batch; bounds the memory of the KS scan.
 FIT_CHUNK = 16
+# Largest sample value the fit takes; the bootstrap's draws are capped there
+# too, so every zeta the fit evaluates has q <= MAX_SAMPLE + 1.
+MAX_SAMPLE = 10**18
+# Largest exponent of an alpha_range: the slope table holds one grid node per
+# ALPHA_STEP of the range, and the zeta series is checked up to here.
+MAX_ALPHA = 50.0
 
 
 class _SlopeTable:
@@ -170,6 +176,79 @@ class _SlopeTable:
         return np.clip(alpha, *self.alpha_range)
 
 
+# B_2j / (2j)! for j = 1..6, the Euler-Maclaurin weights of the zeta series in
+# _zeta_triangle: the first five are summed, the sixth bounds what is left out
+_EM_WEIGHTS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000)
+# The series starts no lower than this q, and only where its first omitted
+# term is below SERIES_TOLERANCE of the value; scipy's zeta takes the rest.
+SERIES_MIN_Q = 20.0
+SERIES_TOLERANCE = 1e-16
+
+
+def _series_min_q(s: np.ndarray) -> np.ndarray:
+    """Least q, and at least SERIES_MIN_Q, at which the series' first omitted
+    term |w_6| (s)_11 q**(-s - 11) is below SERIES_TOLERANCE times
+    q**(1 - s) / (s - 1), a lower bound of zeta(s, q). Solved for q in log
+    space, so no power of q is formed."""
+    log_ratio = (np.log(-_EM_WEIGHTS[-1]) + gammaln(s + 11) - gammaln(s) + np.log(s - 1)
+                 - np.log(SERIES_TOLERANCE))
+    return np.maximum(SERIES_MIN_Q, np.exp(log_ratio / 12))
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """starts[i], starts[i] + 1, ..., starts[i] + lengths[i] - 1 for each i, concatenated."""
+    return np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+
+
+def _zeta_triangle(s: np.ndarray, q: np.ndarray, first: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """zeta(s[c], q[first[c]:end[c]]) for every row c, rows concatenated.
+
+    q ascends from the least ``first`` of the rows that share an ``end`` up to
+    that end (in a fit, one sample's unique values plus one). Each row's
+    columns from its first q at or past ``_series_min_q`` on take the
+    Euler-Maclaurin series
+
+        zeta(s, q) = q**(1 - s) * (1 / (s - 1) + 1 / (2 q) + sum_j w_j (s)_(2j-1) q**(-2j))
+
+    over j = 1..5, with w_j = B_2j / (2j)! and (s)_k the rising factorial,
+    evaluated by Horner's rule in q**-2 with each row's coefficients. The
+    power is ``np.power``, not exp(-s log q): near the underflow edge at
+    s = 50, s log q reaches 700, and the rounding of that product alone
+    would cost 1.6e-13 of the value. The columns before that suffix, found
+    by one searchsorted per end, take scipy's zeta instead.
+    """
+    length = end - first
+    col = _ranges(first, length)
+    r = (1.0 / q)[col]
+    r2 = r * r
+    rising = s.copy()  # (s)_1, then (s)_3, (s)_5, ...
+    coefs = []
+    for j, w in enumerate(_EM_WEIGHTS[:-1]):
+        coefs.append(w * rising)
+        rising = rising * (s + 2 * j + 1) * (s + 2 * j + 2)
+    out = np.repeat(coefs[-1], length)
+    for c in coefs[-2::-1]:
+        out *= r2
+        out += np.repeat(c, length)
+    out *= r
+    out += 0.5
+    out *= r
+    out += np.repeat(1.0 / (s - 1.0), length)
+    out *= np.power(q[col], np.repeat(1.0 - s, length))
+    # the series ran over every column; each row's prefix below its
+    # switch-over is replaced by scipy's values
+    min_q = _series_min_q(s)
+    split = np.empty_like(first)
+    for e in np.unique(end):
+        rows = end == e
+        start = first[rows].min()
+        split[rows] = start + np.searchsorted(q[start:e], min_q[rows])
+    n_scipy = np.maximum(split, first) - first
+    out[_ranges(np.cumsum(length) - length, n_scipy)] = zeta(
+        np.repeat(s, n_scipy), q[_ranges(first, n_scipy)])
+    return out
+
+
 def _fit_tails(samples: Sequence[np.ndarray], table: _SlopeTable):
     """Scan every sample's candidate cutoffs in one batch, fit alpha at each,
     and keep each sample's first minimal-KS cutoff.
@@ -210,8 +289,8 @@ def _fit_tails(samples: Sequence[np.ndarray], table: _SlopeTable):
     # the KS triangle: candidate c covers columns first_col[c] .. end_col[c] - 1
     length = end_col - first_col
     seg = np.cumsum(length) - length
-    col = np.arange(seg[-1] + length[-1]) + np.repeat(first_col - seg, length)
-    model_cdf = 1.0 - zeta(np.repeat(alphas, length), u_all[col] + 1.0) / np.repeat(
+    col = _ranges(first_col, length)
+    model_cdf = 1.0 - _zeta_triangle(alphas, u_all + 1.0, first_col, end_col) / np.repeat(
         zeta(alphas, xmins), length)
     # the sample values below a cutoff, n - n_tail, are the tail CDF's zero
     below = np.repeat(cum_all[end_col - 1] - tail_n, length)
@@ -249,7 +328,7 @@ class _DiscretePowerLawSampler:
         rest = ~in_table
         if rest.any():
             y = (self.xmin - 0.5) * (1.0 - u[rest]) ** (-1.0 / (self.alpha - 1.0))
-            out[rest] = np.floor(np.minimum(y + 0.5, 1e18)).astype(np.int64)
+            out[rest] = np.floor(np.minimum(y + 0.5, MAX_SAMPLE)).astype(np.int64)
         return out
 
 
@@ -270,21 +349,26 @@ def fit_power_law(
     replicates whose KS distance reaches the observed one, among those not
     skipped for being constant (``replicates_skipped`` counts those); it is
     nan when every replicate was skipped (or ``bootstraps`` is 0).
-    ``bootstraps`` and ``seed`` must be non-negative. The replicates are
+    ``bootstraps`` and ``seed`` must be non-negative, the samples integers
+    (integral floats included) from 1 to ``MAX_SAMPLE``, and
+    ``alpha_range`` within (1, ``MAX_ALPHA``]. The replicates are
     refitted ``FIT_CHUNK`` at a time, sharing one slope table.
     Deterministic for a fixed seed.
     """
     if min(bootstraps, seed) < 0:
         raise InputError(f"bootstraps and seed must be non-negative, got {bootstraps}, {seed}")
-    x = np.asarray(list(samples), dtype=np.int64)
+    x = np.asarray(list(samples))
+    if x.ndim != 1 or x.dtype.kind not in "iuf" or not (
+            (x >= 1) & (x <= MAX_SAMPLE) & (np.floor(x) == x)).all():
+        raise InputError(f"samples must be integers from 1 to {MAX_SAMPLE:.0e}")
+    x = x.astype(np.int64)
     if len(x) < 50:
         raise InputError("need at least 50 samples to fit")
-    if (x < 1).any():
-        raise InputError("samples must be positive integers")
     if x.min() == x.max():
         raise DegenerateSampleError("all samples are equal")
-    if not 1.0 < alpha_range[0] <= alpha_range[1]:
-        raise InputError(f"alpha_range must satisfy 1 < low <= high, got {alpha_range}")
+    if not 1.0 < alpha_range[0] <= alpha_range[1] <= MAX_ALPHA:
+        raise InputError(f"alpha_range must satisfy 1 < low <= high <= {MAX_ALPHA:g}, "
+                         f"got {alpha_range}")
     table = _SlopeTable(alpha_range)
     # the observed sample is a batch of one
     alphas, xmins, kss, tails = _fit_tails([x], table)

@@ -4,9 +4,11 @@ The flag checkers here are deliberately naive pairwise scans, independent
 of the linear-time implementations in swarmwatch.pipeline. The power-law
 reference fits one sample at a time and solves each cutoff's exponent by
 bisection, independent of the batched table-and-Newton fitter in
-swarmwatch.analytics. The peer-set reference walks each monitor's events
-into per-peer intervals and scans every interval at every sample instant,
-independent of the sort-based swarmwatch.estimators.peer_set_stats.
+swarmwatch.analytics; the triangle reference scores every KS entry with
+scipy's zeta, independent of the fitter's series. The peer-set reference
+walks each monitor's events into per-peer intervals and scans every
+interval at every sample instant, independent of the sort-based
+swarmwatch.estimators.peer_set_stats.
 """
 
 from __future__ import annotations
@@ -174,6 +176,14 @@ def bisection_fit_power_law(samples, bootstraps, seed, alpha_range=(1.5, 3.5)):
         ran += 1
         exceed += bisection_fit_tail(syn, alpha_range)[2] >= ks_obs
     return alpha, xmin, ks_obs, n_tail, exceed / ran if ran else float("nan")
+
+
+def scipy_zeta_triangle(s, q, first, end):
+    """Reference for ``analytics._zeta_triangle``: scipy's zeta at every entry
+    of the KS triangle, row c covering q[first[c]:end[c]], as the fitter
+    scored it before the series."""
+    col = np.concatenate([np.arange(f, e) for f, e in zip(first, end)])
+    return zeta(np.repeat(s, end - first), q[col])
 
 
 def synthetic_records(

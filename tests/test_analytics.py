@@ -6,18 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
-from helpers import bisection_fit_power_law, bisection_fit_tail
+from helpers import bisection_fit_power_law, bisection_fit_tail, scipy_zeta_triangle
 from swarmwatch import analytics
 from swarmwatch.analytics import (
     DEFAULT_ALPHA_RANGE,
+    MAX_ALPHA,
+    MAX_SAMPLE,
     NON_GATEWAY_GROUP,
+    SERIES_MIN_Q,
     UNRESOLVED_COUNTRY,
     GeoDb,
     PopularityTable,
     RatePoint,
     ShareRow,
     _fit_tails,
+    _series_min_q,
     _SlopeTable,
+    _zeta_triangle,
     codec_share,
     ecdf,
     fit_power_law,
@@ -220,6 +225,28 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError, match="alpha_range"):
             fit_power_law(self.NEARLY_CONSTANT, alpha_range=alpha_range)
 
+    # each used to get through: 2.5 was truncated to 2 and fitted, NaN raised
+    # numpy's bare ValueError, the others OverflowError or numpy's
+    # "Maximum allowed size exceeded"
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), 2**70, 0, -3,
+                                     MAX_SAMPLE + 1])
+    def test_sample_outside_the_domain_raises_naming_samples(self, bad):
+        with pytest.raises(InputError, match="samples"):
+            fit_power_law([*self.NEARLY_CONSTANT, bad], bootstraps=0)
+
+    @pytest.mark.parametrize("alpha_range", [(1.5, float("inf")), (1.5, 1e300),
+                                             (1.5, MAX_ALPHA + 0.5), (float("nan"), 2.0)])
+    def test_alpha_range_outside_the_domain_raises_naming_it(self, alpha_range):
+        with pytest.raises(InputError, match="alpha_range"):
+            fit_power_law(self.NEARLY_CONSTANT, bootstraps=0, alpha_range=alpha_range)
+
+    def test_integral_floats_fit_as_integers(self):
+        x = exact_discrete_powerlaw(2.2, 1, 300, seed=5)
+        assert x.max() <= MAX_SAMPLE
+        want = fit_power_law(x, bootstraps=10, seed=1)
+        assert fit_power_law(x.astype(np.float64), bootstraps=10, seed=1) == want
+        assert fit_power_law([*x[:-1], MAX_SAMPLE], bootstraps=0).x_min >= 1
+
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     def test_chunk_size_does_not_change_the_fit(self, chunk, monkeypatch):
         # 37 replicates: with chunks of 16 the last one is partial
@@ -263,6 +290,137 @@ class TestFitterOracle:
         assert (fit.x_min, fit.n_tail) == (xmin, n_tail)
         assert abs(fit.ks_statistic - ks) <= 1e-9
         assert abs(fit.p_value - p) <= 0.02
+
+
+# a monitor-logs-sized sample: 5,000 scores, 73 unique values up to 1,005;
+# the series scores about 92% of its fits' KS triangles
+URP_LIKE_SEED = 2210
+
+
+class TestSeriesOracle:
+    """The fitter against itself with scipy's zeta at every KS-triangle entry
+    (``helpers.scipy_zeta_triangle``). The first 40 ``ORACLE_CASES`` are
+    criterion 08's samples."""
+
+    @staticmethod
+    def _both(x, bootstraps, seed, monkeypatch):
+        fit = fit_power_law(x, bootstraps=bootstraps, seed=seed)
+        monkeypatch.setattr(analytics, "_zeta_triangle", scipy_zeta_triangle)
+        return fit, fit_power_law(x, bootstraps=bootstraps, seed=seed)
+
+    @staticmethod
+    def _assert_same(fit, ref):
+        assert (fit.alpha, fit.x_min, fit.n_tail, fit.p_value) == (
+            ref.alpha, ref.x_min, ref.n_tail, ref.p_value)
+        assert abs(fit.ks_statistic - ref.ks_statistic) <= 1e-12
+
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_fit_matches_the_scipy_triangle(self, case, monkeypatch):
+        self._assert_same(*self._both(oracle_sample(case), 20, case[-1], monkeypatch))
+
+    def test_urp_sized_fit_matches_the_scipy_triangle(self, monkeypatch):
+        x = exact_discrete_powerlaw(2.2, 1, 5000, seed=URP_LIKE_SEED)
+        assert (x.max(), len(np.unique(x))) == (1005, 73)
+        self._assert_same(*self._both(x, 100, URP_LIKE_SEED, monkeypatch))
+
+
+def _triangle(alphas, q):
+    """_zeta_triangle with one row per exponent over all of the ascending q."""
+    alphas, q = np.asarray(alphas, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    first, end = np.zeros(len(alphas), dtype=np.int64), np.full(len(alphas), len(q))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        return _zeta_triangle(alphas, q, first, end).reshape(len(alphas), len(q))
+
+
+def _reference_domain(s, q):
+    """Where scipy's zeta(s, q) is a normal float and so is q**-s, its own
+    first term: below that, scipy loses digits to subnormal terms."""
+    tiny = np.finfo(np.float64).tiny
+    with np.errstate(under="ignore"):
+        ref = zeta(s, q)
+    return ref, (ref >= tiny) & (s * np.log(q) < -np.log(tiny))
+
+
+def _worst_error_against_scipy(z, s, q):
+    """Largest relative error of z against scipy's zeta(s, q) over the
+    reference domain, and the share of the entries that lie in it."""
+    ref, ok = _reference_domain(s, q)
+    rel = np.abs(z[ok] / ref[ok] - 1.0)
+    return (rel.max() if ok.any() else 0.0), ok.mean()
+
+
+class TestZetaTriangle:
+    """The triangle kernel against scipy.special.zeta over the exponents the
+    fit accepts and every q the fit can meet (the sampler's draws reach
+    MAX_SAMPLE)."""
+
+    ALPHAS = (1 + 2**-52, 1 + 1e-9, 1.001, 1.01, 1.2, 1.5, 2.0, 2.5, 3.0, 3.5, 5.0, 7.5,
+              12.0, 20.0, 30.0, 42.0, MAX_ALPHA)
+    # every integer to 400 (each row's switch-over lies below 200, so the
+    # grid holds the columns on both sides of it) and log-spaced q beyond
+    Q = np.unique(np.concatenate([np.arange(1.0, 401.0),
+                                  np.geomspace(1.0, MAX_SAMPLE + 1.0, 600).round()]))
+
+    def test_grid_matches_scipy(self):
+        s = np.asarray(self.ALPHAS)[:, None]
+        z = _triangle(self.ALPHAS, self.Q)
+        worst, covered = _worst_error_against_scipy(z, s, self.Q[None, :])
+        assert worst <= 1e-13
+        assert covered > 0.7
+        # over the default exponent range the series is as close as rounding
+        # allows; one term short, it would be off by up to 1.4e-14 there
+        fit_rows = s[:, 0] <= DEFAULT_ALPHA_RANGE[1]
+        assert _worst_error_against_scipy(z[fit_rows], s[fit_rows], self.Q[None, :])[0] <= 2e-15
+
+    def test_scipy_keeps_the_columns_below_each_switch_over(self):
+        z = _triangle(self.ALPHAS, self.Q)
+        min_q = _series_min_q(np.asarray(self.ALPHAS))
+        assert min_q.min() == SERIES_MIN_Q == 20.0
+        for row, a, m in zip(z, self.ALPHAS, min_q):
+            below = self.Q < m
+            assert np.array_equal(row[below], zeta(a, self.Q[below]))
+            # and the series takes the rest
+            assert not np.array_equal(row[~below], zeta(a, self.Q[~below]))
+
+    def test_a_row_below_its_bound_stays_on_scipy(self):
+        # the bound puts the switch-over near q = 198 at alpha 50 and 125 at 30
+        q = np.arange(1.0, 121.0)
+        z = _triangle([30.0, MAX_ALPHA], q)
+        assert np.array_equal(z, zeta(np.array([[30.0], [MAX_ALPHA]]), q))
+        assert np.all(_series_min_q(np.array([30.0, MAX_ALPHA])) > q[-1])
+
+    # scipy's own value is off in its twelfth digit here, where q**-s is
+    # subnormal; the references are mpmath's, at 40 digits
+    @pytest.mark.parametrize("s, q, want", [
+        (43.20883190627312, 17228554.0, 8.729447677414658e-308),
+        (40.993617131368886, 44352035.0, 3.7177202170606535e-308),
+    ])
+    def test_series_is_right_where_scipy_goes_subnormal(self, s, q, want):
+        assert abs(_triangle([s], [q])[0, 0] / want - 1.0) <= 1e-14
+        assert abs(zeta(s, q) / want - 1.0) > 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_batched_rows_match_scipy(self, data):
+        """Rows over several ascending runs of q, each row starting anywhere
+        in its run, as a batch of samples lays them out."""
+        qs = st.one_of(st.integers(1, MAX_SAMPLE + 1).map(float),
+                       st.floats(1.0, MAX_SAMPLE + 1.0))
+        runs = data.draw(st.lists(st.lists(qs, min_size=1, max_size=40, unique=True)
+                                  .map(sorted), min_size=1, max_size=3))
+        ends = np.cumsum([len(run) for run in runs])
+        rows = data.draw(st.lists(st.tuples(
+            st.floats(1.0, MAX_ALPHA, exclude_min=True), st.integers(0, len(runs) - 1),
+            st.integers(0, 39)), min_size=1, max_size=12))
+        s = np.array([a for a, _, _ in rows])
+        end = np.array([ends[k] for _, k, _ in rows])
+        first = np.array([ends[k] - len(runs[k]) + min(at, len(runs[k]) - 1)
+                          for _, k, at in rows])
+        q = np.concatenate(runs)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            z = _zeta_triangle(s, q, first, end)
+        col = np.concatenate([np.arange(f, e) for f, e in zip(first, end)])
+        assert _worst_error_against_scipy(z, np.repeat(s, end - first), q[col])[0] <= 1e-13
 
 
 @pytest.mark.parametrize("alpha, xmin, seed", [
