@@ -44,17 +44,16 @@ class PopularityTable:
         return sorted(self.urp.values(), reverse=True)
 
 
-def popularity(source: Iterable[TraceRecord], drop_flagged: bool = True) -> PopularityTable:
+def popularity(source: Iterable[TraceRecord]) -> PopularityTable:
     """Tally raw and unique request popularity per cid.
 
-    Cancels never count. With ``drop_flagged`` (the default), records
-    carrying either flag bit are excluded, so re-broadcasts and
-    inter-monitor duplicates do not inflate the scores.
+    Neither cancels nor records carrying either flag bit count, so
+    re-broadcasts and inter-monitor duplicates do not inflate the scores.
     """
     rrp: dict[Cid, int] = {}
     wanters: dict[Cid, set[NodeId]] = {}
     for r in source:
-        if r.request_type is _CANCEL or (drop_flagged and r.flags):
+        if r.request_type is _CANCEL or r.flags:
             continue
         cid = r.cid
         peers = wanters.get(cid)
@@ -103,8 +102,8 @@ def _log_zeta_slope(alpha: np.ndarray, q: np.ndarray, h: float = 1e-5) -> np.nda
 # Exponent search range of the reference discrete fitting procedure. The
 # MLE solution is clamped into it; without the cap the cutoff scan can
 # escape into a tiny deep tail where arbitrarily steep "power laws" fit
-# any decaying distribution.
-DEFAULT_ALPHA_RANGE = (1.5, 3.5)
+# any decaying distribution. Read when a fit starts.
+ALPHA_RANGE = (1.5, 3.5)
 # Spacing of the exponent grid the slope table is built on (the reference
 # procedure's grid is 1.5:0.01:3.5).
 ALPHA_STEP = 0.01
@@ -116,19 +115,15 @@ FIT_CHUNK = 16
 # Largest sample value the fit takes; the bootstrap's draws are capped there
 # too, so every zeta the fit evaluates has q <= MAX_SAMPLE + 1.
 MAX_SAMPLE = 10**18
-# Largest exponent of an alpha_range: the slope table holds one grid node per
-# ALPHA_STEP of the range, and the zeta series is checked up to here.
-MAX_ALPHA = 50.0
 
 
 class _SlopeTable:
     """d/da log zeta(a, x) at nodes ``ALPHA_STEP`` apart spanning
-    ``alpha_range``, one row per cutoff x, increasing along each row. One fit
+    ``ALPHA_RANGE``, one row per cutoff x, increasing along each row. One fit
     shares one table; rows are added for cutoffs not met before."""
 
-    def __init__(self, alpha_range: tuple[float, float]):
-        self.alpha_range = alpha_range
-        lo, hi = alpha_range
+    def __init__(self):
+        self.alpha_range = lo, hi = ALPHA_RANGE
         # at least six grid points, so every row holds three slopes
         n_grid = max(6, int(np.ceil((hi - lo) / ALPHA_STEP - 1e-9)) + 1)
         self.grid = lo + ALPHA_STEP * np.arange(n_grid)
@@ -215,7 +210,8 @@ def _zeta_triangle(s: np.ndarray, q: np.ndarray, first: np.ndarray, end: np.ndar
     power is ``np.power``, not exp(-s log q): near the underflow edge at
     s = 50, s log q reaches 700, and the rounding of that product alone
     would cost 1.6e-13 of the value. The columns before that suffix, found
-    by one searchsorted per end, take scipy's zeta instead.
+    by one searchsorted per end, take scipy's zeta instead. Checked for
+    1 < s <= 50, beyond the fit's ``ALPHA_RANGE``, and q up to 1e18 + 1.
     """
     length = end - first
     col = _ranges(first, length)
@@ -332,27 +328,20 @@ class _DiscretePowerLawSampler:
         return out
 
 
-def fit_power_law(
-    samples: Sequence[int],
-    bootstraps: int = 250,
-    seed: int = 0,
-    *,
-    alpha_range: tuple[float, float] = DEFAULT_ALPHA_RANGE,
-) -> PowerLawFit:
+def fit_power_law(samples: Sequence[int], bootstraps: int = 250, seed: int = 0) -> PowerLawFit:
     """Fit a discrete power law and bootstrap its goodness of fit.
 
     The cutoff is searched over unique sample values up to their
     ``XMIN_QUANTILE`` quantile (guaranteeing at least two tail points),
-    alpha by maximum likelihood given the cutoff, and the p-value by
-    refitting synthetic samples drawn from the fitted model above the
-    cutoff and from the data below it. The p-value is the share of
+    alpha by maximum likelihood in ``ALPHA_RANGE`` given the cutoff, and
+    the p-value by refitting synthetic samples drawn from the fitted model
+    above the cutoff and from the data below it. The p-value is the share of
     replicates whose KS distance reaches the observed one, among those not
     skipped for being constant (``replicates_skipped`` counts those); it is
     nan when every replicate was skipped (or ``bootstraps`` is 0).
-    ``bootstraps`` and ``seed`` must be non-negative, the samples integers
-    (integral floats included) from 1 to ``MAX_SAMPLE``, and
-    ``alpha_range`` within (1, ``MAX_ALPHA``]. The replicates are
-    refitted ``FIT_CHUNK`` at a time, sharing one slope table.
+    ``bootstraps`` and ``seed`` must be non-negative and the samples
+    integers (integral floats included) from 1 to ``MAX_SAMPLE``. The
+    replicates are refitted ``FIT_CHUNK`` at a time, sharing one slope table.
     Deterministic for a fixed seed.
     """
     if min(bootstraps, seed) < 0:
@@ -366,10 +355,7 @@ def fit_power_law(
         raise InputError("need at least 50 samples to fit")
     if x.min() == x.max():
         raise DegenerateSampleError("all samples are equal")
-    if not 1.0 < alpha_range[0] <= alpha_range[1] <= MAX_ALPHA:
-        raise InputError(f"alpha_range must satisfy 1 < low <= high <= {MAX_ALPHA:g}, "
-                         f"got {alpha_range}")
-    table = _SlopeTable(alpha_range)
+    table = _SlopeTable()
     # the observed sample is a batch of one
     alphas, xmins, kss, tails = _fit_tails([x], table)
     alpha, xmin, ks_obs, n_tail = float(alphas[0]), int(xmins[0]), float(kss[0]), int(tails[0])
@@ -405,7 +391,7 @@ def fit_power_law(
         p_value=exceed / ran if ran else float("nan"),
         n_tail=n_tail,
         bootstraps=bootstraps,
-        alpha_clamped=alpha in alpha_range,
+        alpha_clamped=alpha in table.alpha_range,
         replicates_skipped=skipped,
     )
 

@@ -328,8 +328,8 @@ def cmd_analyze(args) -> int:
 # two monitors to its peer count and "intersections" maps "a|b", the two
 # names in sorted order, to the peers both saw; "m" is the union size of "r"
 # monitors' peer sets and "w" their mean concurrent connection count, each
-# monitor's open connections sampled every sample_interval_s over the window
-# and averaged, then averaged over the monitors
+# monitor's open connections sampled every 60 s over the window and
+# averaged, then averaged over the monitors
 _STATS_KEYS = {"two-monitor": ("sizes", "intersections"), "coupon": ("m", "r", "w")}
 
 

@@ -15,7 +15,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import count, islice, repeat
 from operator import attrgetter, itemgetter, le
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .core import (
     FLAG_INTER_MONITOR_DUPLICATE,
@@ -49,21 +49,17 @@ class UnifiedTrace:
         return iter(self.records)
 
 
-def unify(
-    traces: Mapping[str, Sequence[TraceRecord]] | Iterable[Sequence[TraceRecord]],
-) -> UnifiedTrace:
+def unify(traces: Mapping[str, Iterable[TraceRecord]]) -> UnifiedTrace:
     """K-way merge of per-monitor traces by timestamp. Drops nothing.
 
-    Inputs must each be sorted by timestamp; violations raise InputError
-    naming the monitor and offset.
+    Each value is read once, in key order, and must be sorted by timestamp;
+    violations raise InputError naming the monitor and offset. The keys
+    only order the values: provenance comes from the records' monitors.
     """
-    if isinstance(traces, Mapping):
-        sequences = [traces[name] for name in sorted(traces)]
-    else:
-        sequences = [list(seq) for seq in traces]
     streams = []
     monitors: set[str] = set()
-    for k, seq in enumerate(sequences):
+    for k, name in enumerate(sorted(traces)):
+        seq = list(traces[name])
         times = list(map(_timestamp, seq))
         names = list(map(_monitor, seq))
         monitors.update(names)

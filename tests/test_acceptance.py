@@ -116,7 +116,7 @@ def test_criterion_04_dht_min_distance_estimator():
 def test_criterion_05_pipeline_matches_brute_force():
     # synthetic heavy-collision trace at the 1e4 scale
     records = synthetic_records(10_000, seed=50, n_peers=10, n_cids=8)
-    marked = mark_flags(unify([records]))
+    marked = mark_flags(unify({"all": records}))
     expected = brute_force_flags(records)
     assert [r.flags for r in marked] == expected
     # idempotence of the marking pass

@@ -9,8 +9,7 @@ from scipy.special import zeta
 from helpers import bisection_fit_power_law, bisection_fit_tail, scipy_zeta_triangle
 from swarmwatch import analytics
 from swarmwatch.analytics import (
-    DEFAULT_ALPHA_RANGE,
-    MAX_ALPHA,
+    ALPHA_RANGE,
     MAX_SAMPLE,
     NON_GATEWAY_GROUP,
     SERIES_MIN_Q,
@@ -91,7 +90,6 @@ class TestPopularity:
             rec(30, PEERS[0], CIDS[0], flags=FLAG_REBROADCAST),
         ]
         assert popularity(records).rrp[CIDS[0]] == 1
-        assert popularity(records, drop_flagged=False).rrp[CIDS[0]] == 2
 
     def test_urp_bounded_by_rrp(self):
         rng = random.Random(0)
@@ -177,29 +175,31 @@ class TestFitPowerLaw:
     # draws all 50 values from the fitted law, whose exponent is pinned
     NEARLY_CONSTANT = [1] * 49 + [2]
 
-    def test_all_replicates_constant_gives_nan(self):
+    def test_all_replicates_constant_gives_nan(self, monkeypatch):
         # at alpha = 30, P(X = 1) = 1 - 1e-9: every replicate is all ones
-        fit = fit_power_law(self.NEARLY_CONSTANT, bootstraps=20, alpha_range=(30.0, 30.0))
+        monkeypatch.setattr(analytics, "ALPHA_RANGE", (30.0, 30.0))
+        fit = fit_power_law(self.NEARLY_CONSTANT, bootstraps=20)
         assert np.isnan(fit.p_value)
         assert fit.replicates_skipped == 20
         # a one-point range returns that point
         assert fit.alpha == 30.0
         assert fit.alpha_clamped
 
-    def test_constant_replicates_leave_the_denominator(self):
+    def test_constant_replicates_leave_the_denominator(self, monkeypatch):
         # at alpha = 7 about two thirds of the replicates are all ones and
         # are skipped. A replicate that is not has at least one value above
         # 1, so its empirical P(X = 1) is at most the observed 0.98 and its
         # KS distance at least the observed one: every replicate that ran
         # exceeds, and p is exactly 1.
-        fit = fit_power_law(self.NEARLY_CONSTANT, bootstraps=60, alpha_range=(7.0, 7.0))
+        monkeypatch.setattr(analytics, "ALPHA_RANGE", (7.0, 7.0))
+        fit = fit_power_law(self.NEARLY_CONSTANT, bootstraps=60)
         assert fit.p_value == 1.0
         assert 0 < fit.replicates_skipped < 60
 
     def test_geometric_alpha_sits_on_the_bound(self):
         g = np.random.default_rng(5).geometric(0.1, size=5000)
         fit = fit_power_law(g, bootstraps=0)
-        assert fit.alpha == DEFAULT_ALPHA_RANGE[1]
+        assert fit.alpha == ALPHA_RANGE[1]
         assert fit.alpha_clamped
         assert fit.replicates_skipped == 0
 
@@ -220,30 +220,22 @@ class TestFitPowerLaw:
         assert 2.4 <= fit.alpha <= 2.6
         assert not fit.alpha_clamped
 
-    @pytest.mark.parametrize("alpha_range", [(1.0, 3.5), (3.0, 2.0)])
-    def test_bad_alpha_range(self, alpha_range):
-        with pytest.raises(ValueError, match="alpha_range"):
-            fit_power_law(self.NEARLY_CONSTANT, alpha_range=alpha_range)
-
     @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), 2**70, 0, -3,
                                      MAX_SAMPLE + 1])
     def test_sample_outside_the_domain_raises_naming_samples(self, bad):
         with pytest.raises(InputError, match="samples"):
             fit_power_law([*self.NEARLY_CONSTANT, bad], bootstraps=0)
 
-    @pytest.mark.parametrize("alpha_range", [(1.5, float("inf")), (1.5, 1e300),
-                                             (1.5, MAX_ALPHA + 0.5), (float("nan"), 2.0)])
-    def test_alpha_range_outside_the_domain_raises_naming_it(self, alpha_range):
-        with pytest.raises(InputError, match="alpha_range"):
-            fit_power_law(self.NEARLY_CONSTANT, bootstraps=0, alpha_range=alpha_range)
-
     def test_integral_floats_fit_as_integers(self):
         x = exact_discrete_powerlaw(2.2, 1, 300, seed=5)
         assert x.max() <= MAX_SAMPLE
         want = fit_power_law(x, bootstraps=10, seed=1)
         assert fit_power_law(x.astype(np.float64), bootstraps=10, seed=1) == want
-        # the largest value the domain admits
-        assert fit_power_law([*x[:-1], MAX_SAMPLE], bootstraps=0).n_tail >= 2
+        # the largest value the domain admits, with replicates: every zeta
+        # has alpha * ln(q) <= 3.5 * ln(1e18 + 1), about 145, so none
+        # underflows and no warning is raised
+        top = fit_power_law([*x[:-3], *[MAX_SAMPLE] * 3], bootstraps=20, seed=3)
+        assert top.n_tail >= 2 and 0.0 <= top.p_value <= 1.0
 
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     def test_chunk_size_does_not_change_the_fit(self, chunk, monkeypatch):
@@ -347,13 +339,17 @@ def _worst_error_against_scipy(z, s, q):
     return (rel.max() if ok.any() else 0.0), ok.mean()
 
 
+# the largest exponent the triangle kernel is checked at, past ALPHA_RANGE
+KERNEL_MAX_S = 50.0
+
+
 class TestZetaTriangle:
-    """The triangle kernel against scipy.special.zeta over the exponents the
-    fit accepts and every q the fit can meet (the sampler's draws reach
+    """The triangle kernel against scipy.special.zeta over exponents up to
+    KERNEL_MAX_S and every q the fit can meet (the sampler's draws reach
     MAX_SAMPLE)."""
 
     ALPHAS = (1 + 2**-52, 1 + 1e-9, 1.001, 1.01, 1.2, 1.5, 2.0, 2.5, 3.0, 3.5, 5.0, 7.5,
-              12.0, 20.0, 30.0, 42.0, MAX_ALPHA)
+              12.0, 20.0, 30.0, 42.0, KERNEL_MAX_S)
     # every integer to 400 (each row's switch-over lies below 200, so the
     # grid holds the columns on both sides of it) and log-spaced q beyond
     Q = np.unique(np.concatenate([np.arange(1.0, 401.0),
@@ -365,9 +361,9 @@ class TestZetaTriangle:
         worst, covered = _worst_error_against_scipy(z, s, self.Q[None, :])
         assert worst <= 1e-13
         assert covered > 0.7
-        # over the default exponent range the series is as close as rounding
+        # over the fit's exponent range the series is as close as rounding
         # allows; one term short, it would be off by up to 1.4e-14 there
-        fit_rows = s[:, 0] <= DEFAULT_ALPHA_RANGE[1]
+        fit_rows = s[:, 0] <= ALPHA_RANGE[1]
         assert _worst_error_against_scipy(z[fit_rows], s[fit_rows], self.Q[None, :])[0] <= 2e-15
 
     def test_scipy_keeps_the_columns_below_each_switch_over(self):
@@ -383,9 +379,9 @@ class TestZetaTriangle:
     def test_a_row_below_its_bound_stays_on_scipy(self):
         # the bound puts the switch-over near q = 198 at alpha 50 and 125 at 30
         q = np.arange(1.0, 121.0)
-        z = _triangle([30.0, MAX_ALPHA], q)
-        assert np.array_equal(z, zeta(np.array([[30.0], [MAX_ALPHA]]), q))
-        assert np.all(_series_min_q(np.array([30.0, MAX_ALPHA])) > q[-1])
+        z = _triangle([30.0, KERNEL_MAX_S], q)
+        assert np.array_equal(z, zeta(np.array([[30.0], [KERNEL_MAX_S]]), q))
+        assert np.all(_series_min_q(np.array([30.0, KERNEL_MAX_S])) > q[-1])
 
     # scipy's own value is off in its twelfth digit here, where q**-s is
     # subnormal; the references are mpmath's, at 40 digits
@@ -408,7 +404,7 @@ class TestZetaTriangle:
                                   .map(sorted), min_size=1, max_size=3))
         ends = np.cumsum([len(run) for run in runs])
         rows = data.draw(st.lists(st.tuples(
-            st.floats(1.0, MAX_ALPHA, exclude_min=True), st.integers(0, len(runs) - 1),
+            st.floats(1.0, KERNEL_MAX_S, exclude_min=True), st.integers(0, len(runs) - 1),
             st.integers(0, 39)), min_size=1, max_size=12))
         s = np.array([a for a, _, _ in rows])
         end = np.array([ends[k] for _, k, _ in rows])
@@ -451,9 +447,9 @@ def _batch_samples():
 @given(_batch_samples())
 def test_batch_fit_equals_per_sample_fits(samples):
     arrays = [np.asarray(v, dtype=np.int64) for v in samples]
-    batch = _fit_tails(arrays, _SlopeTable(DEFAULT_ALPHA_RANGE))
+    batch = _fit_tails(arrays, _SlopeTable())
     for i, x in enumerate(arrays):
-        alone = _fit_tails([x], _SlopeTable(DEFAULT_ALPHA_RANGE))
+        alone = _fit_tails([x], _SlopeTable())
         assert [part[i] for part in batch] == [part[0] for part in alone]
 
 
@@ -461,11 +457,11 @@ def test_single_candidate_samples_batch_with_others():
     # {1, 2} and {1, 5} offer one cutoff each; the third sample offers many
     samples = [np.array([1] * 30 + [2] * 3), np.array([1, 5] * 10),
                exact_discrete_powerlaw(2.0, 1, 300, seed=1)]
-    batch = _fit_tails(samples, _SlopeTable(DEFAULT_ALPHA_RANGE))
+    batch = _fit_tails(samples, _SlopeTable())
     for i, x in enumerate(samples):
-        alone = _fit_tails([x], _SlopeTable(DEFAULT_ALPHA_RANGE))
+        alone = _fit_tails([x], _SlopeTable())
         assert [part[i] for part in batch] == [part[0] for part in alone]
-        assert (batch[1][i], batch[3][i]) == bisection_fit_tail(x, DEFAULT_ALPHA_RANGE)[1::2]
+        assert (batch[1][i], batch[3][i]) == bisection_fit_tail(x, ALPHA_RANGE)[1::2]
 
 
 class TestCodecShare:
@@ -614,12 +610,12 @@ class TestRateTimeseries:
 # every key resolved on every record.
 
 
-def reference_popularity(source, drop_flagged=True):
+def reference_popularity(source):
     rrp, wanters = {}, {}
     for r in source:
         if r.request_type is RequestType.CANCEL:
             continue
-        if drop_flagged and r.flags:
+        if r.flags:
             continue
         rrp[r.cid] = rrp.get(r.cid, 0) + 1
         wanters.setdefault(r.cid, set()).add(r.peer)
@@ -715,8 +711,8 @@ trace_records = st.lists(
 @settings(max_examples=150, deadline=None)
 def test_reports_match_per_record_references(records, drop_flagged, bucket_s, group_by,
                                              group_map):
-    got = popularity(records, drop_flagged=drop_flagged)
-    want = reference_popularity(records, drop_flagged=drop_flagged)
+    got = popularity(records)
+    want = reference_popularity(records)
     assert got == want
     assert list(got.rrp) == list(want.rrp) and list(got.urp) == list(want.urp)
     assert codec_share(records) == reference_codec_share(records)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmwatch import estimators
 from swarmwatch.core import ConnEvent, ConnEventKind, NodeId
 from swarmwatch.errors import (
     ConnEventOrderError,
@@ -308,7 +309,7 @@ class TestPeerSetStats:
         assert stats.union_size == 1
         assert stats.w == pytest.approx(1.0)
 
-    def test_scripted_schedule_matches_hand_enumeration(self):
+    def test_scripted_schedule_matches_hand_enumeration(self, monkeypatch):
         peers = [NodeId(i) for i in range(10)]
         events = []
         # peers i connect at i*10s, even peers disconnect at i*10+25s
@@ -324,7 +325,8 @@ class TestPeerSetStats:
             for i, p in enumerate(peers)
             if i * 10 < 70 and (i % 2 == 1 or i * 10 + 25 > 30)
         }
-        stats = peer_set_stats({"m0": events}, (30 * NS, 70 * NS), sample_interval_s=10)
+        monkeypatch.setattr(estimators, "SAMPLE_INTERVAL_S", 10.0)
+        stats = peer_set_stats({"m0": events}, (30 * NS, 70 * NS))
         assert stats.peer_sets["m0"] == expected
         # hand check of instantaneous counts at 30,40,50,60:
         # t=30: even alive spans: [20,45),[40,65),[60,85) -> peer2; odds: 1,2(10,30 in) ->
@@ -341,13 +343,17 @@ class TestPeerSetStats:
         expect_w = sum(alive(t) for t in (30, 40, 50, 60)) / 4
         assert stats.w_per_monitor["m0"] == pytest.approx(expect_w)
 
-    def test_counts_match_interval_scan(self):
-        # reference: at each sample instant, scan every peer's intervals
+    def test_counts_match_interval_scan(self, monkeypatch):
+        # reference: at each sample instant, scan every peer's intervals.
+        # They start before, in and after the window, and end in it, after
+        # it or never.
+        monkeypatch.setattr(estimators, "SAMPLE_INTERVAL_S", 7.5)
+        met = set()
         for seed in range(30):
             rng = random.Random(seed)
             events, spans = [], []
             for i in range(40):
-                t = rng.randrange(0, 50)
+                t = rng.randrange(-300, 600)
                 while rng.random() < 0.8:
                     end = t + rng.choice([0, 60, rng.randrange(1, 300)])
                     events.append(_ev(t, "m0", NodeId(i + 1), CONNECT))
@@ -359,10 +365,15 @@ class TestPeerSetStats:
                     t = end + rng.choice([0, rng.randrange(1, 200)])
             t0 = rng.randrange(0, 100)
             t1 = t0 + rng.randrange(1, 600)
-            stats = peer_set_stats({"m0": events}, (t0 * NS, t1 * NS), sample_interval_s=7.5)
+            stats = peer_set_stats({"m0": events}, (t0 * NS, t1 * NS))
             instants = [t0 + 7.5 * k for k in range(math.ceil((t1 - t0) / 7.5))]
             counts = [sum(start <= t < end for start, end in spans) for t in instants]
             assert stats.w_per_monitor["m0"] == sum(counts) / len(counts)
+            for start, end in spans:
+                if start < t1 and end > t0:
+                    met.add(("before" if start < t0 else "in", "open" if end == math.inf
+                             else "after" if end > t1 else "in"))
+        assert met >= {("before", "after"), ("before", "open"), ("in", "in"), ("in", "open")}
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -373,15 +384,17 @@ class TestPeerSetStats:
     )
     def test_matches_reference(self, logs, t0, length, interval):
         window = (t0 * NS, (t0 + length) * NS)
-        try:
-            want = reference_peer_set_stats(logs, window, interval)
-        except ConnEventOrderError as exc:
-            # the same type, naming the same event (monitor, peer, timestamp)
-            with pytest.raises(ConnEventOrderError) as got:
-                peer_set_stats(logs, window, sample_interval_s=interval)
-            assert str(got.value) == str(exc)
-            return
-        got = peer_set_stats(logs, window, sample_interval_s=interval)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators, "SAMPLE_INTERVAL_S", interval)
+            try:
+                want = reference_peer_set_stats(logs, window, interval)
+            except ConnEventOrderError as exc:
+                # the same type, naming the same event (monitor, peer, timestamp)
+                with pytest.raises(ConnEventOrderError) as got:
+                    peer_set_stats(logs, window)
+                assert str(got.value) == str(exc)
+                return
+            got = peer_set_stats(logs, window)
         for f in fields(PeerSetStats):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
         assert all(type(p) is NodeId for s in got.peer_sets.values() for p in s)
@@ -400,14 +413,33 @@ class TestPeerSetStats:
         assert str(exc.value) == f"{named} for peer {p:064x} on mon at {at} ns"
 
     @pytest.mark.parametrize("interval", [-1.0, 0.0, 1e-10, math.nan, math.inf, -math.inf])
-    def test_sample_interval_domain(self, interval):
-        with pytest.raises(ValueError, match="sample_interval_s"):
-            peer_set_stats({"m0": []}, (0, 10 * NS), sample_interval_s=interval)
+    def test_sample_interval_domain(self, interval, monkeypatch):
+        monkeypatch.setattr(estimators, "SAMPLE_INTERVAL_S", interval)
+        with pytest.raises(ValueError, match="SAMPLE_INTERVAL_S"):
+            peer_set_stats({"m0": []}, (0, 10 * NS))
 
-    def test_one_ns_sample_interval(self):
+    def test_one_ns_sample_interval(self, monkeypatch):
+        monkeypatch.setattr(estimators, "SAMPLE_INTERVAL_S", 1e-9)
         events = {"m0": [_ev(0, "m0", NodeId(1), CONNECT)]}
-        stats = peer_set_stats(events, (0, 3), sample_interval_s=1e-9)
+        stats = peer_set_stats(events, (0, 3))
         assert stats.w_per_monitor == {"m0": 1.0}
+
+    def test_window_over_all_of_int64(self):
+        # 307,445,735 sample instants, counted without visiting them. A peer
+        # connected from the first nanosecond is open at every one, an hour
+        # holds 60, and the last nanosecond none: the last instant is 33.7 s
+        # before it.
+        lo, hi = -(2**63), 2**63 - 1
+        events = {
+            "m0": [ConnEvent(lo, "m0", NodeId(1), CONNECT),
+                   _ev(0, "m0", NodeId(2), CONNECT), _ev(3600, "m0", NodeId(2), DISCONNECT)],
+            "m1": [ConnEvent(hi - 1, "m1", NodeId(3), CONNECT)],
+        }
+        stats = peer_set_stats(events, (lo, hi))
+        n = 307_445_735
+        assert lo + (n - 1) * 60 * NS < hi - 1 < lo + n * 60 * NS
+        assert stats.w_per_monitor == {"m0": (n + 60) / n, "m1": 0.0}
+        assert stats.peer_sets == {"m0": {NodeId(1), NodeId(2)}, "m1": {NodeId(3)}}
 
     @pytest.mark.parametrize("ts", [2**63, -(2**63) - 1])
     def test_timestamp_outside_int64_names_the_monitor(self, ts):

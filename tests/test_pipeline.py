@@ -68,10 +68,17 @@ class TestUnify:
         with pytest.raises(ValueError, match=r"m7.*offset 1"):
             unify({"m7": records})
 
+    def test_one_pass_values_are_read_once(self):
+        a = [rec(0, "m0"), rec(2, "m0"), rec(4, "m0")]
+        b = [rec(1, "m1"), rec(3, "m1")]
+        want = list(unify({"m0": a, "m1": b}))
+        assert len(want) == 5
+        assert list(unify({"m0": iter(a), "m1": (r for r in b)})) == want
+
 
 def _merge_oracle(sequences):
     """``unify``'s order as a merge keyed by (timestamp, monitor, offset),
-    ties going to the earlier sequence."""
+    ties going to the earlier sequence, which ``_named`` keys first."""
     streams = [((r.timestamp_ns, r.monitor, i, r) for i, r in enumerate(seq)) for seq in sequences]
     return [entry[3] for entry in heapq.merge(*streams, key=lambda e: e[:3])]
 
@@ -90,23 +97,26 @@ def _sequences(draw):
     return sequences
 
 
+def _named(*sequences):
+    """The sequences under keys that sort in their order."""
+    return {f"s{k}": seq for k, seq in enumerate(sequences)}
+
+
 class TestUnifyOrder:
     @given(sequences=_sequences())
     @settings(max_examples=200, deadline=None)
     def test_matches_keyed_merge(self, sequences):
-        t = unify(sequences)
+        t = unify(_named(*sequences))
         assert list(t) == _merge_oracle(sequences)
         assert t.provenance == tuple(sorted({r.monitor for seq in sequences for r in seq}))
-        named = {f"s{k}": seq for k, seq in enumerate(sequences)}
-        assert list(unify(named)) == _merge_oracle(named[name] for name in sorted(named))
 
     def test_shared_monitor_equal_timestamps(self):
         # the same monitor at one timestamp in two sequences: offsets first,
         # then sequences, so the two interleave
         a = [rec(5, "m0", peer=NodeId(1)), rec(5, "m0", peer=NodeId(2))]
         b = [rec(5, "m0", peer=NodeId(3)), rec(5, "m0", peer=NodeId(4))]
-        assert [r.peer for r in unify([a, b])] == [1, 3, 2, 4]
-        assert list(unify([a, b])) == _merge_oracle([a, b])
+        assert [r.peer for r in unify(_named(a, b))] == [1, 3, 2, 4]
+        assert list(unify(_named(a, b))) == _merge_oracle([a, b])
 
     def test_monitor_order_within_a_sequence_kept(self):
         # one sequence whose equal timestamps are not in monitor order: a
@@ -114,14 +124,14 @@ class TestUnifyOrder:
         # "m0" behind it, where a sort by the same key would move it last
         seq = [rec(1, "m1"), rec(1, "m0")]
         other = [rec(1, "m0", peer=NodeId(9))]
-        assert list(unify([seq, other])) == _merge_oracle([seq, other]) == [other[0], *seq]
+        assert list(unify(_named(seq, other))) == _merge_oracle([seq, other]) == [other[0], *seq]
 
     @pytest.mark.parametrize("times, offset", [([5, 1], 1), ([1, 2, 2, 1, 0], 3), ([0, 3, 2], 2)])
     def test_unsorted_message(self, times, offset):
         good = [rec(t, "m0") for t in range(3)]
         bad = [rec(t, "m9") for t in times]
         with pytest.raises(ValueError) as exc:
-            unify([good, bad])
+            unify(_named(good, bad))
         assert str(exc.value) == f"trace for monitor 'm9' not sorted at offset {offset}"
 
 
@@ -164,7 +174,7 @@ class TestRebroadcastMarking:
 
     def test_two_monitor_stream_matches_brute_force(self):
         records = synthetic_records(400, seed=2, monitors=("m0", "m1"))
-        t = mark_flags(unify([records]))
+        t = mark_flags(unify(_named(records)))
         expect = brute_force_flags(records)
         assert [r.flags for r in t] == expect
 
@@ -173,24 +183,24 @@ class TestAgainstBruteForce:
     @pytest.mark.parametrize("seed", range(5))
     def test_random_traces(self, seed):
         records = synthetic_records(600, seed=seed)
-        t = mark_flags(unify([records]))
+        t = mark_flags(unify(_named(records)))
         assert [r.flags for r in t] == brute_force_flags(records)
 
     def test_idempotent(self):
         records = synthetic_records(500, seed=9)
-        once = mark_flags(unify([records]))
+        once = mark_flags(unify(_named(records)))
         twice = mark_flags(once)
         assert list(once) == list(twice)
 
     @pytest.mark.parametrize("dup_s, reb_s", [(0.0, 0.0), (10.0, 31.0), (5.0, 120.0)])
     def test_window_keywords(self, dup_s, reb_s):
         records = synthetic_records(600, seed=3)
-        t = mark_flags(unify([records]), window_dup_s=dup_s, window_rebroadcast_s=reb_s)
+        t = mark_flags(unify(_named(records)), window_dup_s=dup_s, window_rebroadcast_s=reb_s)
         assert [r.flags for r in t] == brute_force_flags(records, dup_s, reb_s)
 
     def test_inputs_untouched(self):
         records = synthetic_records(300, seed=8)
-        trace = unify([records])
+        trace = unify(_named(records))
         before = [copy.copy(r) for r in trace]
         marked = mark_flags(trace)
         assert sum(a is not b for a, b in zip(trace, marked)) > 0
@@ -200,7 +210,7 @@ class TestAgainstBruteForce:
         # only the duplicate and re-broadcast bits are cleared and set
         records = synthetic_records(300, seed=6)
         extra = [r.with_flags(0x4 | 0x3 * (i % 2)) for i, r in enumerate(records)]
-        t = mark_flags(unify([extra]))
+        t = mark_flags(unify(_named(extra)))
         assert [r.flags for r in t] == [0x4 | f for f in brute_force_flags(records)]
 
 
@@ -215,7 +225,7 @@ def test_permutation_stability(seed, order_seed):
     monitors = list(by_monitor)
     random.Random(order_seed).shuffle(monitors)
     t1 = mark_flags(unify({m: by_monitor[m] for m in monitors}))
-    t2 = mark_flags(unify([records]))
+    t2 = mark_flags(unify(_named(records)))
     assert list(t1) == list(t2)
 
 
@@ -229,5 +239,5 @@ def test_non_finite_window_raises_naming_it(name, window):
 @pytest.mark.parametrize("window", [0.0, -5.0, 1e299])
 def test_zero_negative_and_large_finite_windows_still_mark(window):
     records = synthetic_records(300, seed=3)
-    got = mark_flags(unify([records]), window_dup_s=window, window_rebroadcast_s=window)
+    got = mark_flags(unify(_named(records)), window_dup_s=window, window_rebroadcast_s=window)
     assert [r.flags for r in got] == brute_force_flags(records, window, window)
