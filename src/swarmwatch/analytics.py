@@ -13,7 +13,9 @@ from __future__ import annotations
 import csv
 import ipaddress
 import re
+from collections import Counter
 from dataclasses import dataclass
+from socket import AF_INET, inet_pton
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -403,20 +405,18 @@ class ShareRow:
     share_pct: float
 
 
-def codec_share(source: Iterable[TraceRecord]) -> list[ShareRow]:
-    """Requests by cid codec, from raw records; cancels excluded, flags ignored."""
-    counts: dict[int, int] = {}
-    for r in source:
-        if r.request_type is not _CANCEL:
-            code = r.cid[0]  # the codec
-            counts[code] = counts.get(code, 0) + 1
+def _share_rows(counts: Mapping[str, int]) -> list[ShareRow]:
+    """One row per label with its share of the total, largest count first."""
     total = sum(counts.values())
-    rows = [
-        ShareRow(Codec(code).name, c, 100.0 * c / total if total else 0.0)
-        for code, c in counts.items()
-    ]
+    rows = [ShareRow(label, c, 100.0 * c / total) for label, c in counts.items()]
     rows.sort(key=lambda row: (-row.count, row.label))
     return rows
+
+
+def codec_share(source: Iterable[TraceRecord]) -> list[ShareRow]:
+    """Requests by cid codec, from raw records; cancels excluded, flags ignored."""
+    codes = Counter(r.cid[0] for r in source if r.request_type is not _CANCEL)
+    return _share_rows({Codec(code).name: c for code, c in codes.items()})
 
 
 @dataclass(frozen=True)
@@ -424,25 +424,24 @@ class GeoDb:
     """Offline CIDR-to-country table resolved by longest prefix; IPv4 and
     IPv6 prefixes are kept apart and each matches only its own version."""
 
-    entries: tuple[tuple[str, str], ...]
+    entries: tuple[tuple[ipaddress.IPv4Network | ipaddress.IPv6Network, str], ...]
 
     def __post_init__(self):
-        # IP version -> prefix length -> network address -> country
-        tables: dict[int, dict[int, dict[int, str]]] = {4: {}, 6: {}}
-        for cidr, country in self.entries:
-            net = ipaddress.ip_network(cidr, strict=True)
-            tables[net.version].setdefault(net.prefixlen, {})[int(net.network_address)] = country
-        # per version, (prefix length, table) pairs, longest prefix first
-        object.__setattr__(
-            self, "_tables", {v: sorted(t.items(), reverse=True) for v, t in tables.items()}
-        )
+        # address width -> host bits -> network address -> country
+        tables: dict[int, dict[int, dict[int, str]]] = {32: {}, 128: {}}
+        for net, country in self.entries:
+            width = net.max_prefixlen
+            tables[width].setdefault(width - net.prefixlen, {})[int(net.network_address)] = country
+        # per width, (host bits, table) pairs, longest prefix first
+        object.__setattr__(self, "_tables", {width: sorted(t.items()) for width, t in tables.items()})
 
     def __len__(self) -> int:
         return len(self.entries)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "GeoDb":
-        return cls(entries=tuple(pairs))
+        return cls(entries=tuple((ipaddress.ip_network(cidr, strict=True), country)
+                                 for cidr, country in pairs))
 
     @classmethod
     def from_csv(cls, source) -> "GeoDb":
@@ -451,23 +450,26 @@ class GeoDb:
             rows = [(reader.line_num, row) for row in reader if row]
         if rows and rows[0][1][:2] == ["cidr", "country"]:
             rows = rows[1:]
+        entries = []
         for line, row in rows:
             if len(row) < 2:
                 raise InputError(f"geo db line {line}: expected cidr,country, got {row!r}")
             try:
-                ipaddress.ip_network(row[0], strict=True)
+                entries.append((ipaddress.ip_network(row[0], strict=True), row[1]))
             except ValueError as exc:
                 raise InputError(f"geo db line {line}: {exc}") from None
-        return cls.from_pairs((row[0], row[1]) for _, row in rows)
+        return cls(entries=tuple(entries))
 
     def lookup(self, ip: str) -> str | None:
+        """Country of the longest prefix holding the address text ``ip``, or
+        None. Text without a ``:`` is parsed by ``inet_pton``, which takes
+        exactly the dotted quads that ``ipaddress`` takes."""
         try:
-            addr = ipaddress.ip_address(ip)
-        except ValueError:
+            packed = ipaddress.ip_address(ip).packed if ":" in ip else inet_pton(AF_INET, ip)
+        except (ValueError, OSError):
             return None
-        value = int(addr)
-        for plen, table in self._tables[addr.version]:
-            shift = addr.max_prefixlen - plen
+        value = int.from_bytes(packed, "big")
+        for shift, table in self._tables[8 * len(packed)]:
             hit = table.get(value >> shift << shift)
             if hit is not None:
                 return hit
@@ -490,30 +492,17 @@ def geo_share(source: Iterable[TraceRecord], db: GeoDb) -> list[ShareRow]:
     """Requests by origin country over deduplicated, non-cancel records.
 
     Unmatched or unparseable addresses land in the "??" bucket; they are
-    never fatal.
+    never fatal. Each distinct address is resolved once per call.
     """
     if len(db) == 0:
         raise InputError("geo database is empty")
-    # each distinct address is resolved once per call
-    labels: dict[str, str] = {}
-    counts: dict[str, int] = {}
-    for r in source:
-        if r.flags or r.request_type is _CANCEL:
-            continue
-        address = r.address
-        label = labels.get(address)
-        if label is None:
-            ip = _address_ip(address)
-            country = db.lookup(ip) if ip else None
-            label = labels[address] = country if country is not None else UNRESOLVED_COUNTRY
-        counts[label] = counts.get(label, 0) + 1
-    total = sum(counts.values())
-    rows = [
-        ShareRow(country, c, 100.0 * c / total if total else 0.0)
-        for country, c in counts.items()
-    ]
-    rows.sort(key=lambda row: (-row.count, row.label))
-    return rows
+    addresses = Counter(r.address for r in source if not (r.flags or r.request_type is _CANCEL))
+    counts: Counter[str] = Counter()
+    for address, c in addresses.items():
+        ip = _address_ip(address)
+        country = db.lookup(ip) if ip else None
+        counts[UNRESOLVED_COUNTRY if country is None else country] += c
+    return _share_rows(counts)
 
 
 @dataclass(frozen=True)

@@ -78,12 +78,11 @@ _CODEC_NAMES = {
     0x78: "git-raw",
     0x93: "eth-tx",
 }
-_CODEC_CODES = {name: code for code, name in _CODEC_NAMES.items()}
 
 
 class Codec(int):
-    """Content-encoding tag of a Cid, a plain int code. Known codecs get
-    readable names; anything else round-trips as ``codec-0x<code>``."""
+    """Content-encoding tag of a Cid, a plain int code. A known codec has a readable name
+    and one shared object; any other code round-trips as ``codec-0x<code>``."""
 
     __slots__ = ()
 
@@ -93,8 +92,8 @@ class Codec(int):
 
     @classmethod
     def from_name(cls, name: str) -> "Codec":
-        if name in _CODEC_CODES:
-            return cls(_CODEC_CODES[name])
+        if name in _KNOWN_CODECS:
+            return _KNOWN_CODECS[name]
         m = re.fullmatch(r"codec-0x([0-9a-fA-F]+)", name)
         if m:
             return cls(int(m.group(1), 16))
@@ -107,6 +106,7 @@ DAG_CBOR = Codec(0x71)
 DAG_JSON = Codec(0x0129)
 GIT_RAW = Codec(0x78)
 ETHEREUM_TX = Codec(0x93)
+_KNOWN_CODECS = {c.name: c for c in (DAG_PROTOBUF, RAW, DAG_CBOR, DAG_JSON, GIT_RAW, ETHEREUM_TX)}
 
 DIGEST_BITS = 256
 DIGEST_BYTES = DIGEST_BITS // 8

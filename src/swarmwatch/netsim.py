@@ -91,7 +91,7 @@ from heapq import heappop, heappush
 from itertools import accumulate, count
 from random import Random
 from types import UnionType
-from typing import Callable, Iterator, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -105,6 +105,7 @@ from .core import (
     NodeId,
     RequestType,
     TraceRecord,
+    build_conn_event,
     build_trace_record,
     hash_content,
     to_ns,
@@ -644,7 +645,7 @@ class Network:
         for node, peer in ((na, nb), (nb, na)):
             if node.monitor_name is not None:
                 self.conn_events[node.monitor_name].append(
-                    ConnEvent(self.now_ns, node.monitor_name, peer.id, kind))
+                    build_conn_event(self.now_ns, node.monitor_name, peer.id, kind))
 
     # ------------------------------------------------------------------
     # event queue
@@ -806,7 +807,6 @@ class Network:
         if not initial:
             self.ground_truth.want_emissions_rebroadcast += 1
         log = self.message_log is not None
-        h._notified.update(peers if log else peers.keys() & self._monitor_idx)
         heap, seq, now = self._heap, self._seq, self.now_ns
         i, c = node.index, h._cid
         if h._sched and h._sched_end > now:  # one schedule per request: queue the last one
@@ -823,6 +823,7 @@ class Network:
             if self._probe_waits:
                 keep = keep.union(b for a, b, x in self._probe_waits if a == i and x == c)
             send = list(filter(keep.__contains__, peers))
+        self._notify(h, send)  # send holds every linked monitor
         if initial:
             h._pending_answers = set(send)
             if not peers:
@@ -913,7 +914,8 @@ class Network:
             return
         if self._at[h._node].online:
             self._broadcast_want(h, initial=False)
-            self._dht_extend(h)
+            if h._cid in self._providers:  # else the DHT names nobody to ask
+                self._dht_extend(h)
         self._timer(REBROADCAST_INTERVAL_NS, _REBROADCAST, serial)
 
     def _broadcast_timeout(self, serial: int, _: int, __: int) -> None:
@@ -925,8 +927,7 @@ class Network:
     def _send_want_block(self, h: RequestHandle, target: int) -> None:
         h._target = target
         h._tried.add(target)
-        if self.message_log is not None or target in self._monitor_idx:
-            h._notified.add(target)
+        self._notify(h, (target,))
         node = self._at[h._node]  # the one send to a peer that may have unlinked
         lat = node.latency_ns.get(target, node.former_ns.get(target))
         if lat is None:
@@ -971,8 +972,14 @@ class Network:
         for p in new:
             self._link(i, p)
             self._send(_WANT_HAVE, node, p, h._cid)
-        h._notified.update(new if self.message_log is not None else self._monitor_idx.intersection(new))
+        self._notify(h, new)
         return len(new)
+
+    def _notify(self, h: RequestHandle, peers: Iterable[int]) -> None:
+        """Add the peers a want goes to to ``h._notified``: all of them while
+        the message log is on, only the monitors while it is off."""
+        log, mon = self.message_log is not None, self._monitor_idx
+        h._notified.update(peers if log else filter(mon.__contains__, peers))
 
     # ------------------------------------------------------------------
     # cache and DHT records

@@ -8,11 +8,13 @@ swarmwatch.analytics; the triangle reference scores every KS entry with
 scipy's zeta, independent of the fitter's series. The peer-set reference
 walks each monitor's events into per-peer intervals and scans every
 interval at every sample instant, independent of the sort-based
-swarmwatch.estimators.peer_set_stats.
+swarmwatch.estimators.peer_set_stats. The geo look-up reference scans every
+prefix with ``ipaddress``, independent of GeoDb's per-length tables.
 """
 
 from __future__ import annotations
 
+import ipaddress
 import math
 import random
 from collections import defaultdict
@@ -184,6 +186,22 @@ def scipy_zeta_triangle(s, q, first, end):
     scored it before the series."""
     col = np.concatenate([np.arange(f, e) for f, e in zip(first, end)])
     return zeta(np.repeat(s, end - first), q[col])
+
+
+def reference_geo_lookup(pairs, text):
+    """``GeoDb.lookup`` by a scan of every ``(cidr, country)`` pair: the
+    country of the longest prefix of the address's own version that holds
+    ``ipaddress.ip_address(text)``, the last listed among equal prefixes."""
+    try:
+        addr = ipaddress.ip_address(text)
+    except ValueError:
+        return None
+    best = None
+    for cidr, country in pairs:
+        net = ipaddress.ip_network(cidr)
+        if net.version == addr.version and addr in net and (best is None or net.prefixlen >= best[0]):
+            best = net.prefixlen, country
+    return None if best is None else best[1]
 
 
 def synthetic_records(

@@ -1,3 +1,4 @@
+import ipaddress
 import random
 
 import numpy as np
@@ -6,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
-from helpers import bisection_fit_power_law, bisection_fit_tail, scipy_zeta_triangle
+from helpers import (
+    bisection_fit_power_law,
+    bisection_fit_tail,
+    reference_geo_lookup,
+    scipy_zeta_triangle,
+)
 from swarmwatch import analytics
 from swarmwatch.analytics import (
     ALPHA_RANGE,
@@ -491,6 +497,19 @@ class TestCodecShare:
         assert sum(r.share_pct for r in rows) == pytest.approx(100.0, abs=0.01)
 
 
+# IPv4 and IPv6 prefixes of several lengths, nested and apart
+LOOKUP_PAIRS = [
+    ("0.0.0.0/1", "LO"), ("1.2.0.0/16", "A"), ("1.2.3.0/24", "B"), ("1.2.3.4/32", "C"),
+    ("10.0.0.0/8", "US"), ("192.168.0.0/16", "H"), ("255.255.255.255/32", "BC"),
+    ("::/1", "V6LO"), ("::ffff:0:0/96", "MAPPED"), ("::ffff:102:304/128", "MAPPED1234"),
+    ("::1/128", "LOOP"), ("2000::/3", "GLOBAL"), ("2001:db8::/32", "DOC"), ("fe80::/10", "LINK"),
+]
+LOOKUP_DB = GeoDb.from_pairs(LOOKUP_PAIRS)
+LOOKUP_EDGES = ["01.2.3.4", "1.2.3", "256.1.1.1", "1.2.3.4.", "0.0.0.0", "255.255.255.255",
+                "::ffff:1.2.3.4", "::1.02.3.4", "fe80::1%eth0", "1.2.3.4\x00", "\x00", "",
+                "1.2.3.4", "1.2.3.\u0664", " 1.2.3.4", "1.2.3.4 ", "1..3.4"]
+
+
 class TestGeoShare:
     DB = GeoDb.from_pairs([
         ("10.0.0.0/8", "US"),
@@ -558,6 +577,33 @@ class TestGeoShare:
         path.write_text(f"cidr,country\n198.51.100.0/24,FR\n\n{cidr},DE\n")
         with pytest.raises(ValueError, match=f"^geo db line 4: .*{why}"):
             GeoDb.from_csv(path)
+
+    def test_csv_parses_each_cidr_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "geo.csv"
+        path.write_text("cidr,country\n" + "".join(f"10.{i}.0.0/16,C{i}\n" for i in range(5)))
+        calls = []
+        parse = ipaddress.ip_network
+        monkeypatch.setattr(ipaddress, "ip_network",
+                            lambda *args, **kwargs: calls.append(args) or parse(*args, **kwargs))
+        db = GeoDb.from_csv(path)
+        assert len(calls) == len(db) == 5
+        assert db.lookup("10.3.1.1") == "C3"
+
+    @pytest.mark.parametrize("text", LOOKUP_EDGES)
+    def test_lookup_edges_match_a_prefix_scan(self, text):
+        assert LOOKUP_DB.lookup(text) == reference_geo_lookup(LOOKUP_PAIRS, text)
+
+    @given(text=st.one_of(
+        st.text(alphabet="0123456789abcdefABCDEF.:", max_size=24),
+        st.text(alphabet="0123456789.:%/ x\x00\u0663\uff11", max_size=20),
+        st.lists(st.sampled_from(["0", "00", "01", "1", "9", "10", "99", "127", "255", "256",
+                                  "999", "1000", ""]), min_size=1, max_size=6).map(".".join),
+        st.ip_addresses().map(str),
+        st.sampled_from(LOOKUP_EDGES),
+    ))
+    @settings(max_examples=400, deadline=None)
+    def test_lookup_matches_a_prefix_scan(self, text):
+        assert LOOKUP_DB.lookup(text) == reference_geo_lookup(LOOKUP_PAIRS, text)
 
     def test_each_call_resolves_against_its_own_db(self):
         records = [rec(i, PEERS[i % 2], CIDS[0], address=f"/ip4/10.0.{i % 3}.1/tcp/4001")

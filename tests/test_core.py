@@ -80,6 +80,11 @@ def test_codec_names():
         Codec.from_name("nonsense")
 
 
+def test_known_codec_names_give_the_shared_objects():
+    assert Codec.from_name("raw") is RAW and Codec.from_name("dag-pb") is DAG_PROTOBUF
+    assert Codec.from_name("codec-0xabcd") == 0xABCD
+
+
 def test_ids_are_plain_values():
     # a NodeId or Codec is an int, a Cid a (codec, digest) tuple: equal to,
     # hashed and ordered like the plain value, and surviving pickle and copy
@@ -427,6 +432,18 @@ def test_read_trace_shares_repeated_ids():
         assert x.peer is y.peer and x.cid is y.cid
         assert x.monitor is y.monitor and x.address is y.address
     assert got[0].peer is not got[1].peer and got[0].cid is not got[1].cid
+
+
+def test_one_cid_read_from_two_files_holds_one_codec_object():
+    record = TraceRecord(0, "m0", NodeId(1), "a", RequestType.WANT_HAVE, hash_content(b"x", RAW))
+    reads = []
+    for _ in range(2):
+        buf = io.BytesIO()
+        write_trace([record], buf)
+        buf.seek(0)
+        reads.append(read_trace(buf)[0].cid)
+    assert reads[0] is not reads[1]  # each file parses its own Cid
+    assert reads[0].codec is reads[1].codec is RAW
 
 
 def test_read_conn_events_shares_repeated_ids():
