@@ -12,7 +12,9 @@ genuine inter-monitor duplicates.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count, islice, repeat
 from operator import attrgetter, itemgetter, le
 from typing import Iterable, Mapping
@@ -32,12 +34,29 @@ DEFAULT_REBROADCAST_WINDOW_S = 31.0
 
 _timestamp = attrgetter("timestamp_ns")
 _monitor = attrgetter("monitor")
+_cid = attrgetter("cid")
+_peer = attrgetter("peer")
+
+
+def _group(records: tuple[TraceRecord, ...], key) -> dict:
+    groups = defaultdict(list)
+    for k, r in zip(map(key, records), records):
+        groups[k].append(r)
+    return dict(groups)
 
 
 @dataclass(frozen=True)
 class UnifiedTrace:
     """Time-ordered records from one or more monitors, ties broken by
-    (monitor, input position)."""
+    (monitor, input position).
+
+    ``by_cid`` and ``by_peer`` group the records by cid and by peer, each
+    group in trace order, so that a look-up reads only its key's records.
+    Each index is built by one pass the first time it is read and then
+    kept on the trace; ``records`` is a tuple and the trace is frozen, so
+    an index cannot go stale (``mark_flags`` returns a new trace, with
+    indexes of its own). The groups are shared: read them, do not change
+    them."""
 
     records: tuple[TraceRecord, ...]
     provenance: tuple[str, ...]
@@ -47,6 +66,14 @@ class UnifiedTrace:
 
     def __iter__(self):
         return iter(self.records)
+
+    @cached_property
+    def by_cid(self) -> dict[Cid, list[TraceRecord]]:
+        return _group(self.records, _cid)
+
+    @cached_property
+    def by_peer(self) -> dict[NodeId, list[TraceRecord]]:
+        return _group(self.records, _peer)
 
 
 def unify(traces: Mapping[str, Iterable[TraceRecord]]) -> UnifiedTrace:

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 from .core import RAW, Cid, NodeId, RequestType, TraceRecord, hash_content
 from .netsim import Network
+from .pipeline import UnifiedTrace
 
 # simulated seconds a bait round waits for overlay wants after its HTTP request
 PROBE_WINDOW_S = 30.0
@@ -27,7 +28,10 @@ PROBE_MAX_ROUNDS = 200
 
 def idw(trace: Iterable[TraceRecord], cid: Cid) -> dict[NodeId, int]:
     """Identify data wanters: peers with a non-flagged want for ``cid``,
-    each mapped to its first-seen timestamp."""
+    each mapped to its first-seen timestamp. On a ``UnifiedTrace`` only
+    the cid's records are read (``UnifiedTrace.by_cid``)."""
+    if isinstance(trace, UnifiedTrace):
+        trace = trace.by_cid.get(cid, ())
     first_seen: dict[NodeId, int] = {}
     for r in trace:
         if r.cid != cid or r.flags or r.request_type is RequestType.CANCEL:
@@ -42,7 +46,10 @@ def tnw(
 ) -> list[tuple[int, RequestType, Cid]]:
     """Track node wants: the target's non-flagged want records in time
     order. Cancels and re-broadcasts are dropped, so the list approximates
-    distinct user actions rather than wire messages."""
+    distinct user actions rather than wire messages. On a ``UnifiedTrace``
+    only the target's records are read (``UnifiedTrace.by_peer``)."""
+    if isinstance(trace, UnifiedTrace):
+        trace = trace.by_peer.get(target, ())
     out = [
         (r.timestamp_ns, r.request_type, r.cid)
         for r in trace

@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swarmwatch.core import RAW, NodeId, RequestType, hash_content
+from helpers import synthetic_records
+from swarmwatch import pipeline
+from swarmwatch.core import RAW, NodeId, RequestType, TraceRecord, hash_content
 from swarmwatch.errors import ProbeUnreachableError
 from swarmwatch.netsim import (
     NodeKind,
@@ -9,7 +13,7 @@ from swarmwatch.netsim import (
     node_request,
     run,
 )
-from swarmwatch.pipeline import mark_flags, unify
+from swarmwatch.pipeline import UnifiedTrace, mark_flags, unify
 from swarmwatch.probes import (
     cross_reference,
     idw,
@@ -118,6 +122,78 @@ class TestTnw:
         net.run_for(125.0)
         wants = tnw(flagged_trace(net), a)
         assert len(wants) == 1  # one user action, several wire messages
+
+
+# a few peers and cids, so that keys repeat; the last of each is never
+# logged by the strategy below, so look-ups also ask for absent keys
+_PEERS = [NodeId(p) for p in (3, 1, 2, 9)]
+_CIDS = [hash_content(bytes([i]), RAW) for i in range(4)]
+
+
+@st.composite
+def _traces(draw):
+    """Records with repeated peers and cids, flags, cancels and equal
+    timestamps, in time order, ties in the order drawn."""
+    rows = draw(st.lists(st.tuples(
+        st.integers(0, 5), st.sampled_from(["m0", "m1"]), st.sampled_from(_PEERS[:-1]),
+        st.sampled_from(list(RequestType)), st.sampled_from(_CIDS[:-1]),
+        st.sampled_from([0, 0, 0, 1, 2, 3, 4])), max_size=30))
+    records = [TraceRecord(t, m, peer, "/ip4/198.51.100.7/tcp/4001", rt, cid, flags)
+               for t, m, peer, rt, cid, flags in rows]
+    records.sort(key=lambda r: r.timestamp_ns)
+    return UnifiedTrace(tuple(records), ("m0", "m1"))
+
+
+class TestIndexedLookups:
+    @given(trace=_traces())
+    @settings(max_examples=300, deadline=None)
+    def test_trace_answers_equal_the_scan(self, trace):
+        # a UnifiedTrace reads one key's group, a list or a generator scans
+        # the records: the same answers, in the same dict and list order
+        for cid in _CIDS:
+            got = idw(trace, cid)
+            for scanned in (list(trace.records), (r for r in trace.records)):
+                assert list(got.items()) == list(idw(scanned, cid).items())
+        for peer in _PEERS:
+            got = tnw(trace, peer)
+            for scanned in (list(trace.records), (r for r in trace.records)):
+                assert got == tnw(scanned, peer)
+
+    def test_each_index_built_at_most_once(self, monkeypatch):
+        built = []
+        group = pipeline._group
+
+        def counted(records, key):
+            built.append(key)
+            return group(records, key)
+
+        monkeypatch.setattr(pipeline, "_group", counted)
+        trace = mark_flags(unify({"m": synthetic_records(60, seed=3, monitors=("m",))}))
+        assert built == [] and "by_cid" not in vars(trace)  # unify/mark_flags build none
+        cid, peer = trace.records[0].cid, trace.records[0].peer
+        idw(trace, cid)
+        index = trace.by_cid
+        assert idw(trace, _CIDS[-1]) == {} and trace.by_cid is index
+        assert "by_peer" not in vars(trace)  # an idw look-up builds no peer index
+        tnw(trace, peer)
+        index = trace.by_peer
+        tnw(trace, peer)
+        assert trace.by_peer is index and len(built) == 2
+
+    def test_unified_and_marked_traces_answer_for_themselves(self):
+        net = scripted_net()
+        a = net.add_node(NodeKind.DHT_CLIENT)
+        net.add_node(NodeKind.MONITOR)
+        net.connect(a, net.monitors[0], latency_s=0.02)
+        cid = hash_content(b"never", RAW)
+        node_request(net, a, cid)
+        net.run_for(125.0)
+        unified = unify(net.traces)
+        wire = tnw(unified, a)
+        marked = mark_flags(unified)
+        assert len(wire) > 1 and wire == tnw(list(unified.records), a)
+        assert len(tnw(marked, a)) == 1 and tnw(marked, a) == tnw(list(marked.records), a)
+        assert idw(unified, cid) == idw(marked, cid) == {a: wire[0][0]}
 
 
 class TestTpi:
