@@ -118,6 +118,9 @@ class Cid(tuple):
     compares equal to the tuple of the same pair."""
 
     __slots__ = ()
+    # named fields, as on a namedtuple: dataclasses.asdict/astuple then
+    # rebuild a Cid as Cid(*values), not Cid(iterable)
+    _fields = ("codec", "digest")
 
     def __new__(cls, codec: Codec, digest: bytes) -> "Cid":
         if len(digest) != DIGEST_BYTES:

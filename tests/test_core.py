@@ -41,6 +41,7 @@ from swarmwatch.core import (
     write_trace,
 )
 from swarmwatch.errors import InputError, TraceParseError
+from swarmwatch.netsim import CatalogItem, IssuedRequest
 
 
 def test_hash_content_deterministic():
@@ -101,6 +102,18 @@ def test_ids_are_plain_values():
         NodeId(-1)
     with pytest.raises(ValueError):
         Cid(RAW, bytes(31))
+
+
+def test_records_holding_a_cid_convert_with_dataclasses():
+    # asdict/astuple rebuild a tuple subclass from its items: a Cid has to
+    # come back a Cid, not raise for want of its second argument
+    rng = random.Random(5)
+    c = hash_content(b"x", RAW)
+    for made in (_random_record(rng), CatalogItem(c, True, (NodeId(1),)),
+                 IssuedRequest(3, NodeId(2), c, "broadcast")):
+        as_dict = dataclasses.asdict(made)
+        assert as_dict["cid"] == made.cid and type(as_dict["cid"]) is Cid
+        assert dataclasses.astuple(made) == tuple(as_dict.values())
 
 
 def test_node_id_pos_range():
