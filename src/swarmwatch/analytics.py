@@ -6,6 +6,12 @@ cid). The power-law fitter follows the Clauset-Shalizi-Newman recipe for
 discrete data: MLE for the exponent at each candidate cutoff, cutoff chosen
 by minimal KS distance, and a semi-parametric bootstrap for the p-value
 (reject the power-law hypothesis when p < 0.1).
+
+The trace reports compute from ``pipeline.TraceColumns``: a
+``UnifiedTrace``'s own, built once and shared by every report on it, or a
+set built for the call from any other iterable of records. Their records'
+timestamps must fit in int64 and their request types be ``RequestType``
+members; InputError names the field otherwise.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ import ipaddress
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from socket import AF_INET, inet_pton
 from typing import Iterable, Mapping, Sequence
 
@@ -23,15 +31,34 @@ from scipy.special import gammaln, zeta
 
 from .core import Cid, Codec, NodeId, RequestType, TraceRecord, open_text, span_ns
 from .errors import DegenerateSampleError, InputError
+from .pipeline import REQUEST_TYPES, TraceColumns, UnifiedTrace, intern_codes, trace_columns
 
-# RequestType.CANCEL, looked up once: reading an Enum member off its class
-# costs about 0.1 µs, a per-record cost in the reports
-_CANCEL = RequestType.CANCEL
+_CANCEL = REQUEST_TYPES.index(RequestType.CANCEL)
+_I64_MAX = np.iinfo(np.int64).max
+
+
+def _columns(source: Iterable[TraceRecord]) -> TraceColumns:
+    """A trace's own columns; any other source gets a set built for this call."""
+    if isinstance(source, UnifiedTrace):
+        return source.columns
+    return trace_columns(tuple(source))
+
+
+def _tally(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``keys``, ascending, and how often each occurs.
+    One ``np.sort``: ``np.unique`` takes several times as long here."""
+    keys = np.sort(keys)
+    new = np.empty(len(keys), bool)
+    new[:1] = True
+    new[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(new)
+    return keys[starts], np.diff(starts, append=len(keys))
 
 
 @dataclass(frozen=True)
 class PopularityTable:
-    """Per-cid request counts over a trace."""
+    """Per-cid request counts over a trace. ``rrp`` and ``urp`` hold the
+    same cids, in the order of each cid's first counted record."""
 
     rrp: dict[Cid, int]
     urp: dict[Cid, int]
@@ -52,21 +79,21 @@ def popularity(source: Iterable[TraceRecord]) -> PopularityTable:
     Neither cancels nor records carrying either flag bit count, so
     re-broadcasts and inter-monitor duplicates do not inflate the scores.
     """
-    rrp: dict[Cid, int] = {}
-    wanters: dict[Cid, set[NodeId]] = {}
-    for r in source:
-        if r.request_type is _CANCEL or r.flags:
-            continue
-        cid = r.cid
-        peers = wanters.get(cid)
-        if peers is None:
-            wanters[cid] = {r.peer}
-            rrp[cid] = 1
-        else:
-            peers.add(r.peer)
-            rrp[cid] += 1
-    urp = {cid: len(peers) for cid, peers in wanters.items()}
-    return PopularityTable(rrp=rrp, urp=urp)
+    cols = _columns(source)
+    counted = (cols.request_type != _CANCEL) & ~cols.flagged
+    cid, peer = cols.cid[counted], cols.peer[counted]
+    n_cids = len(cols.cids)
+    # each cid's first counted record, or len(cid) for a cid with none
+    first = np.full(n_cids, len(cid))
+    np.minimum.at(first, cid, np.arange(len(cid)))
+    codes = np.argsort(first)[:np.count_nonzero(first < len(cid))].tolist()
+    rrp = np.bincount(cid, minlength=n_cids)[codes].tolist()
+    # one count per distinct (cid, peer) pair
+    n_peers = len(cols.peers)
+    pairs = _tally(cid * n_peers + peer)[0]
+    urp = np.bincount(pairs // n_peers, minlength=n_cids)[codes].tolist()
+    keys = list(map(cols.cids.__getitem__, codes))
+    return PopularityTable(rrp=dict(zip(keys, rrp)), urp=dict(zip(keys, urp)))
 
 
 def ecdf(scores: Sequence[int]) -> list[tuple[float, float]]:
@@ -415,8 +442,11 @@ def _share_rows(counts: Mapping[str, int]) -> list[ShareRow]:
 
 def codec_share(source: Iterable[TraceRecord]) -> list[ShareRow]:
     """Requests by cid codec, from raw records; cancels excluded, flags ignored."""
-    codes = Counter(r.cid[0] for r in source if r.request_type is not _CANCEL)
-    return _share_rows({Codec(code).name: c for code, c in codes.items()})
+    cols = _columns(source)
+    codec_of_cid, codecs = intern_codes(map(itemgetter(0), cols.cids), len(cols.cids))
+    counts = np.bincount(codec_of_cid[cols.cid[cols.request_type != _CANCEL]],
+                         minlength=len(codecs))
+    return _share_rows({Codec(code).name: c for code, c in zip(codecs, counts.tolist()) if c})
 
 
 @dataclass(frozen=True)
@@ -496,9 +526,13 @@ def geo_share(source: Iterable[TraceRecord], db: GeoDb) -> list[ShareRow]:
     """
     if len(db) == 0:
         raise InputError("geo database is empty")
-    addresses = Counter(r.address for r in source if not (r.flags or r.request_type is _CANCEL))
+    cols = _columns(source)
+    per_address = np.bincount(cols.address[(cols.request_type != _CANCEL) & ~cols.flagged],
+                              minlength=len(cols.addresses))
+    seen = np.flatnonzero(per_address)
     counts: Counter[str] = Counter()
-    for address, c in addresses.items():
+    for address, c in zip(map(cols.addresses.__getitem__, seen.tolist()),
+                          per_address[seen].tolist()):
         ip = _address_ip(address)
         country = db.lookup(ip) if ip else None
         counts[UNRESOLVED_COUNTRY if country is None else country] += c
@@ -533,25 +567,28 @@ def rate_timeseries(
     bucket_ns = span_ns(bucket_s, "bucket_s")
     if group_by not in ("request_type", "origin_group"):
         raise InputError(f"unknown group_by: {group_by!r}")
-    # (bucket index, group) -> requests
-    counts: dict[tuple[int, str], int] = {}
+    cols = _columns(source)
+    kept = cols.request_type != _CANCEL
+    if drop_flagged:
+        kept &= ~cols.flagged
+    t = cols.timestamp_ns[kept]
+    # numpy's integer floor division rounds down, as Python's does; a bucket
+    # wider than int64 holds every timestamp in bucket 0 or -1
+    bucket = t // bucket_ns if bucket_ns <= _I64_MAX else np.where(t < 0, -1, 0)
     if group_by == "request_type":
-        for r in source:
-            rtype = r.request_type
-            if rtype is _CANCEL or (drop_flagged and r.flags):
-                continue
-            key = (r.timestamp_ns // bucket_ns, rtype._value_)
-            counts[key] = counts.get(key, 0) + 1
+        group, labels = cols.request_type[kept], [m._value_ for m in REQUEST_TYPES]
     else:
-        groups = group_map or {}
-        for r in source:
-            if r.request_type is _CANCEL or (drop_flagged and r.flags):
-                continue
-            key = (r.timestamp_ns // bucket_ns, groups.get(r.peer, NON_GATEWAY_GROUP))
-            counts[key] = counts.get(key, 0) + 1
+        # one group per distinct peer
+        group_of_peer, labels = intern_codes(
+            map((group_map or {}).get, cols.peers, repeat(NON_GATEWAY_GROUP)), len(cols.peers))
+        group = group_of_peer[cols.peer[kept]]
+    # one key per (bucket, group) pair: the bucket's rank, then the group
+    buckets = _tally(bucket)[0]
+    n = len(labels)
+    keys, counts = _tally(np.searchsorted(buckets, bucket) * n + group)
     points = [
-        RatePoint(bucket * bucket_ns, group, c / bucket_s)
-        for (bucket, group), c in counts.items()
+        RatePoint(b * bucket_ns, labels[g], c / bucket_s)
+        for b, g, c in zip(buckets[keys // n].tolist(), (keys % n).tolist(), counts.tolist())
     ]
     points.sort(key=lambda p: (p.bucket_start_ns, p.group))
     return points

@@ -17,13 +17,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice, repeat
 from operator import attrgetter, itemgetter, le
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .core import (
     FLAG_INTER_MONITOR_DUPLICATE,
     FLAG_REBROADCAST,
     Cid,
     NodeId,
+    RequestType,
     TraceRecord,
     to_ns,
 )
@@ -36,6 +39,15 @@ _timestamp = attrgetter("timestamp_ns")
 _monitor = attrgetter("monitor")
 _cid = attrgetter("cid")
 _peer = attrgetter("peer")
+_address = attrgetter("address")
+_request_type = attrgetter("request_type")
+_flags = attrgetter("flags")
+
+# request-type column code -> member
+REQUEST_TYPES = tuple(RequestType)
+# id of a member -> its code: the members are singletons, and a dict keyed by
+# the member itself would hash it in Python, a per-record cost
+_TYPE_CODE = {id(m): code for code, m in enumerate(REQUEST_TYPES)}
 
 
 def _group(records: tuple[TraceRecord, ...], key) -> dict:
@@ -43,6 +55,71 @@ def _group(records: tuple[TraceRecord, ...], key) -> dict:
     for k, r in zip(map(key, records), records):
         groups[k].append(r)
     return dict(groups)
+
+
+class _Codes(dict):
+    """value -> int code, each new value taking the next code."""
+
+    def __missing__(self, value):
+        code = self[value] = len(self)
+        return code
+
+
+def intern_codes(values: Iterable, n: int = -1) -> tuple[np.ndarray, tuple]:
+    """An int code per value (``n`` of them, if known) and the distinct
+    values in first-seen order, the value of code i at position i."""
+    codes = _Codes()
+    return np.fromiter(map(codes.__getitem__, values), np.intp, n), tuple(codes)
+
+
+@dataclass(frozen=True, eq=False)
+class TraceColumns:
+    """The record fields the reports read, one array per field in record
+    order. ``request_type`` holds indexes into ``REQUEST_TYPES``, and
+    ``flagged`` is True for a record carrying any flag bit. ``cid``,
+    ``peer`` and ``address`` hold codes from ``intern_codes``; ``cids``, ``peers``
+    and ``addresses`` are the distinct values in first-seen order."""
+
+    timestamp_ns: np.ndarray  # int64
+    request_type: np.ndarray  # int8
+    flagged: np.ndarray  # bool
+    cid: np.ndarray
+    peer: np.ndarray
+    address: np.ndarray
+    cids: tuple[Cid, ...]
+    peers: tuple[NodeId, ...]
+    addresses: tuple[str, ...]
+
+
+def trace_columns(records: Sequence[TraceRecord]) -> TraceColumns:
+    """The columns of ``records``. Timestamps must fit in int64 and request
+    types be ``RequestType`` members; InputError names the field otherwise."""
+    n = len(records)
+    try:
+        timestamp_ns = np.fromiter(map(_timestamp, records), np.int64, n)
+    except OverflowError:
+        raise InputError("a record's timestamp_ns does not fit in int64") from None
+    try:
+        request_type = np.fromiter(
+            map(_TYPE_CODE.__getitem__, map(id, map(_request_type, records))), np.int8, n)
+    except KeyError:
+        bad = next(r.request_type for r in records if id(r.request_type) not in _TYPE_CODE)
+        raise InputError(f"request_type {bad!r} is not a RequestType member") from None
+    cid, cids = intern_codes(map(_cid, records), n)
+    peer, peers = intern_codes(map(_peer, records), n)
+    address, addresses = intern_codes(map(_address, records), n)
+    return TraceColumns(
+        timestamp_ns=timestamp_ns,
+        request_type=request_type,
+        # numpy stores an object's truth value in a bool array
+        flagged=np.fromiter(map(_flags, records), bool, n),
+        cid=cid,
+        peer=peer,
+        address=address,
+        cids=cids,
+        peers=peers,
+        addresses=addresses,
+    )
 
 
 @dataclass(frozen=True)
@@ -56,7 +133,10 @@ class UnifiedTrace:
     kept on the trace; ``records`` is a tuple and the trace is frozen, so
     an index cannot go stale (``mark_flags`` returns a new trace, with
     indexes of its own). The groups are shared: read them, do not change
-    them."""
+    them.
+
+    ``columns`` is a third such view, built and kept the same way: the
+    records as ``TraceColumns``, which the reports in ``analytics`` read."""
 
     records: tuple[TraceRecord, ...]
     provenance: tuple[str, ...]
@@ -74,6 +154,10 @@ class UnifiedTrace:
     @cached_property
     def by_peer(self) -> dict[NodeId, list[TraceRecord]]:
         return _group(self.records, _peer)
+
+    @cached_property
+    def columns(self) -> TraceColumns:
+        return trace_columns(self.records)
 
 
 def unify(traces: Mapping[str, Iterable[TraceRecord]]) -> UnifiedTrace:

@@ -1,5 +1,6 @@
 import ipaddress
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from helpers import (
     reference_geo_lookup,
     scipy_zeta_triangle,
 )
-from swarmwatch import analytics
+from swarmwatch import analytics, pipeline
 from swarmwatch.analytics import (
     ALPHA_RANGE,
     MAX_SAMPLE,
@@ -48,6 +49,7 @@ from swarmwatch.core import (
     hash_content,
 )
 from swarmwatch.errors import DegenerateSampleError, InputError
+from swarmwatch.pipeline import UnifiedTrace, mark_flags, unify
 
 NS = 1_000_000_000
 
@@ -736,7 +738,9 @@ GROUP_MAP = {PEERS[0]: "gw0.example", PEERS[1]: "gw0.example", PEERS[2]: "gw1.ex
 trace_records = st.lists(
     st.builds(
         TraceRecord,
-        timestamp_ns=st.integers(0, 10**13),  # drawn in any order
+        # drawn in any order; negative ones check numpy's floor division,
+        # and int64's ends the reports' column domain
+        timestamp_ns=st.one_of(st.integers(-10**13, 10**13), st.sampled_from([-2**63, 2**63 - 1])),
         monitor=st.sampled_from(["m0", "m1"]),
         peer=st.sampled_from(PEERS),
         address=st.sampled_from(ADDRESSES),
@@ -751,7 +755,8 @@ trace_records = st.lists(
 
 
 @given(records=trace_records, drop_flagged=st.booleans(),
-       bucket_s=st.sampled_from([1e-9, 0.75, 60.0, 3600.0]),
+       # 1e12 s is wider than int64 nanoseconds
+       bucket_s=st.sampled_from([1e-9, 0.75, 60.0, 3600.0, 1e12]),
        group_by=st.sampled_from(["request_type", "origin_group"]),
        group_map=st.sampled_from([None, {}, GROUP_MAP]))
 @settings(max_examples=150, deadline=None)
@@ -780,3 +785,61 @@ def test_reports_read_a_one_shot_source(records):
     ]
     for report in reports:
         assert report(r for r in records) == report(records)
+
+
+REPORTS = {
+    "popularity": popularity,
+    "codec_share": codec_share,
+    "geo_share": lambda source: geo_share(source, GEO_DB),
+    "rate_by_type": lambda source: rate_timeseries(source, bucket_s=60.0),
+    "rate_by_group": lambda source: rate_timeseries(source, bucket_s=60.0, group_by="origin_group",
+                                                    group_map=GROUP_MAP, drop_flagged=True),
+}
+
+
+def _report_rows(report, source):
+    """What a report returns, with popularity's dict key order made part of it."""
+    got = REPORTS[report](source)
+    return (list(got.rrp.items()), list(got.urp.items())) if report == "popularity" else got
+
+
+@given(records=trace_records)
+@settings(max_examples=100, deadline=None)
+def test_trace_columns_answer_as_a_scan_does(records):
+    # a UnifiedTrace's reports read its one kept column set; a list or a
+    # generator gets a set of its own per call: the same rows, in the same
+    # order, and the trace builds once for all five reports
+    built = []
+    columns = pipeline.trace_columns
+
+    def counted(recs):
+        built.append(len(recs))
+        return columns(recs)
+
+    by_monitor = {}
+    for r in sorted(records, key=lambda r: r.timestamp_ns):
+        by_monitor.setdefault(r.monitor, []).append(r)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "trace_columns", counted)
+        trace = mark_flags(unify(by_monitor))
+        assert built == []  # unify and mark_flags build none
+        for report in REPORTS:
+            got = _report_rows(report, trace)
+            for scanned in (list(trace.records), (r for r in trace.records)):
+                assert got == _report_rows(report, scanned)
+        assert built == [len(trace)]
+
+
+@pytest.mark.parametrize("report", sorted(REPORTS))
+@pytest.mark.parametrize("field, value", [
+    ("timestamp_ns", 2**63),
+    ("timestamp_ns", -2**63 - 1),
+    ("request_type", "want_have"),
+], ids=["timestamp-past-int64-max", "timestamp-below-int64-min", "request-type-not-a-member"])
+@pytest.mark.parametrize("as_trace", [False, True], ids=["list", "trace"])
+def test_records_outside_the_column_domain_raise_input_error_naming_the_field(
+        report, field, value, as_trace):
+    records = [rec(0, PEERS[0], CIDS[0]), replace(rec(1, PEERS[1], CIDS[1]), **{field: value})]
+    source = UnifiedTrace(tuple(records), ("m0",)) if as_trace else records
+    with pytest.raises(InputError, match=field):
+        REPORTS[report](source)

@@ -503,6 +503,14 @@ def _stats(tmp_path, method: str, doc: dict) -> list[str]:
     return ["estimate", "--method", method, "--stats", str(path)]
 
 
+def _late_trace(tmp_path) -> str:
+    """A one-record trace stamped past the int64 nanoseconds the reports take."""
+    path = tmp_path / "late.csv"
+    write_trace([TraceRecord(2**63, "m0", GOLDEN_PEER, "/ip4/10.0.0.1/tcp/4001",
+                             RequestType.WANT_HAVE, hash_content(b"late", RAW))], path)
+    return str(path)
+
+
 def _estimate(p, *window):
     return ["estimate", "--method", "two-monitor", "--conn-events", p.conn, *window,
             "--out", p.out]
@@ -562,6 +570,8 @@ INPUT_EDGES = {
         p.tmp, '"churn": {"mean_session_s": 60, "mean_offline_s": NaN}'), "--out", p.out],
         "churn.mean_offline_s"),
     "same-trace-twice": (lambda p: ["unify", p.trace, p.trace, "--out", p.out], "not sorted"),
+    "timestamp-past-int64": (lambda p: ["analyze", _late_trace(p.tmp), "--report", "popularity",
+                                        "--out", p.out], "timestamp_ns"),
 }
 
 

@@ -14,7 +14,7 @@ from swarmwatch.core import (
     hash_content,
 )
 from swarmwatch.errors import InputError
-from swarmwatch.pipeline import mark_flags, unify
+from swarmwatch.pipeline import REQUEST_TYPES, mark_flags, unify
 
 from helpers import NS, brute_force_flags, synthetic_records
 
@@ -241,3 +241,20 @@ def test_zero_negative_and_large_finite_windows_still_mark(window):
     records = synthetic_records(300, seed=3)
     got = mark_flags(unify(_named(records)), window_dup_s=window, window_rebroadcast_s=window)
     assert [r.flags for r in got] == brute_force_flags(records, window, window)
+
+
+@pytest.mark.parametrize("n, seed", [(0, 0), (1, 1), (300, 2), (300, 3)])
+def test_columns_hold_each_records_fields(n, seed):
+    # codes count up in first-seen order, whatever the hash seed
+    records = [r.with_flags(i % 3) for i, r in enumerate(synthetic_records(n, seed=seed))]
+    trace = mark_flags(unify(_named(records)))
+    cols = trace.columns
+    assert trace.columns is cols
+    assert cols.timestamp_ns.dtype == "int64"
+    assert cols.timestamp_ns.tolist() == [r.timestamp_ns for r in trace]
+    assert all(REQUEST_TYPES[c] is r.request_type for c, r in zip(cols.request_type, trace))
+    assert cols.flagged.tolist() == [r.flags != 0 for r in trace]
+    for field, distinct in (("cid", cols.cids), ("peer", cols.peers), ("address", cols.addresses)):
+        values = [getattr(r, field) for r in trace]
+        assert distinct == tuple(dict.fromkeys(values))
+        assert [distinct[c] for c in getattr(cols, field).tolist()] == values
