@@ -739,7 +739,7 @@ trace_records = st.lists(
     st.builds(
         TraceRecord,
         # drawn in any order; negative ones check numpy's floor division,
-        # and int64's ends the reports' column domain
+        # and the two ends of int64 bound the reports' column domain
         timestamp_ns=st.one_of(st.integers(-10**13, 10**13), st.sampled_from([-2**63, 2**63 - 1])),
         monitor=st.sampled_from(["m0", "m1"]),
         peer=st.sampled_from(PEERS),
@@ -772,21 +772,6 @@ def test_reports_match_per_record_references(records, drop_flagged, bucket_s, gr
             == reference_rate_timeseries(records, bucket_s, group_by, group_map, drop_flagged))
 
 
-@given(records=trace_records)
-@settings(max_examples=30, deadline=None)
-def test_reports_read_a_one_shot_source(records):
-    reports = [
-        popularity,
-        codec_share,
-        lambda source: geo_share(source, GEO_DB),
-        lambda source: rate_timeseries(source, bucket_s=60.0),
-        lambda source: rate_timeseries(source, bucket_s=60.0, group_by="origin_group",
-                                       group_map=GROUP_MAP, drop_flagged=True),
-    ]
-    for report in reports:
-        assert report(r for r in records) == report(records)
-
-
 REPORTS = {
     "popularity": popularity,
     "codec_share": codec_share,
@@ -795,6 +780,13 @@ REPORTS = {
     "rate_by_group": lambda source: rate_timeseries(source, bucket_s=60.0, group_by="origin_group",
                                                     group_map=GROUP_MAP, drop_flagged=True),
 }
+
+
+@given(records=trace_records)
+@settings(max_examples=30, deadline=None)
+def test_reports_read_a_one_shot_source(records):
+    for report in REPORTS.values():
+        assert report(r for r in records) == report(records)
 
 
 def _report_rows(report, source):
