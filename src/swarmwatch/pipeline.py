@@ -65,9 +65,9 @@ class _Codes(dict):
         return code
 
 
-def intern_codes(values: Iterable, n: int = -1) -> tuple[np.ndarray, tuple]:
-    """An int code per value (``n`` of them, if known) and the distinct
-    values in first-seen order, the value of code i at position i."""
+def intern_codes(values: Iterable, n: int) -> tuple[np.ndarray, tuple]:
+    """An int code for each of the ``n`` values, and the distinct values in
+    first-seen order, the value of code i at position i."""
     codes = _Codes()
     return np.fromiter(map(codes.__getitem__, values), np.intp, n), tuple(codes)
 
