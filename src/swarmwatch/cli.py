@@ -15,7 +15,6 @@ import csv
 import hashlib
 import json
 import math
-import re
 import sys
 import time
 from dataclasses import asdict
@@ -146,15 +145,19 @@ def _windows(args) -> dict:
     return {"dup_window_s": args.dup_window_s, "rebroadcast_window_s": args.rebroadcast_window_s}
 
 
+def _by_monitor(read, paths) -> dict[str, list]:
+    """What ``read`` returns for each of ``paths``, grouped by monitor."""
+    by_monitor: dict[str, list] = {}
+    for item in chain.from_iterable(map(read, paths)):
+        by_monitor.setdefault(item.monitor, []).append(item)
+    return by_monitor
+
+
 def _load_marked_trace(args):
     """Read ``args.traces``, unify them and mark flags with the windows
     given on the command line."""
-    by_monitor: dict[str, list] = {}
-    for path in args.traces:
-        for rec in read_trace(path):
-            by_monitor.setdefault(rec.monitor, []).append(rec)
     return pipeline.mark_flags(
-        pipeline.unify(by_monitor),
+        pipeline.unify(_by_monitor(read_trace, args.traces)),
         window_dup_s=args.dup_window_s,
         window_rebroadcast_s=args.rebroadcast_window_s,
     )
@@ -231,21 +234,17 @@ def _share_report(manifest: _Manifest, name: str, label: str, rows) -> None:
     )
 
 
-_HEX_ID = re.compile(r"[0-9a-fA-F]{1,64}")
-
-
 def _read_gateway_map(path) -> dict[NodeId, str]:
     """Read a --gateway-map file, a JSON object mapping peer ids in hex to
-    group names; raise ConfigError naming the first key that is not one."""
+    group names; raise ConfigError naming the first key that maps to no
+    group name, else the first that is not a peer id."""
     doc = _parse(_json_file, path, "--gateway-map")
     if not isinstance(doc, dict):
         raise ConfigError(f"--gateway-map must hold a JSON object, got {type(doc).__name__}")
     for key, group in doc.items():
-        if not _HEX_ID.fullmatch(key):
-            raise ConfigError(f"--gateway-map key {key!r} is not a peer id in hex")
         if not isinstance(group, str):
             raise ConfigError(f"--gateway-map key {key!r} must map to a group name, not {group!r}")
-    return {NodeId.from_hex(k): v for k, v in doc.items()}
+    return {_parse(NodeId.from_hex, k, "--gateway-map key"): v for k, v in doc.items()}
 
 
 def cmd_analyze(args) -> int:
@@ -370,12 +369,9 @@ def _stats_from_args(args, manifest: _Manifest) -> dict:
         window = (to_ns(start_s, "--window-start-s"), to_ns(end_s, "--window-end-s"))
         if window[1] <= window[0]:
             raise ConfigError(f"--window-end-s {end_s!r} is not after --window-start-s {start_s!r}")
-        events: dict[str, list] = {}
         for path in args.conn_events:
             manifest.add_input(path)
-            for e in read_conn_events(path):
-                events.setdefault(e.monitor, []).append(e)
-        stats = estimators.peer_set_stats(events, window)
+        stats = estimators.peer_set_stats(_by_monitor(read_conn_events, args.conn_events), window)
         return {
             "sizes": stats.sizes,
             "intersections": {"|".join(k): v for k, v in stats.intersections.items()},

@@ -36,6 +36,10 @@ ID_SPACE = 1 << ID_BITS
 FLAG_INTER_MONITOR_DUPLICATE = 0x1
 FLAG_REBROADCAST = 0x2
 
+# node id and cid digest text: hex digits only, no sign, prefix, underscore or space
+_ID_HEX = re.compile(r"[0-9a-fA-F]{1,64}")
+_DIGEST_HEX = re.compile(r"[0-9a-fA-F]{64}")
+
 
 class NodeId(int):
     """A 256-bit overlay identifier, uniformly distributed when generated.
@@ -56,6 +60,9 @@ class NodeId(int):
 
     @classmethod
     def from_hex(cls, text: str) -> "NodeId":
+        """The id written as 1 to 64 hex digits; InputError otherwise."""
+        if not _ID_HEX.fullmatch(text):
+            raise InputError(f"peer_id must be 1 to 64 hex digits, got {text!r}")
         return cls(int(text, 16))
 
     @property
@@ -141,11 +148,18 @@ class Cid(tuple):
         return f"{self.codec.name}:{self.digest_hex}"
 
     @classmethod
+    def from_fields(cls, codec_name: str, digest_hex: str) -> "Cid":
+        """The cid of a codec name and a digest of exactly 64 hex digits;
+        InputError names the codec or the digest otherwise."""
+        codec = Codec.from_name(codec_name)
+        if not _DIGEST_HEX.fullmatch(digest_hex):
+            raise InputError(f"cid_digest_hex must be 64 hex digits, got {digest_hex!r}")
+        return cls(codec, bytes.fromhex(digest_hex))
+
+    @classmethod
     def from_string(cls, text: str) -> "Cid":
         name, _, hexpart = text.partition(":")
-        if not hexpart:
-            raise InputError(f"not a cid string: {text!r}")
-        return cls(Codec.from_name(name), bytes.fromhex(hexpart))
+        return cls.from_fields(name, hexpart)
 
     def __repr__(self) -> str:
         return f"Cid({self.codec.name}:{self.digest_hex[:8]}..)"
@@ -297,6 +311,21 @@ def _csv_text(value: str) -> str:
     return value
 
 
+class Interner(dict):
+    """``codes[value]`` is the int code of ``value``, a new value taking the
+    next code, so codes are in first-seen order; ``by_code[i]`` has code i."""
+
+    __slots__ = ("by_code",)
+
+    def __init__(self):
+        self.by_code: list = []
+
+    def __missing__(self, value):
+        code = self[value] = len(self.by_code)
+        self.by_code.append(value)
+        return code
+
+
 class _Memo(dict):
     """``memo[key]`` is ``fn(key)``, computed on the first look-up of each
     key; an exception from ``fn`` propagates and stores nothing."""
@@ -375,7 +404,7 @@ def read_trace(source: PathOrStream) -> list[TraceRecord]:
     share the same object."""
     strings: dict[str, str] = {}
     peers = _Memo(NodeId.from_hex)
-    cids = _Memo(lambda pair: Cid(Codec.from_name(pair[0]), bytes.fromhex(pair[1])))
+    cids = _Memo(lambda pair: Cid.from_fields(*pair))
     out = []
     with open_text(source, "r") as stream:
         for lineno, (ts, monitor, peer_hex, address, rtype, codec, digest, flags) in \
@@ -389,6 +418,8 @@ def read_trace(source: PathOrStream) -> list[TraceRecord]:
                 ts, peer, cid, flags = int(ts), peers[peer_hex], cids[codec, digest], int(flags)
             except (ValueError, TypeError) as exc:
                 raise TraceParseError(str(exc), lineno)
+            if flags < 0:
+                raise TraceParseError(f"flags must be non-negative, got {flags}", lineno)
             out.append(build_trace_record(
                 ts, strings.setdefault(monitor, monitor), peer,
                 strings.setdefault(address, address), request_type, cid, flags,

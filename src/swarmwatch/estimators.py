@@ -19,14 +19,14 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, combinations, count, repeat
+from itertools import combinations, repeat
 from numbers import Integral
 from operator import attrgetter, is_
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ConnEvent, ConnEventKind, NodeId, span_ns
+from .core import ConnEvent, ConnEventKind, Interner, NodeId, span_ns
 from .errors import ConnEventOrderError, DegenerateSampleError, DisjointSamplesError, InputError
 
 _I64 = np.iinfo(np.int64)
@@ -219,8 +219,7 @@ def peer_set_stats(conn_events: Mapping[str, Sequence[ConnEvent]], window: tuple
     step = span_ns(SAMPLE_INTERVAL_S, "SAMPLE_INTERVAL_S")
     n_instants = -((t0 - t1) // step)
     monitors = sorted(conn_events)
-    peers = {m: list(map(_PEER, conn_events[m])) for m in monitors}
-    code_of = dict(zip(dict.fromkeys(chain.from_iterable(peers.values())), count()))
+    code_of = Interner()
     seen: dict[str, np.ndarray] = {}
     w_per_monitor: dict[str, float] = {}
     for monitor in monitors:
@@ -230,7 +229,7 @@ def peer_set_stats(conn_events: Mapping[str, Sequence[ConnEvent]], window: tuple
             ts = np.fromiter(map(_TIMESTAMP, events), np.int64, n)
         except OverflowError:
             raise InputError(f"a timestamp on {monitor} does not fit in int64") from None
-        codes = np.fromiter(map(code_of.__getitem__, peers[monitor]), np.int64, n)
+        codes = np.fromiter(map(code_of.__getitem__, map(_PEER, events)), np.int64, n)
         connect = np.fromiter(map(is_, map(_KIND, events), repeat(ConnEventKind.CONNECT)), bool, n)
         order = np.argsort(ts, kind="stable")
         order = order[np.argsort(codes[order], kind="stable")]
@@ -259,7 +258,6 @@ def peer_set_stats(conn_events: Mapping[str, Sequence[ConnEvent]], window: tuple
                                 .view(np.uint64) - np.uint64(t0 % 2**64), step)
         below += rest != 0
         w_per_monitor[monitor] = int((below[0] - below[1]).sum()) / n_instants
-    peer_of = list(code_of)
     mean_w = sum(w_per_monitor.values()) / len(w_per_monitor) if w_per_monitor else 0.0
     return PeerSetStats(
         sizes={m: len(seen[m]) for m in monitors},
@@ -271,7 +269,8 @@ def peer_set_stats(conn_events: Mapping[str, Sequence[ConnEvent]], window: tuple
         r=len(monitors),
         w_per_monitor=w_per_monitor,
         w=mean_w,
-        peer_sets={m: frozenset(map(peer_of.__getitem__, seen[m].tolist())) for m in monitors},
+        peer_sets={m: frozenset(map(code_of.by_code.__getitem__, seen[m].tolist()))
+                   for m in monitors},
     )
 
 

@@ -102,6 +102,7 @@ from .core import (
     Codec,
     ConnEvent,
     ConnEventKind,
+    Interner,
     NodeId,
     RequestType,
     TraceRecord,
@@ -540,8 +541,8 @@ class Network:
         self._at: list[SimNode] = []  # by node index
         self._ids: list[NodeId] = []  # by node index
         self._monitor_idx: set[int] = set()
-        self._cids: list[Cid] = []  # by cid index
-        self._cid_index: dict[Cid, int] = {}
+        self._cid_code: Interner = Interner()  # cid -> cid index
+        self._cids: list[Cid] = self._cid_code.by_code  # by cid index
         self._providers: dict[int, set[int]] = {}  # cid -> providing nodes
         self.catalog: list[CatalogItem] = []
         self.monitors: list[NodeId] = []
@@ -564,13 +565,6 @@ class Network:
         self._pop_cum: list[float] | None = None
         self._country_prefixes: dict[str, int] = {}
 
-    def _intern(self, cid: Cid) -> int:
-        c = self._cid_index.get(cid)
-        if c is None:
-            c = self._cid_index[cid] = len(self._cids)
-            self._cids.append(cid)
-        return c
-
     # ------------------------------------------------------------------
     # topology
 
@@ -581,7 +575,6 @@ class Network:
         node_id: NodeId | None = None,
         address: str | None = None,
         country: str = "ZZ",
-        monitor_name: str | None = None,
     ) -> NodeId:
         nid = node_id if node_id is not None else NodeId.generate(self.rng)
         if nid in self.nodes:
@@ -595,7 +588,7 @@ class Network:
         i = len(self._at)
         node = SimNode(id=nid, kind=kind, address=address, index=i, _ids=self._ids)
         if kind is NodeKind.MONITOR:
-            node.monitor_name = monitor_name or f"m{len(self.monitors)}"
+            node.monitor_name = f"m{len(self.monitors)}"
             self.monitors.append(nid)
             self._monitor_idx.add(i)
             self.traces[node.monitor_name] = []
@@ -660,7 +653,9 @@ class Network:
     def run_for(self, duration_s: float) -> None:
         """Handle the events due in the next ``duration_s`` seconds, a finite
         span of at least 0, and move the clock to its end."""
-        end = self.now_ns + _duration_ns(duration_s)
+        if duration_s < 0:
+            raise InputError(f"duration_s must be non-negative, got {duration_s!r}")
+        end = self.now_ns + to_ns(duration_s, "duration_s")
         self._drain(end)
         self.now_ns = end
 
@@ -777,7 +772,7 @@ class Network:
         node = self.nodes[requester]
         if node.kind is NodeKind.MONITOR:
             raise ConfigError("monitor nodes never originate requests")
-        c, now, issued = self._intern(cid), self.now_ns, self.ground_truth.requests_issued
+        c, now, issued = self._cid_code[cid], self.now_ns, self.ground_truth.requests_issued
         existing = self._requests.get((node.index, c))  # pending ones only
         if existing is not None:
             issued.append(IssuedRequest(now, requester, cid, "duplicate"))
@@ -1019,19 +1014,19 @@ class Network:
         """Pin the block locally and publish a provider record."""
         node = self.nodes[nid]
         node.store.add(cid)
-        self._providers.setdefault(self._intern(cid), set()).add(node.index)
+        self._providers.setdefault(self._cid_code[cid], set()).add(node.index)
         self._now_holds(node.index, cid)
 
     def _now_holds(self, p: int, cid: Cid) -> None:
         """Rule 3: a scheduled want that reaches ``p`` now gets a HAVE."""
-        c = self._cid_index[cid]
+        c = self._cid_code[cid]
         for h in self._scheduled():
             if h._cid == c and p in h._sched:
                 self._queue_scheduled(h, p)
 
     def find_providers(self, cid: Cid) -> set[NodeId]:
         at = self._at
-        return {at[p].id for p in self._providers.get(self._cid_index.get(cid), ())
+        return {at[p].id for p in self._providers.get(self._cid_code.get(cid), ())
                 if at[p].online}
 
     # ------------------------------------------------------------------
@@ -1095,7 +1090,7 @@ class Network:
         if not pn.online:
             raise ProbeUnreachableError("prober is offline")
         self.connect(prober, target)  # no-op if linked
-        waits, key = self._probe_waits, (pn.index, tn.index, self._intern(cid))
+        waits, key = self._probe_waits, (pn.index, tn.index, self._cid_code[cid])
         for h in self._scheduled():  # rule 3: the probe would read the answer
             if h._node == key[0] and h._cid == key[2] and key[1] in h._sched:
                 self._queue_scheduled(h, key[1])
@@ -1114,11 +1109,7 @@ class Network:
         clients = [self.add_node(NodeKind.DHT_CLIENT, country=next(countries)) for _ in range(cfg.n_clients)]
         gateway_nodes = [self.add_node(NodeKind.GATEWAY, country=next(countries)) for _ in range(cfg.n_gateways)]
         for i in range(cfg.n_monitors):
-            self.add_node(
-                NodeKind.MONITOR,
-                address=f"/ip4/192.0.2.{i + 1}/tcp/4001",
-                monitor_name=f"m{i}",
-            )
+            self.add_node(NodeKind.MONITOR, address=f"/ip4/192.0.2.{i + 1}/tcp/4001")
         regular = servers + clients + gateway_nodes
         self._build_degree_graph(regular)
         self._build_gateway_groups(gateway_nodes)
@@ -1264,7 +1255,7 @@ class Network:
             delay = self.rng.expovariate(1.0 / self.cfg.churn.mean_session_s)
             self._timer(delay * NS, _CHURN_OFF, self.nodes[nid].index)
 
-    def _schedule_workload(self, duration_s: float) -> None:
+    def _schedule_workload(self) -> None:
         cfg = self.cfg
         if cfg.request_rate_per_node > 0 and self.catalog:
             # id order: each requester draws its times and items in turn
@@ -1277,25 +1268,25 @@ class Network:
                 times: list[float] = []
                 if cfg.workload == "poisson":
                     t = self.rng.expovariate(cfg.request_rate_per_node)
-                    while t < duration_s:
+                    while t < cfg.duration_s:
                         times.append(t)
                         t += self.rng.expovariate(cfg.request_rate_per_node)
                 else:
-                    k = round(cfg.request_rate_per_node * duration_s)
-                    times = [(i + 0.5) * duration_s / k for i in range(k)]
+                    k = round(cfg.request_rate_per_node * cfg.duration_s)
+                    times = [(i + 0.5) * cfg.duration_s / k for i in range(k)]
                 if cfg.distinct_items_per_node and len(times) <= len(self.catalog):
                     items = self.rng.sample(range(len(self.catalog)), len(times))
                 else:
                     items = [self._sample_item() for _ in times]
                 i = self.nodes[nid].index
                 for t, idx in zip(times, items):
-                    self._timer(t * NS, _WORKLOAD_REQUEST, i, self._intern(self.catalog[idx].cid))
+                    self._timer(t * NS, _WORKLOAD_REQUEST, i, self._cid_code[self.catalog[idx].cid])
         if cfg.gateway_http_rate > 0 and self.catalog and self.gateways:
             self._gateway_names = sorted(self.gateways)
             for g, dns_name in enumerate(self._gateway_names):
                 t = self.rng.expovariate(cfg.gateway_http_rate)
-                while t < duration_s:
-                    c = self._intern(self.catalog[self._sample_item()].cid)
+                while t < cfg.duration_s:
+                    c = self._cid_code[self.catalog[self._sample_item()].cid]
                     self._timer(t * NS, _WORKLOAD_GATEWAY, g, c)
                     t += self.rng.expovariate(cfg.gateway_http_rate)
 
@@ -1340,14 +1331,6 @@ _DISPATCH = (
 # module-level operation surface
 
 
-def _duration_ns(duration_s: float) -> int:
-    """A span in whole nanoseconds; InputError unless it is finite and at least 0."""
-    span = to_ns(duration_s, "duration_s")
-    if duration_s < 0:
-        raise InputError(f"duration_s must be non-negative, got {duration_s!r}")
-    return span
-
-
 def build_network(cfg: SimConfig) -> Network:
     """Create nodes, the degree-constrained connection graph, gateway
     groups, and the content catalog with its provider records."""
@@ -1356,21 +1339,18 @@ def build_network(cfg: SimConfig) -> Network:
     return net
 
 
-def run(net: Network, duration_s: float | None = None):
-    """Advance the world by ``duration_s`` (the config's by default), a finite
-    span of at least 0, attaching the monitors and starting churn on the
-    first call; returns (traces, connection events, ground truth)."""
-    dur = net.cfg.duration_s if duration_s is None else duration_s
-    _duration_ns(dur)  # before anything changes
+def run(net: Network):
+    """Advance the world by the config's ``duration_s``, attaching the monitors and
+    starting churn on the first call; returns (traces, connection events, ground truth)."""
     if not net._monitors_attached:
         net._attach_monitors()
         net._monitors_attached = True
     if net.cfg.churn is not None and not net._churn_started:
         net._start_churn()
         net._churn_started = True
-    if dur > 0:
-        net._schedule_workload(dur)
-        net.run_for(dur)
+    if net.cfg.duration_s > 0:
+        net._schedule_workload()
+        net.run_for(net.cfg.duration_s)
     return net.traces, net.conn_events, net.ground_truth
 
 

@@ -25,6 +25,7 @@ from .core import (
     FLAG_INTER_MONITOR_DUPLICATE,
     FLAG_REBROADCAST,
     Cid,
+    Interner,
     NodeId,
     RequestType,
     TraceRecord,
@@ -57,19 +58,11 @@ def _group(records: tuple[TraceRecord, ...], key) -> dict:
     return dict(groups)
 
 
-class _Codes(dict):
-    """value -> int code, each new value taking the next code."""
-
-    def __missing__(self, value):
-        code = self[value] = len(self)
-        return code
-
-
 def intern_codes(values: Iterable, n: int) -> tuple[np.ndarray, tuple]:
     """An int code for each of the ``n`` values, and the distinct values in
     first-seen order, the value of code i at position i."""
-    codes = _Codes()
-    return np.fromiter(map(codes.__getitem__, values), np.intp, n), tuple(codes)
+    codes = Interner()
+    return np.fromiter(map(codes.__getitem__, values), np.intp, n), tuple(codes.by_code)
 
 
 @dataclass(frozen=True, eq=False)

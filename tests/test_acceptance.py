@@ -303,7 +303,7 @@ def test_criterion_10_attack_soundness():
         gateway_cache_hit_ratio=0.0,
     )
     net = build_network(cfg)
-    run(net, 0.0)
+    run(net)
     res = probe_gateway(net, "gw0.example", net.monitors, seed=7)
     assert res.discovered_node_ids == frozenset(net.ground_truth.gateway_map["gw0.example"])
 

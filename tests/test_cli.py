@@ -218,8 +218,9 @@ class TestAnalyze:
     @pytest.mark.parametrize("doc, named", [
         ([1, 2], "JSON object"),
         ({"zz": "g1"}, "'zz'"),
+        ({"0x1f": "g1"}, "'0x1f'"),
         ({GOLDEN_PEER.hex: 3}, repr(GOLDEN_PEER.hex)),
-    ], ids=["list", "non-hex-key", "non-string-group"])
+    ], ids=["list", "non-hex-key", "0x-key", "non-string-group"])
     def test_bad_gateway_map_exits_2_naming_it(self, tmp_path, capsys, doc, named):
         trace = golden_trace(tmp_path)
         gateway_map = tmp_path / "map.json"
@@ -503,11 +504,11 @@ def _stats(tmp_path, method: str, doc: dict) -> list[str]:
     return ["estimate", "--method", method, "--stats", str(path)]
 
 
-def _late_trace(tmp_path) -> str:
-    """A one-record trace stamped past the int64 nanoseconds the reports take."""
-    path = tmp_path / "late.csv"
-    write_trace([TraceRecord(2**63, "m0", GOLDEN_PEER, "/ip4/10.0.0.1/tcp/4001",
-                             RequestType.WANT_HAVE, hash_content(b"late", RAW))], path)
+def _one_record_trace(tmp_path, timestamp_ns: int = 0, flags: int = 0) -> str:
+    """A one-record trace file with the given timestamp and flags."""
+    path = tmp_path / "one.csv"
+    write_trace([TraceRecord(timestamp_ns, "m0", GOLDEN_PEER, "/ip4/10.0.0.1/tcp/4001",
+                             RequestType.WANT_HAVE, hash_content(b"one", RAW), flags)], path)
     return str(path)
 
 
@@ -570,8 +571,14 @@ INPUT_EDGES = {
         p.tmp, '"churn": {"mean_session_s": 60, "mean_offline_s": NaN}'), "--out", p.out],
         "churn.mean_offline_s"),
     "same-trace-twice": (lambda p: ["unify", p.trace, p.trace, "--out", p.out], "not sorted"),
-    "timestamp-past-int64": (lambda p: ["analyze", _late_trace(p.tmp), "--report", "popularity",
-                                        "--out", p.out], "timestamp_ns"),
+    "timestamp-past-int64": (lambda p: ["analyze", _one_record_trace(p.tmp, timestamp_ns=2**63),
+                                        "--report", "popularity", "--out", p.out],
+                             "timestamp_ns"),
+    "trace-flags-negative": (lambda p: ["unify", _one_record_trace(p.tmp, flags=-1),
+                                        "--out", p.out], "flags"),
+    "peer-0x": (lambda p: ["tnw", p.trace, "--peer", "0x1f", "--out", p.out], "--peer"),
+    "cid-spaced-digest": (lambda p: ["idw", p.trace, "--cid", "raw:" + " ".join(["00"] * 32),
+                                     "--out", p.out], "--cid"),
 }
 
 

@@ -25,6 +25,7 @@ from swarmwatch.core import (
     Codec,
     ConnEvent,
     ConnEventKind,
+    Interner,
     NodeId,
     RequestType,
     TraceRecord,
@@ -72,6 +73,35 @@ def test_cid_string_round_trip():
     assert Cid.from_string(str(c)) == c
     other = Cid(Codec(0x1234), bytes(32))
     assert Cid.from_string(str(other)) == other
+
+
+@pytest.mark.parametrize("text", ["0x1f", "1_f", " 1f", "+1f", "", "1" * 65, "\u0661"])
+def test_node_id_text_is_1_to_64_hex_digits(text):
+    with pytest.raises(InputError, match="peer_id must be 1 to 64 hex digits"):
+        NodeId.from_hex(text)
+
+
+def test_node_id_text_takes_either_case_and_leading_zeros():
+    assert NodeId.from_hex("1F") == NodeId.from_hex("0" * 62 + "1f") == 0x1F
+
+
+@pytest.mark.parametrize("digest", [" ".join(["ab"] * 32), "ab" * 31, "ab" * 33, "0x" + "ab" * 31,
+                                    "ab" * 31 + "a "])
+def test_cid_digest_text_is_64_hex_digits(digest):
+    with pytest.raises(InputError, match="cid_digest_hex must be 64 hex digits"):
+        Cid.from_fields("raw", digest)
+    with pytest.raises(InputError, match="cid_digest_hex"):
+        Cid.from_string(f"raw:{digest}")
+
+
+def test_interner_codes_values_in_first_seen_order():
+    codes = Interner()
+    values = ["b", "a", "b", "c", "a", "b"]
+    assert [codes[v] for v in values] == [0, 1, 0, 2, 1, 0]
+    assert codes == {"b": 0, "a": 1, "c": 2}
+    assert codes.by_code == ["b", "a", "c"]
+    assert all(codes.by_code[code] == value for value, code in codes.items())
+    assert codes.get("d") is None and "d" not in codes  # only a subscript adds a value
 
 
 def test_codec_names():
@@ -485,10 +515,12 @@ def _reference_trace_error(text: str) -> tuple[str, int]:
             return f"unknown request_type token {row[4]!r}", lineno
         try:
             int(row[0]), NodeId.from_hex(row[2])
-            Cid(Codec.from_name(row[5]), bytes.fromhex(row[6]))
-            int(row[7])
+            Cid.from_fields(row[5], row[6])
+            flags = int(row[7])
         except ValueError as exc:
             return str(exc), lineno
+        if flags < 0:
+            return f"flags must be non-negative, got {flags}", lineno
     raise AssertionError("reference parser found no error")
 
 
@@ -496,20 +528,26 @@ _BAD_TRACE_FIELDS = {
     "timestamp": (0, "12x"),
     "peer": (2, "xyz"),
     "peer range": (2, "1" + "0" * 64),
+    "peer 0x": (2, "0x1f"),
+    "peer underscore": (2, "1_f"),
     "type": (4, "want_maybe"),
     "codec": (5, "bogus"),
     "digest hex": (6, "zz"),
     "digest length": (6, "ab" * 31),
+    "digest spaced": (6, " ".join(["ab"] * 32)),
     "flags": (7, "one"),
+    "flags negative": (7, "-1"),
 }
 
 
 @pytest.mark.parametrize("bad", [
-    ("timestamp",), ("peer",), ("peer range",), ("type",), ("codec",),
-    ("digest hex",), ("digest length",), ("flags",),
+    ("timestamp",), ("peer",), ("peer range",), ("peer 0x",), ("peer underscore",),
+    ("type",), ("codec",), ("digest hex",), ("digest length",), ("digest spaced",),
+    ("flags",), ("flags negative",),
     # several bad fields: the first in parse order is the one reported
     ("timestamp", "peer"), ("type", "timestamp"), ("peer", "codec"),
     ("codec", "digest hex"), ("digest length", "flags"), ("timestamp", "flags"),
+    ("peer 0x", "digest spaced"), ("digest spaced", "flags negative"),
 ], ids="+".join)
 @pytest.mark.parametrize("repeat", [False, True], ids=["fresh", "after-same-ids"])
 def test_read_trace_errors_unchanged_by_caches(bad, repeat):
@@ -535,7 +573,7 @@ def test_read_trace_errors_unchanged_by_caches(bad, repeat):
 
 @pytest.mark.parametrize("column, value, message", [
     (0, "t0", "invalid literal for int() with base 10: 't0'"),
-    (2, "xyz", "invalid literal for int() with base 16: 'xyz'"),
+    (2, "xyz", "peer_id must be 1 to 64 hex digits, got 'xyz'"),
     (3, "reconnect", "'reconnect' is not a valid ConnEventKind"),
 ])
 def test_read_conn_events_errors_unchanged_by_caches(column, value, message):

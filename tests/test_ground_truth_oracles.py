@@ -134,7 +134,7 @@ def test_probe_baits_distinct_across_seeds():
         catalog_size=5, seed=0, gateway_cache_hit_ratio=0.0,
     )
     net = build_network(cfg)
-    run(net, 0.0)
+    run(net)
     baits = set()
     for seed in range(10):
         bait, _, _ = probe_gateway_once(

@@ -256,7 +256,7 @@ def gateway_world(n_backing: int, seed: int = 0, **kw):
         **kw,
     )
     net = build_network(cfg)
-    run(net, 0.0)
+    run(net)
     return net
 
 
@@ -280,7 +280,7 @@ class TestProbeGateway:
             catalog_size=10, seed=4, gateway_group_sizes=(1, 1),
         )
         net = build_network(cfg)
-        run(net, 0.0)
+        run(net)
         r0 = probe_gateway(net, "gw0.example", net.monitors, seed=10)
         r1 = probe_gateway(net, "gw1.example", net.monitors, seed=11)
         truth = net.ground_truth.gateway_map
