@@ -653,9 +653,9 @@ class Network:
     def run_for(self, duration_s: float) -> None:
         """Handle the events due in the next ``duration_s`` seconds, a finite
         span of at least 0, and move the clock to its end."""
+        end = self.now_ns + to_ns(duration_s, "duration_s")
         if duration_s < 0:
             raise InputError(f"duration_s must be non-negative, got {duration_s!r}")
-        end = self.now_ns + to_ns(duration_s, "duration_s")
         self._drain(end)
         self.now_ns = end
 
