@@ -48,16 +48,26 @@ def _config_digest(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+# what a manifest leaves out of its config: the verb's function and name
+# (recorded apart) and the output directory, which shapes no output
+_UNRECORDED = ("func", "subcommand", "out")
+# the world verbs' options that override the simulation config's field of that name
+_OVERRIDES = ("seed", "duration_s")
+
+
 class _Manifest:
     """Reproducibility record written next to every subcommand's outputs.
 
+    Its config holds every option in ``args`` but those above, with a world
+    verb's simulation config in place of its --config and overrides.
     Creates the output directory and digests the given inputs up front."""
 
-    def __init__(self, subcommand: str, config: dict, out_dir, inputs=()):
+    def __init__(self, args, inputs=(), world: dict | None = None):
         self.started = time.monotonic()
-        self.subcommand = subcommand
-        self.config = config
-        self.out_dir = Path(out_dir)
+        self.subcommand = args.subcommand
+        skip = _UNRECORDED if world is None else (*_UNRECORDED, "config", *_OVERRIDES)
+        self.config = {**(world or {}), **{k: v for k, v in vars(args).items() if k not in skip}}
+        self.out_dir = Path(args.out)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
@@ -116,7 +126,7 @@ def _json_file(path):
     return json.loads(Path(path).read_text())
 
 
-def _load_world(args, subcommand: str):
+def _load_world(args):
     """The config-driven verbs' common start: read the config JSON, apply
     the ``--seed``/``--duration-s`` overrides, decode, open the manifest,
     then build the network and run it for the configured duration.
@@ -124,10 +134,10 @@ def _load_world(args, subcommand: str):
     Returns (network, run result, manifest)."""
     raw = _parse(_json_file, args.config, "--config")
     if isinstance(raw, dict):  # anything else is rejected by config_from_dict
-        overrides = {"seed": args.seed, "duration_s": getattr(args, "duration_s", None)}
+        overrides = {name: getattr(args, name, None) for name in _OVERRIDES}
         raw.update((k, v) for k, v in overrides.items() if v is not None)
     cfg = netsim.config_from_dict(raw)
-    manifest = _Manifest(subcommand, netsim.config_to_dict(cfg), args.out, [args.config])
+    manifest = _Manifest(args, [args.config], world=netsim.config_to_dict(cfg))
     net = netsim.build_network(cfg)
     return net, netsim.run(net), manifest
 
@@ -139,10 +149,6 @@ def _print_table(headers: list[str], rows: list[list]) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
         if i == 0:
             print("  ".join("-" * w for w in widths))
-
-
-def _windows(args) -> dict:
-    return {"dup_window_s": args.dup_window_s, "rebroadcast_window_s": args.rebroadcast_window_s}
 
 
 def _by_monitor(read, paths) -> dict[str, list]:
@@ -168,7 +174,7 @@ def _load_marked_trace(args):
 
 
 def cmd_simulate(args) -> int:
-    net, (traces, conns, gt), manifest = _load_world(args, "simulate")
+    net, (traces, conns, gt), manifest = _load_world(args)
     out = manifest.out_dir
     record_counts = {}
     for name in sorted(traces):
@@ -202,8 +208,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_unify(args) -> int:
-    config = {"inputs": list(args.traces), **_windows(args)}
-    manifest = _Manifest("unify", config, args.out, args.traces)
+    manifest = _Manifest(args, args.traces)
     marked = _load_marked_trace(args)
     out_path = manifest.out_dir / "unified.csv"
     write_trace(marked.records, out_path)
@@ -237,28 +242,24 @@ def _share_report(manifest: _Manifest, name: str, label: str, rows) -> None:
 def _read_gateway_map(path) -> dict[NodeId, str]:
     """Read a --gateway-map file, a JSON object mapping peer ids in hex to
     group names; raise ConfigError naming the first key that maps to no
-    group name, else the first that is not a peer id."""
+    group name, else the first that is not a peer id or spells the peer of
+    an earlier key."""
     doc = _parse(_json_file, path, "--gateway-map")
     if not isinstance(doc, dict):
         raise ConfigError(f"--gateway-map must hold a JSON object, got {type(doc).__name__}")
     for key, group in doc.items():
         if not isinstance(group, str):
             raise ConfigError(f"--gateway-map key {key!r} must map to a group name, not {group!r}")
-    return {_parse(NodeId.from_hex, k, "--gateway-map key"): v for k, v in doc.items()}
+    keys: dict[NodeId, str] = {}
+    for key in doc:
+        first = keys.setdefault(_parse(NodeId.from_hex, key, "--gateway-map key"), key)
+        if first != key:
+            raise ConfigError(f"--gateway-map key {key!r} names the peer of key {first!r}")
+    return {peer: doc[key] for peer, key in keys.items()}
 
 
 def cmd_analyze(args) -> int:
-    config = {
-        "report": args.report,
-        "inputs": list(args.traces),
-        **_windows(args),
-        "bucket_s": args.bucket_s,
-        "group_by": args.group_by,
-        "score": args.score,
-        "bootstraps": args.bootstraps,
-        "seed": args.seed,
-    }
-    manifest = _Manifest("analyze", config, args.out, args.traces)
+    manifest = _Manifest(args, args.traces)
 
     if args.report == "codec-share":
         records = [rec for path in args.traces for rec in read_trace(path)]
@@ -383,8 +384,7 @@ def _stats_from_args(args, manifest: _Manifest) -> dict:
 
 
 def cmd_estimate(args) -> int:
-    windows = {"window_start_s": args.window_start_s, "window_end_s": args.window_end_s}
-    manifest = _Manifest("estimate", {"method": args.method, **windows}, args.out)
+    manifest = _Manifest(args)
     if args.method == "dht-min":
         if not args.samples:
             raise ConfigError("dht-min needs --samples (a JSON list of distances)")
@@ -431,7 +431,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_probe_gateways(args) -> int:
     # the configured duration is the warm-up before probing
-    net, _, manifest = _load_world(args, "probe-gateways")
+    net, _, manifest = _load_world(args)
     cfg = net.cfg
     if cfg.gateway_cache_hit_ratio > 0:
         print(
@@ -473,8 +473,7 @@ def cmd_probe_gateways(args) -> int:
 
 def cmd_idw(args) -> int:
     cid = _parse(Cid.from_string, args.cid, "--cid")
-    config = {"cid": args.cid, "inputs": list(args.traces), **_windows(args)}
-    manifest = _Manifest("idw", config, args.out, args.traces)
+    manifest = _Manifest(args, args.traces)
     wanters = probes.idw(_load_marked_trace(args), cid)
     path = manifest.write_csv(
         "idw.csv", ["peer_id", "first_seen_ns"],
@@ -487,8 +486,7 @@ def cmd_idw(args) -> int:
 
 def cmd_tnw(args) -> int:
     target = _parse(NodeId.from_hex, args.peer, "--peer")
-    config = {"peer": args.peer, "inputs": list(args.traces), **_windows(args)}
-    manifest = _Manifest("tnw", config, args.out, args.traces)
+    manifest = _Manifest(args, args.traces)
     wants = probes.tnw(_load_marked_trace(args), target)
     path = manifest.write_csv(
         "tnw.csv", ["timestamp_ns", "request_type", "cid"],
@@ -502,8 +500,7 @@ def cmd_tnw(args) -> int:
 def cmd_tpi(args) -> int:
     target = _parse(NodeId.from_hex, args.target, "--target")
     cid = _parse(Cid.from_string, args.cid, "--cid")
-    net, _, manifest = _load_world(args, "tpi")
-    manifest.config.update(target=args.target, cid=args.cid)
+    net, _, manifest = _load_world(args)
     if target not in net.nodes:
         raise ConfigError("target node id not present in the simulated network")
     prober = net.add_node(netsim.NodeKind.DHT_CLIENT)
@@ -526,34 +523,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"swarmwatch {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_windows(p):
-        p.add_argument("--dup-window-s", type=float, default=pipeline.DEFAULT_DUP_WINDOW_S,
-                       help="cross-monitor duplicate window (seconds)")
-        p.add_argument("--rebroadcast-window-s", type=float,
-                       default=pipeline.DEFAULT_REBROADCAST_WINDOW_S,
-                       help="per-monitor re-broadcast window (seconds)")
+    def verb(name, func, help, reads=None):
+        """Add subcommand ``name``, run by ``func``, with --out and the
+        options of what it ``reads``: "traces" (trace CSVs, marked with the
+        two windows) or "config" (a simulation config and a seed override)."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", required=True, help="output directory")
+        if reads == "traces":
+            p.add_argument("traces", nargs="+", help="input trace CSVs")
+            p.add_argument("--dup-window-s", type=float, default=pipeline.DEFAULT_DUP_WINDOW_S,
+                           help="cross-monitor duplicate window (seconds)")
+            p.add_argument("--rebroadcast-window-s", type=float,
+                           default=pipeline.DEFAULT_REBROADCAST_WINDOW_S,
+                           help="per-monitor re-broadcast window (seconds)")
+        elif reads == "config":
+            p.add_argument("--config", required=True, help="simulation config JSON")
+            p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("simulate", help="run a network simulation, write traces")
-    p.add_argument("--config", required=True, help="simulation config JSON")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
+    p = verb("simulate", cmd_simulate, "run a network simulation, write traces", "config")
     p.add_argument("--duration-s", type=float, default=None, help="override duration")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("unify", help="merge per-monitor traces and mark flags")
-    p.add_argument("traces", nargs="+", help="input trace CSVs")
-    p.add_argument("--out", required=True)
-    add_windows(p)
-    p.set_defaults(func=cmd_unify)
+    verb("unify", cmd_unify, "merge per-monitor traces and mark flags", "traces")
 
-    p = sub.add_parser("analyze", help="reports over a trace")
-    p.add_argument("traces", nargs="+", help="input trace CSVs")
-    p.add_argument(
-        "--report",
-        required=True,
-        choices=["codec-share", "geo-share", "popularity", "rate-timeseries", "power-law"],
-    )
-    p.add_argument("--out", required=True)
+    p = verb("analyze", cmd_analyze, "reports over a trace", "traces")
+    p.add_argument("--report", required=True, choices=[
+        "codec-share", "geo-share", "popularity", "rate-timeseries", "power-law"])
     p.add_argument("--geo-db", default=None, help="cidr,country CSV for geo-share")
     p.add_argument("--gateway-map", default=None,
                    help="JSON {node_id_hex: group} for origin grouping")
@@ -563,47 +559,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--score", choices=["rrp", "urp"], default="urp")
     p.add_argument("--bootstraps", type=int, default=250)
     p.add_argument("--seed", type=int, default=0)
-    add_windows(p)
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("estimate", help="network size estimation")
+    p = verb("estimate", cmd_estimate, "network size estimation")
     p.add_argument("--method", required=True, choices=["two-monitor", "coupon", "dht-min"])
-    p.add_argument("--out", required=True)
     p.add_argument("--stats", default=None, help="peer-set stats JSON")
     p.add_argument("--conn-events", nargs="*", default=None,
                    help="connection-event CSVs to derive stats from")
     p.add_argument("--window-start-s", type=float, default=None)
     p.add_argument("--window-end-s", type=float, default=None)
     p.add_argument("--samples", default=None, help="JSON list of min distances (dht-min)")
-    p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("probe-gateways", help="bait-block probing of simulated gateways")
-    p.add_argument("--config", required=True, help="simulation config JSON")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_probe_gateways)
+    verb("probe-gateways", cmd_probe_gateways, "bait-block probing of simulated gateways",
+         "config")
 
-    p = sub.add_parser("idw", help="list peers that wanted a cid")
-    p.add_argument("traces", nargs="+")
+    p = verb("idw", cmd_idw, "list peers that wanted a cid", "traces")
     p.add_argument("--cid", required=True, help="codec:digest-hex form")
-    p.add_argument("--out", required=True)
-    add_windows(p)
-    p.set_defaults(func=cmd_idw)
 
-    p = sub.add_parser("tnw", help="list a peer's wants")
-    p.add_argument("traces", nargs="+")
-    p.add_argument("--peer", required=True, help="node id, 64 hex chars")
-    p.add_argument("--out", required=True)
-    add_windows(p)
-    p.set_defaults(func=cmd_tnw)
+    p = verb("tnw", cmd_tnw, "list a peer's wants", "traces")
+    p.add_argument("--peer", required=True, help="node id, 1 to 64 hex digits")
 
-    p = sub.add_parser("tpi", help="cache-probe a simulated node for a cid")
-    p.add_argument("--config", required=True, help="simulation config JSON")
-    p.add_argument("--target", required=True, help="node id, 64 hex chars")
+    p = verb("tpi", cmd_tpi, "cache-probe a simulated node for a cid", "config")
+    p.add_argument("--target", required=True, help="node id, 1 to 64 hex digits")
     p.add_argument("--cid", required=True, help="codec:digest-hex form")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_tpi)
 
     return parser
 

@@ -398,13 +398,25 @@ def write_trace(records: Iterable[TraceRecord], sink: PathOrStream) -> None:
         ))
 
 
+# the readers' integer fields take the text the writers write for an int:
+# ASCII digits, and a leading "-" for a timestamp; no "+", underscore or space
+_TIMESTAMP_RULE = "timestamp_ns must be ASCII digits after an optional '-', got {!r}"
+
+
+def _flags_from_text(text: str) -> int:
+    if not (text.isdigit() and text.isascii()):
+        raise InputError(f"flags must be ASCII digits, got {text!r}")
+    return int(text)
+
+
 def read_trace(source: PathOrStream) -> list[TraceRecord]:
     """Read a trace written by ``write_trace``. Each distinct peer, cid,
-    monitor and address is parsed once per file: records that repeat one
-    share the same object."""
+    flags text, monitor and address is parsed once per file: records that
+    repeat one share the same object."""
     strings: dict[str, str] = {}
     peers = _Memo(NodeId.from_hex)
     cids = _Memo(lambda pair: Cid.from_fields(*pair))
+    flag_values = _Memo(_flags_from_text)
     out = []
     with open_text(source, "r") as stream:
         for lineno, (ts, monitor, peer_hex, address, rtype, codec, digest, flags) in \
@@ -414,12 +426,13 @@ def read_trace(source: PathOrStream) -> list[TraceRecord]:
                 raise TraceParseError(f"unknown request_type token {rtype!r}", lineno)
             # fields parse in column order, so a malformed row reports its
             # first bad field whether or not its ids were seen before
+            if not (ts.isdigit() or ts[:1] == "-" and ts[1:].isdigit()) or not ts.isascii():
+                raise TraceParseError(_TIMESTAMP_RULE.format(ts), lineno)
             try:
-                ts, peer, cid, flags = int(ts), peers[peer_hex], cids[codec, digest], int(flags)
+                ts, peer, cid = int(ts), peers[peer_hex], cids[codec, digest]
+                flags = flag_values[flags]
             except (ValueError, TypeError) as exc:
                 raise TraceParseError(str(exc), lineno)
-            if flags < 0:
-                raise TraceParseError(f"flags must be non-negative, got {flags}", lineno)
             out.append(build_trace_record(
                 ts, strings.setdefault(monitor, monitor), peer,
                 strings.setdefault(address, address), request_type, cid, flags,
@@ -446,6 +459,8 @@ def read_conn_events(source: PathOrStream) -> list[ConnEvent]:
     out = []
     with open_text(source, "r") as stream:
         for lineno, (ts, monitor, peer_hex, kind) in _read_rows(stream, CONN_HEADER):
+            if not (ts.isdigit() or ts[:1] == "-" and ts[1:].isdigit()) or not ts.isascii():
+                raise TraceParseError(_TIMESTAMP_RULE.format(ts), lineno)
             try:
                 ts, peer = int(ts), peers[peer_hex]
                 event_kind = _CONN_KIND_BY_VALUE.get(kind)

@@ -5,8 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from swarmwatch import pipeline
-from swarmwatch.cli import main
+from swarmwatch import netsim, pipeline
+from swarmwatch.cli import build_parser, main
 from swarmwatch.core import (
     RAW,
     DAG_PROTOBUF,
@@ -220,7 +220,8 @@ class TestAnalyze:
         ({"zz": "g1"}, "'zz'"),
         ({"0x1f": "g1"}, "'0x1f'"),
         ({GOLDEN_PEER.hex: 3}, repr(GOLDEN_PEER.hex)),
-    ], ids=["list", "non-hex-key", "0x-key", "non-string-group"])
+        ({"1f": "a", "01F": "b"}, "key '01F' names the peer of key '1f'"),
+    ], ids=["list", "non-hex-key", "0x-key", "non-string-group", "same-peer-two-spellings"])
     def test_bad_gateway_map_exits_2_naming_it(self, tmp_path, capsys, doc, named):
         trace = golden_trace(tmp_path)
         gateway_map = tmp_path / "map.json"
@@ -504,8 +505,9 @@ def _stats(tmp_path, method: str, doc: dict) -> list[str]:
     return ["estimate", "--method", method, "--stats", str(path)]
 
 
-def _one_record_trace(tmp_path, timestamp_ns: int = 0, flags: int = 0) -> str:
-    """A one-record trace file with the given timestamp and flags."""
+def _one_record_trace(tmp_path, timestamp_ns: int | str = 0, flags: int = 0) -> str:
+    """A one-record trace file with the given timestamp and flags; a
+    timestamp given as text is written as it is."""
     path = tmp_path / "one.csv"
     write_trace([TraceRecord(timestamp_ns, "m0", GOLDEN_PEER, "/ip4/10.0.0.1/tcp/4001",
                              RequestType.WANT_HAVE, hash_content(b"one", RAW), flags)], path)
@@ -574,6 +576,8 @@ INPUT_EDGES = {
     "timestamp-past-int64": (lambda p: ["analyze", _one_record_trace(p.tmp, timestamp_ns=2**63),
                                         "--report", "popularity", "--out", p.out],
                              "timestamp_ns"),
+    "timestamp-underscore": (lambda p: ["unify", _one_record_trace(p.tmp, timestamp_ns="1_000"),
+                                        "--out", p.out], "timestamp_ns"),
     "trace-flags-negative": (lambda p: ["unify", _one_record_trace(p.tmp, flags=-1),
                                         "--out", p.out], "flags"),
     "peer-0x": (lambda p: ["tnw", p.trace, "--peer", "0x1f", "--out", p.out], "--peer"),
@@ -616,47 +620,122 @@ def test_input_error_is_a_swarmwatch_error_and_a_value_error():
     assert issubclass(ConnEventOrderError, InputError)
 
 
-def _config_digest(argv, out) -> str:
+def _digest_inputs(tmp_path) -> SimpleNamespace:
+    """Two input files of each kind an option names, differing in content."""
+    def write(name, doc):
+        (tmp_path / name).write_text(json.dumps(doc))
+        return str(tmp_path / name)
+
+    # 60 cids, the i-th wanted by 1 + 60 // (i + 1) peers: enough scores for a power-law fit
+    popular = [(i, peer) for i in range(60) for peer in range(1, 2 + 60 // (i + 1))]
+    write_trace([TraceRecord(k * NS, "m0", NodeId(peer), "/ip4/10.0.0.1/tcp/4001",
+                             RequestType.WANT_HAVE, hash_content(bytes([i]), RAW))
+                 for k, (i, peer) in enumerate(popular)], tmp_path / "popular.csv")
+    conns = []
+    for name, peers in (("conn.csv", (1, 2)), ("conn2.csv", (1, 2, 3))):
+        conns.append(str(tmp_path / name))
+        write_conn_events([ConnEvent(0, m, NodeId(p), ConnEventKind.CONNECT)
+                           for m in ("m0", "m1") for p in peers], conns[-1])
+    for name, country in (("geo.csv", "US"), ("geo2.csv", "DE")):
+        (tmp_path / name).write_text(f"cidr,country\n10.0.0.0/8,{country}\n")
+    two_monitor = {"sizes": {"m0": 5, "m1": 6}, "intersections": {"m0|m1": 3}}
+    return SimpleNamespace(
+        trace=str(golden_trace(tmp_path)), popular=str(tmp_path / "popular.csv"),
+        cfg=write("sim.json", dict(SIM_CFG, duration_s=0.0)),
+        cfg2=write("sim2.json", dict(SIM_CFG, duration_s=0.0, seed=8)),
+        geo=str(tmp_path / "geo.csv"), geo2=str(tmp_path / "geo2.csv"),
+        map=write("map.json", {GOLDEN_PEER.hex: "g1"}),
+        map2=write("map2.json", {GOLDEN_PEER.hex: "g2"}),
+        stats=write("stats.json", {"m": 1351, "r": 2, "w": 700, **two_monitor}),
+        stats2=write("stats2.json", {"m": 1300, "r": 2, "w": 700, **two_monitor}),
+        conn=conns[0], conn2=conns[1],
+        samples=write("xs.json", [0.01] * 5), samples2=write("xs2.json", [0.02] * 5),
+    )
+
+
+TPI_TARGETS = (NodeId(0xA1), NodeId(0xA2))
+CID_TEXT_2 = "raw:" + "11" * 32
+_MARKED = {"--report": "popularity"}
+_RATES = {"--report": "rate-timeseries"}
+_FIT = {"--report": "power-law", "--bootstraps": "2"}
+_CONN_WINDOW = {"--method": "two-monitor", "--window-start-s": "0", "--window-end-s": "10"}
+
+# (verb, option) -> the other options of two runs and that option's two
+# values, from the files in ``p``; a list value is several arguments
+DIGEST_OPTIONS = {
+    ("simulate", "--config"): lambda p: ({}, p.cfg, p.cfg2),
+    ("simulate", "--seed"): lambda p: ({"--config": p.cfg}, "1", "2"),
+    ("simulate", "--duration-s"): lambda p: ({"--config": p.cfg}, "0", "1"),
+    ("probe-gateways", "--config"): lambda p: ({}, p.cfg, p.cfg2),
+    ("probe-gateways", "--seed"): lambda p: ({"--config": p.cfg}, "1", "2"),
+    ("tpi", "--config"): lambda p: ({"--target": "a1", "--cid": CID_TEXT}, p.cfg, p.cfg2),
+    ("tpi", "--seed"): lambda p: ({"--config": p.cfg, "--target": "a1", "--cid": CID_TEXT},
+                                  "1", "2"),
+    ("tpi", "--target"): lambda p: ({"--config": p.cfg, "--cid": CID_TEXT}, "a1", "a2"),
+    ("tpi", "--cid"): lambda p: ({"--config": p.cfg, "--target": "a1"}, CID_TEXT, CID_TEXT_2),
+    ("analyze", "--report"): lambda p: ({"traces": [p.trace]}, "codec-share", "popularity"),
+    ("analyze", "--geo-db"): lambda p: ({"traces": [p.trace], "--report": "geo-share"},
+                                        p.geo, p.geo2),
+    ("analyze", "--gateway-map"): lambda p: (
+        {"traces": [p.trace], **_RATES, "--group-by": "origin_group"}, p.map, p.map2),
+    ("analyze", "--bucket-s"): lambda p: ({"traces": [p.trace], **_RATES}, "5", "10"),
+    ("analyze", "--group-by"): lambda p: ({"traces": [p.trace], **_RATES},
+                                          "request_type", "origin_group"),
+    ("analyze", "--score"): lambda p: ({"traces": [p.popular], **_FIT}, "rrp", "urp"),
+    ("analyze", "--bootstraps"): lambda p: ({"traces": [p.popular], **_FIT}, "1", "2"),
+    ("analyze", "--seed"): lambda p: ({"traces": [p.popular], **_FIT}, "0", "1"),
+    ("estimate", "--method"): lambda p: ({"--stats": p.stats}, "coupon", "two-monitor"),
+    ("estimate", "--stats"): lambda p: ({"--method": "coupon"}, p.stats, p.stats2),
+    ("estimate", "--conn-events"): lambda p: (_CONN_WINDOW, [p.conn], [p.conn2]),
+    ("estimate", "--window-start-s"): lambda p: (
+        {**_CONN_WINDOW, "--conn-events": [p.conn]}, "0", "1"),
+    ("estimate", "--window-end-s"): lambda p: (
+        {**_CONN_WINDOW, "--conn-events": [p.conn]}, "10", "20"),
+    ("estimate", "--samples"): lambda p: ({"--method": "dht-min"}, p.samples, p.samples2),
+    ("idw", "--cid"): lambda p: ({"traces": [p.trace]}, CID_TEXT, CID_TEXT_2),
+    ("tnw", "--peer"): lambda p: ({"traces": [p.trace]}, GOLDEN_PEER.hex, "a1"),
+}
+_QUERY = {"unify": {}, "analyze": _MARKED, "idw": {"--cid": CID_TEXT},
+          "tnw": {"--peer": GOLDEN_PEER.hex}}
+for _verb, _query in _QUERY.items():  # the options every trace verb shares
+    DIGEST_OPTIONS[_verb, "traces"] = lambda p, q=_query: (q, [p.trace], [p.popular])
+    for _flag in ("--dup-window-s", "--rebroadcast-window-s"):
+        DIGEST_OPTIONS[_verb, _flag] = lambda p, q=_query: ({"traces": [p.trace], **q}, "5", "6")
+
+
+def _declared_options() -> list[tuple[str, str]]:
+    """(verb, option) for every option ``build_parser`` declares but
+    --help and --out; a positional goes by its name."""
+    sub = build_parser()._subparsers._group_actions[0]
+    return [(verb, (action.option_strings or [action.dest])[-1])
+            for verb, parser in sub.choices.items() for action in parser._actions
+            if not {"--help", "--out"} & set(action.option_strings)]
+
+
+def _config_digest(verb, options: dict, out) -> str:
+    argv = [verb]
+    for option, value in options.items():
+        values = value if isinstance(value, list) else [value]
+        argv += values if option == "traces" else [option, *values]
     assert main([*argv, "--out", str(out)]) == 0
     return json.loads((out / "manifest.json").read_text())["config_digest"]
 
 
-@pytest.mark.parametrize("flag", ["--dup-window-s", "--rebroadcast-window-s"])
-@pytest.mark.parametrize("verb", ["idw", "tnw"])
-def test_marking_windows_are_in_the_config_digest(tmp_path, verb, flag):
-    query = ["--cid", CID_TEXT] if verb == "idw" else ["--peer", GOLDEN_PEER.hex]
-    argv = [verb, str(golden_trace(tmp_path)), *query, flag]
-    first, again, other = (_config_digest([*argv, seconds], tmp_path / str(i))
-                           for i, seconds in enumerate(["5", "5", "6"]))
-    assert first == again != other
+@pytest.mark.parametrize("verb, option", _declared_options(),
+                         ids=[" ".join(pair) for pair in _declared_options()])
+def test_every_option_but_out_is_in_the_config_digest(tmp_path, monkeypatch, verb, option):
+    if verb == "tpi":  # nodes every world has, whatever its config and seed
+        def build_network(cfg, build=netsim.build_network):
+            net = build(cfg)
+            for target in TPI_TARGETS:
+                net.add_node(netsim.NodeKind.DHT_SERVER, node_id=target)
+            return net
+        monkeypatch.setattr(netsim, "build_network", build_network)
+    others, first, second = DIGEST_OPTIONS[verb, option](_digest_inputs(tmp_path))
+    digests = [_config_digest(verb, {**others, option: value}, tmp_path / f"out{i}")
+               for i, value in enumerate([first, first, second])]
+    assert digests[0] == digests[1] != digests[2]  # the first two differ only in --out
 
 
-@pytest.mark.parametrize("flag, values", [("--window-start-s", ["0", "1"]),
-                                          ("--window-end-s", ["10", "20"])])
-def test_estimate_windows_are_in_the_config_digest(tmp_path, flag, values):
-    conn = tmp_path / "conn.csv"
-    write_conn_events([ConnEvent(0, m, NodeId(p), ConnEventKind.CONNECT)
-                       for m in ("m0", "m1") for p in (1, 2)], conn)
-    window = {"--window-start-s": "0", "--window-end-s": "10"}
-    digests = []
-    for i, seconds in enumerate(values):
-        window[flag] = seconds
-        argv = ["estimate", "--method", "two-monitor", "--conn-events", str(conn),
-                *(item for pair in window.items() for item in pair)]
-        digests.append(_config_digest(argv, tmp_path / str(i)))
-    assert digests[0] != digests[1]
-
-
-def test_tpi_target_and_cid_are_in_the_config_digest(tmp_path):
-    out = run_sim(tmp_path)
-    first, *rest = read_trace(out / "trace_m0.csv")
-    other = next(r for r in rest if r.peer != first.peer and r.cid != first.cid)
-    cfg = str(tmp_path / "sim.json")
-    digests = [
-        _config_digest(["tpi", "--config", cfg, "--target", target.hex, "--cid", str(cid)],
-                       tmp_path / str(i))
-        for i, (target, cid) in enumerate([(first.peer, first.cid), (first.peer, first.cid),
-                                           (other.peer, first.cid), (first.peer, other.cid)])
-    ]
-    assert digests[0] == digests[1]
-    assert len({digests[0], digests[2], digests[3]}) == 3
+def test_digest_table_has_no_option_the_parser_lacks():
+    assert set(DIGEST_OPTIONS) == set(_declared_options())

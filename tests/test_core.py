@@ -332,7 +332,7 @@ def test_trace_parse_error_names_line(tmp_path):
 
 
 @pytest.mark.parametrize("tail, message", [
-    (",x\r\n", "invalid literal for int() with base 10: 'x'"),
+    (",x\r\n", "flags must be ASCII digits, got 'x'"),
     (",0,extra\r\n", f"expected {len(TRACE_HEADER)} fields, got {len(TRACE_HEADER) + 1}"),
 ], ids=["bad-flags", "extra-field"])
 def test_trace_parse_error_counts_physical_lines(tail, message):
@@ -375,6 +375,17 @@ def test_trace_parse_error_unknown_request_type(tmp_path):
     path.write_text(text)
     with pytest.raises(TraceParseError, match="want_maybe"):
         read_trace(path)
+
+
+def test_readers_take_negative_and_zero_padded_integers():
+    # "-" is the one sign the writers write, and leading zeros are digits
+    peer = NodeId(0x1F)
+    trace = f"{','.join(TRACE_HEADER)}\r\n-5,m0,1f,a,want_have,raw,{'00' * 32},03\r\n"
+    conns = f"{','.join(CONN_HEADER)}\r\n-0,m0,1f,connect\r\n007,m0,1f,disconnect\r\n"
+    (rec,) = read_trace(io.StringIO(trace, newline=""))
+    assert (rec.timestamp_ns, rec.peer, rec.flags) == (-5, peer, 3)
+    got = read_conn_events(io.StringIO(conns, newline=""))
+    assert [(e.timestamp_ns, e.peer) for e in got] == [(0, peer), (7, peer)]
 
 
 def test_conn_events_round_trip():
@@ -504,7 +515,8 @@ def test_read_conn_events_shares_repeated_ids():
 
 def _reference_trace_error(text: str) -> tuple[str, int]:
     """The message and line a row-at-a-time parser with no caches raises:
-    type first, then timestamp, peer, codec, digest and flags in order."""
+    type first, then timestamp, peer, codec, digest and flags in order. A
+    timestamp is ASCII digits after an optional "-", flags ASCII digits."""
     rows = list(csv.reader(io.StringIO(text, newline="")))
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(TRACE_HEADER):
@@ -513,19 +525,25 @@ def _reference_trace_error(text: str) -> tuple[str, int]:
             RequestType(row[4])
         except ValueError:
             return f"unknown request_type token {row[4]!r}", lineno
+        if not re.fullmatch("-?[0-9]+", row[0]):
+            return (f"timestamp_ns must be ASCII digits after an optional '-', got {row[0]!r}",
+                    lineno)
         try:
-            int(row[0]), NodeId.from_hex(row[2])
+            NodeId.from_hex(row[2])
             Cid.from_fields(row[5], row[6])
-            flags = int(row[7])
         except ValueError as exc:
             return str(exc), lineno
-        if flags < 0:
-            return f"flags must be non-negative, got {flags}", lineno
+        if not re.fullmatch("[0-9]+", row[7]):
+            return f"flags must be ASCII digits, got {row[7]!r}", lineno
     raise AssertionError("reference parser found no error")
 
 
 _BAD_TRACE_FIELDS = {
     "timestamp": (0, "12x"),
+    "timestamp underscore": (0, "1_000"),
+    "timestamp space": (0, " 12"),
+    "timestamp plus": (0, "+1"),
+    "timestamp arabic-indic": (0, "\u0661\u0662"),
     "peer": (2, "xyz"),
     "peer range": (2, "1" + "0" * 64),
     "peer 0x": (2, "0x1f"),
@@ -537,17 +555,21 @@ _BAD_TRACE_FIELDS = {
     "digest spaced": (6, " ".join(["ab"] * 32)),
     "flags": (7, "one"),
     "flags negative": (7, "-1"),
+    "flags plus": (7, "+1"),
+    "flags underscore": (7, "0_1"),
 }
 
 
 @pytest.mark.parametrize("bad", [
     ("timestamp",), ("peer",), ("peer range",), ("peer 0x",), ("peer underscore",),
     ("type",), ("codec",), ("digest hex",), ("digest length",), ("digest spaced",),
-    ("flags",), ("flags negative",),
+    ("flags",), ("flags negative",), ("timestamp underscore",), ("timestamp space",),
+    ("timestamp plus",), ("timestamp arabic-indic",), ("flags plus",), ("flags underscore",),
     # several bad fields: the first in parse order is the one reported
     ("timestamp", "peer"), ("type", "timestamp"), ("peer", "codec"),
     ("codec", "digest hex"), ("digest length", "flags"), ("timestamp", "flags"),
     ("peer 0x", "digest spaced"), ("digest spaced", "flags negative"),
+    ("timestamp plus", "peer"), ("timestamp underscore", "flags plus"),
 ], ids="+".join)
 @pytest.mark.parametrize("repeat", [False, True], ids=["fresh", "after-same-ids"])
 def test_read_trace_errors_unchanged_by_caches(bad, repeat):
@@ -572,7 +594,8 @@ def test_read_trace_errors_unchanged_by_caches(bad, repeat):
 
 
 @pytest.mark.parametrize("column, value, message", [
-    (0, "t0", "invalid literal for int() with base 10: 't0'"),
+    (0, "t0", "timestamp_ns must be ASCII digits after an optional '-', got 't0'"),
+    (0, "1_0", "timestamp_ns must be ASCII digits after an optional '-', got '1_0'"),
     (2, "xyz", "peer_id must be 1 to 64 hex digits, got 'xyz'"),
     (3, "reconnect", "'reconnect' is not a valid ConnEventKind"),
 ])
