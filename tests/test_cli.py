@@ -653,9 +653,9 @@ def _digest_inputs(tmp_path) -> SimpleNamespace:
     )
 
 
-TPI_TARGETS = (NodeId(0xA1), NodeId(0xA2))
+# node ids added to every tpi world, whatever its config and seed
+TPI_TARGETS = ("a1", "a2")
 CID_TEXT_2 = "raw:" + "11" * 32
-_MARKED = {"--report": "popularity"}
 _RATES = {"--report": "rate-timeseries"}
 _FIT = {"--report": "power-law", "--bootstraps": "2"}
 _CONN_WINDOW = {"--method": "two-monitor", "--window-start-s": "0", "--window-end-s": "10"}
@@ -668,11 +668,13 @@ DIGEST_OPTIONS = {
     ("simulate", "--duration-s"): lambda p: ({"--config": p.cfg}, "0", "1"),
     ("probe-gateways", "--config"): lambda p: ({}, p.cfg, p.cfg2),
     ("probe-gateways", "--seed"): lambda p: ({"--config": p.cfg}, "1", "2"),
-    ("tpi", "--config"): lambda p: ({"--target": "a1", "--cid": CID_TEXT}, p.cfg, p.cfg2),
-    ("tpi", "--seed"): lambda p: ({"--config": p.cfg, "--target": "a1", "--cid": CID_TEXT},
-                                  "1", "2"),
-    ("tpi", "--target"): lambda p: ({"--config": p.cfg, "--cid": CID_TEXT}, "a1", "a2"),
-    ("tpi", "--cid"): lambda p: ({"--config": p.cfg, "--target": "a1"}, CID_TEXT, CID_TEXT_2),
+    ("tpi", "--config"): lambda p: ({"--target": TPI_TARGETS[0], "--cid": CID_TEXT},
+                                    p.cfg, p.cfg2),
+    ("tpi", "--seed"): lambda p: (
+        {"--config": p.cfg, "--target": TPI_TARGETS[0], "--cid": CID_TEXT}, "1", "2"),
+    ("tpi", "--target"): lambda p: ({"--config": p.cfg, "--cid": CID_TEXT}, *TPI_TARGETS),
+    ("tpi", "--cid"): lambda p: ({"--config": p.cfg, "--target": TPI_TARGETS[0]},
+                                 CID_TEXT, CID_TEXT_2),
     ("analyze", "--report"): lambda p: ({"traces": [p.trace]}, "codec-share", "popularity"),
     ("analyze", "--geo-db"): lambda p: ({"traces": [p.trace], "--report": "geo-share"},
                                         p.geo, p.geo2),
@@ -695,7 +697,7 @@ DIGEST_OPTIONS = {
     ("idw", "--cid"): lambda p: ({"traces": [p.trace]}, CID_TEXT, CID_TEXT_2),
     ("tnw", "--peer"): lambda p: ({"traces": [p.trace]}, GOLDEN_PEER.hex, "a1"),
 }
-_QUERY = {"unify": {}, "analyze": _MARKED, "idw": {"--cid": CID_TEXT},
+_QUERY = {"unify": {}, "analyze": {"--report": "popularity"}, "idw": {"--cid": CID_TEXT},
           "tnw": {"--peer": GOLDEN_PEER.hex}}
 for _verb, _query in _QUERY.items():  # the options every trace verb shares
     DIGEST_OPTIONS[_verb, "traces"] = lambda p, q=_query: (q, [p.trace], [p.popular])
@@ -724,11 +726,11 @@ def _config_digest(verb, options: dict, out) -> str:
 @pytest.mark.parametrize("verb, option", _declared_options(),
                          ids=[" ".join(pair) for pair in _declared_options()])
 def test_every_option_but_out_is_in_the_config_digest(tmp_path, monkeypatch, verb, option):
-    if verb == "tpi":  # nodes every world has, whatever its config and seed
+    if verb == "tpi":
         def build_network(cfg, build=netsim.build_network):
             net = build(cfg)
             for target in TPI_TARGETS:
-                net.add_node(netsim.NodeKind.DHT_SERVER, node_id=target)
+                net.add_node(netsim.NodeKind.DHT_SERVER, node_id=NodeId.from_hex(target))
             return net
         monkeypatch.setattr(netsim, "build_network", build_network)
     others, first, second = DIGEST_OPTIONS[verb, option](_digest_inputs(tmp_path))
@@ -737,5 +739,5 @@ def test_every_option_but_out_is_in_the_config_digest(tmp_path, monkeypatch, ver
     assert digests[0] == digests[1] != digests[2]  # the first two differ only in --out
 
 
-def test_digest_table_has_no_option_the_parser_lacks():
+def test_digest_table_rows_are_the_declared_options():
     assert set(DIGEST_OPTIONS) == set(_declared_options())
