@@ -126,6 +126,16 @@ def _json_file(path):
     return json.loads(Path(path).read_text())
 
 
+def _object_once(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; ValueError names a repeated key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} is repeated")
+        doc[key] = value
+    return doc
+
+
 def _load_world(args):
     """The config-driven verbs' common start: read the config JSON, apply
     the ``--seed``/``--duration-s`` overrides, decode, open the manifest,
@@ -241,10 +251,11 @@ def _share_report(manifest: _Manifest, name: str, label: str, rows) -> None:
 
 def _read_gateway_map(path) -> dict[NodeId, str]:
     """Read a --gateway-map file, a JSON object mapping peer ids in hex to
-    group names; raise ConfigError naming the first key that maps to no
-    group name, else the first that is not a peer id or spells the peer of
-    an earlier key."""
-    doc = _parse(_json_file, path, "--gateway-map")
+    group names; raise ConfigError naming the first repeated key, else the
+    first key that maps to no group name, else the first that is not a peer
+    id or spells the peer of an earlier key."""
+    doc = _parse(lambda p: json.loads(Path(p).read_text(), object_pairs_hook=_object_once),
+                 path, "--gateway-map")
     if not isinstance(doc, dict):
         raise ConfigError(f"--gateway-map must hold a JSON object, got {type(doc).__name__}")
     for key, group in doc.items():
@@ -359,6 +370,12 @@ def _check_stats(doc, method: str) -> dict:
 
 def _stats_from_args(args, manifest: _Manifest) -> dict:
     if args.stats:
+        for flag, value in (("--conn-events", args.conn_events),
+                            ("--window-start-s", args.window_start_s),
+                            ("--window-end-s", args.window_end_s)):
+            if value is not None:
+                raise ConfigError(f"give --stats or --conn-events with its window, "
+                                  f"not --stats and {flag}")
         doc = _parse(_json_file, args.stats, "--stats")
         manifest.add_input(args.stats)
         return _check_stats(doc, args.method)

@@ -3,17 +3,19 @@
 Two sliding-window rules populate the flag bits: a cross-monitor window
 (default 5 s) marks the same want seen by different monitors, and a larger
 per-monitor window (default 31 s) marks periodic re-broadcasts of wants
-that never resolved. Both rules read one table of the last time each
-monitor saw each want, in one pass; a record may carry both bits,
-mirroring the inherent ambiguity between shifted re-broadcasts and
-genuine inter-monitor duplicates.
+that never resolved. Both rules read the trace's columns: one stable sort
+by a (peer, request type, cid) code groups each want's records in trace
+order, and per monitor a running maximum carries its latest record
+through the group. A record may carry both bits, mirroring the inherent
+ambiguity between shifted re-broadcasts and genuine inter-monitor
+duplicates.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import count, islice, repeat
 from operator import attrgetter, itemgetter, le
@@ -44,11 +46,11 @@ _address = attrgetter("address")
 _request_type = attrgetter("request_type")
 _flags = attrgetter("flags")
 
-# request-type column code -> member
+# request-type column code -> member; REQUEST_TYPES.index finds a member's
+# code by identity, where a dict keyed by members would hash each in Python
 REQUEST_TYPES = tuple(RequestType)
-# id of a member -> its code: the members are singletons, and a dict keyed by
-# the member itself would hash it in Python, a per-record cost
-_TYPE_CODE = {id(m): code for code, m in enumerate(REQUEST_TYPES)}
+# the bits mark_flags sets and clears
+_MARK_BITS = FLAG_INTER_MONITOR_DUPLICATE | FLAG_REBROADCAST
 
 
 def _group(records: tuple[TraceRecord, ...], key) -> dict:
@@ -94,9 +96,9 @@ def trace_columns(records: Sequence[TraceRecord]) -> TraceColumns:
         raise InputError("a record's timestamp_ns does not fit in int64") from None
     try:
         request_type = np.fromiter(
-            map(_TYPE_CODE.__getitem__, map(id, map(_request_type, records))), np.int8, n)
-    except KeyError:
-        bad = next(r.request_type for r in records if id(r.request_type) not in _TYPE_CODE)
+            map(REQUEST_TYPES.index, map(_request_type, records)), np.int8, n)
+    except ValueError:
+        bad = next(r.request_type for r in records if r.request_type not in REQUEST_TYPES)
         raise InputError(f"request_type {bad!r} is not a RequestType member") from None
     cid, cids = intern_codes(map(_cid, records), n)
     peer, peers = intern_codes(map(_peer, records), n)
@@ -128,8 +130,10 @@ class UnifiedTrace:
     indexes of its own). The groups are shared: read them, do not change
     them.
 
-    ``columns`` is a third such view, built and kept the same way: the
-    records as ``TraceColumns``, which the reports in ``analytics`` read."""
+    ``columns`` is a third such view, kept the same way: the records as
+    ``TraceColumns``, which ``mark_flags`` and the reports in ``analytics``
+    read. A trace that ``mark_flags`` returns holds it from the start,
+    sharing all but ``flagged`` with its input's."""
 
     records: tuple[TraceRecord, ...]
     provenance: tuple[str, ...]
@@ -184,7 +188,7 @@ def mark_flags(
     window_dup_s: float = DEFAULT_DUP_WINDOW_S,
     window_rebroadcast_s: float = DEFAULT_REBROADCAST_WINDOW_S,
 ) -> UnifiedTrace:
-    """Set both flag bits in one pass over the records; other bits are kept.
+    """Set both flag bits from the trace's columns; other bits are kept.
 
     Records match when source node, request type and cid all agree. The
     duplicate bit goes on a record preceded, within ``window_dup_s``, by a
@@ -193,29 +197,63 @@ def mark_flags(
     record within ``window_rebroadcast_s`` of the previous matching record
     from the *same* monitor; chains extend through flagged members, so a
     periodic re-broadcast train is flagged entirely except for its first
-    record. Idempotent. Both windows must be finite.
+    record. "Preceded" and "previous" go by trace order: each monitor
+    counts with its latest matching record before the one being marked,
+    also in a trace that is not sorted by time.
+
+    One stable sort by a (peer, type, cid) code puts each want's records
+    together in trace order. For each monitor, a running maximum carries
+    the position of its latest record forward through the group: the
+    record's own monitor's latest decides the re-broadcast bit, any other
+    monitor's the duplicate bit. Only records whose bits change are
+    rebuilt, and the returned trace holds its ``columns`` already: the
+    input's, with a new ``flagged``. Timestamps must fit in int64 and
+    request types be ``RequestType`` members, as for ``trace_columns``;
+    InputError names the field otherwise. Idempotent. Both windows must be
+    finite.
     """
     dup_ns = to_ns(window_dup_s, "window_dup_s")
     reb_ns = to_ns(window_rebroadcast_s, "window_rebroadcast_s")
-    # (peer, request type value, cid) -> monitor -> time it last saw that
-    # want; keyed by the type's value, as an Enum member hashes in Python
-    last_seen: dict[tuple[NodeId, str, Cid], dict[str, int]] = {}
-    out = []
-    for r in trace.records:
-        t, monitor = r.timestamp_ns, r.monitor
-        key = (r.peer, r.request_type._value_, r.cid)
-        seen = last_seen.get(key)
-        if seen is None:
-            seen = last_seen[key] = {}
-        flags = r.flags & ~(FLAG_INTER_MONITOR_DUPLICATE | FLAG_REBROADCAST)
-        prev = seen.get(monitor)
-        if prev is not None and t - prev <= reb_ns:
-            flags |= FLAG_REBROADCAST
-        for m, ts in seen.items():
-            if m != monitor and t - ts <= dup_ns:
-                flags |= FLAG_INTER_MONITOR_DUPLICATE
-                break
-        out.append(r if flags == r.flags else r.with_flags(flags))
-        seen[monitor] = t
-    return UnifiedTrace(tuple(out), trace.provenance)
-
+    records, cols = trace.records, trace.columns
+    n = len(records)
+    mon, monitors = intern_codes(map(_monitor, records), n)
+    # below len(peers) * len(REQUEST_TYPES) * len(cids): in int64 for any trace in memory
+    key = (cols.peer * len(REQUEST_TYPES) + cols.request_type) * len(cols.cids) + cols.cid
+    by_key = np.argsort(key, kind="stable")  # each want's records together, in trace order
+    key, mon, t = key[by_key], mon[by_key], cols.timestamp_ns[by_key]
+    if n and int(t.max()) - int(t.min()) >= 2**63:
+        t = t.astype(object)  # a gap would wrap in int64, and Python ints do not
+    pos = np.arange(n)
+    first = np.ones(n, bool)
+    first[1:] = key[1:] != key[:-1]
+    start = np.maximum.accumulate(np.where(first, pos, 0))  # where each record's group starts
+    dup = np.zeros(n, bool)
+    reb = np.zeros(n, bool)
+    latest = np.empty(n, np.intp)
+    latest[:1] = -1
+    for m in range(len(monitors)):
+        own = mon == m
+        # the position of monitor m's latest record before each position, -1 for none
+        np.maximum.accumulate(np.where(own[:-1], pos[:-1], -1), out=latest[1:])
+        gap = t - t[latest]
+        seen = latest >= start
+        reb |= own & seen & (gap <= reb_ns)
+        dup |= ~own & seen & (gap <= dup_ns)
+    bits = np.empty(n, np.int8)
+    bits[by_key] = dup * FLAG_INTER_MONITOR_DUPLICATE + reb * FLAG_REBROADCAST
+    # only a record flagged already can hold either bit, or another
+    had = np.flatnonzero(cols.flagged).tolist()
+    had_flags = [records[i].flags for i in had]
+    held = np.zeros(n, np.int8)  # the two bits each record holds
+    held[had] = [f & _MARK_BITS for f in had_flags]
+    flagged = bits != 0
+    flagged[had] |= np.fromiter((f & ~_MARK_BITS for f in had_flags), bool, len(had))
+    marks = bits.tolist()
+    out = list(records)
+    for i in np.flatnonzero(bits != held).tolist():
+        r = records[i]
+        out[i] = r.with_flags(r.flags & ~_MARK_BITS | marks[i])
+    marked = UnifiedTrace(tuple(out), trace.provenance)
+    # cached_property keeps its value in the instance dict, so this is the kept view
+    marked.__dict__["columns"] = replace(cols, flagged=flagged)
+    return marked

@@ -1,7 +1,9 @@
 """Shared test oracles and fixture builders.
 
-The flag checkers here are deliberately naive pairwise scans, independent
-of the linear-time implementations in swarmwatch.pipeline. The power-law
+``brute_force_flags`` is a deliberately naive pairwise scan, and
+``reference_mark_flags`` walks the records once with a table of the last
+time each monitor saw each want; both are independent of the sort over
+the trace's columns in swarmwatch.pipeline.mark_flags. The power-law
 reference fits one sample at a time and solves each cutoff's exponent by
 bisection, independent of the batched table-and-Newton fitter in
 swarmwatch.analytics; the triangle reference scores every KS entry with
@@ -34,6 +36,7 @@ from swarmwatch.core import (
     RequestType,
     TraceRecord,
     hash_content,
+    to_ns,
 )
 from swarmwatch.errors import ConnEventOrderError
 from swarmwatch.estimators import PeerSetStats
@@ -67,6 +70,29 @@ def brute_force_flags(records, dup_window_s=5.0, rebroadcast_window_s=31.0):
             if same and ri.timestamp_ns - records[same[-1]].timestamp_ns <= reb_ns:
                 flags[i] |= FLAG_REBROADCAST
     return flags
+
+
+def reference_mark_flags(records, window_dup_s=5.0, window_rebroadcast_s=31.0):
+    """``mark_flags``'s records by one pass over ``records`` in their order:
+    a record is matched against the last time each monitor saw its
+    (peer, request type, cid) before it. A record whose flags do not change
+    is returned itself."""
+    dup_ns = to_ns(window_dup_s, "window_dup_s")
+    reb_ns = to_ns(window_rebroadcast_s, "window_rebroadcast_s")
+    last_seen = {}
+    out = []
+    for r in records:
+        t, monitor = r.timestamp_ns, r.monitor
+        seen = last_seen.setdefault((r.peer, r.request_type, r.cid), {})
+        flags = r.flags & ~(FLAG_INTER_MONITOR_DUPLICATE | FLAG_REBROADCAST)
+        prev = seen.get(monitor)
+        if prev is not None and t - prev <= reb_ns:
+            flags |= FLAG_REBROADCAST
+        if any(m != monitor and t - ts <= dup_ns for m, ts in seen.items()):
+            flags |= FLAG_INTER_MONITOR_DUPLICATE
+        out.append(r if flags == r.flags else r.with_flags(flags))
+        seen[monitor] = t
+    return out
 
 
 def reference_peer_set_stats(conn_events, window, sample_interval_s=60.0):

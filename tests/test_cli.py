@@ -514,6 +514,12 @@ def _one_record_trace(tmp_path, timestamp_ns: int | str = 0, flags: int = 0) -> 
     return str(path)
 
 
+def _text_file(tmp_path, text: str) -> str:
+    path = tmp_path / "text.json"
+    path.write_text(text)
+    return str(path)
+
+
 def _estimate(p, *window):
     return ["estimate", "--method", "two-monitor", "--conn-events", p.conn, *window,
             "--out", p.out]
@@ -529,8 +535,21 @@ INPUT_EDGES = {
     "gateway-map-json": (lambda p: ["analyze", p.trace, "--report", "rate-timeseries",
                                     "--gateway-map", p.bad_json, "--out", p.out],
                          "--gateway-map"),
+    "gateway-map-repeated-key": (lambda p: [
+        "analyze", p.trace, "--report", "rate-timeseries", "--group-by", "origin_group",
+        "--gateway-map", _text_file(p.tmp, '{"1f": "a", "2f": "b", "1f": "c"}'), "--out", p.out],
+        "key '1f' is repeated"),
     "stats-json": (lambda p: ["estimate", "--method", "coupon", "--stats", p.bad_json,
                               "--out", p.out], "--stats"),
+    "stats-and-conn-events": (lambda p: [*_stats(p.tmp, "coupon", {"m": 5, "r": 2, "w": 3}),
+                                         "--conn-events", p.conn, "--out", p.out],
+                              "not --stats and --conn-events"),
+    "stats-and-window-start": (lambda p: [*_stats(p.tmp, "coupon", {"m": 5, "r": 2, "w": 3}),
+                                          "--window-start-s", "0", "--out", p.out],
+                               "not --stats and --window-start-s"),
+    "stats-and-window-end": (lambda p: [*_stats(p.tmp, "coupon", {"m": 5, "r": 2, "w": 3}),
+                                        "--window-end-s", "5", "--out", p.out],
+                             "not --stats and --window-end-s"),
     "samples-json": (lambda p: ["estimate", "--method", "dht-min", "--samples", p.bad_json,
                                 "--out", p.out], "--samples"),
     "config-directory": (lambda p: ["simulate", "--config", p.dir, "--out", p.out], "--config"),
@@ -576,6 +595,9 @@ INPUT_EDGES = {
     "timestamp-past-int64": (lambda p: ["analyze", _one_record_trace(p.tmp, timestamp_ns=2**63),
                                         "--report", "popularity", "--out", p.out],
                              "timestamp_ns"),
+    "unify-timestamp-past-int64": (lambda p: ["unify", _one_record_trace(p.tmp, timestamp_ns=2**63),
+                                              "--out", p.out],
+                                   "a record's timestamp_ns does not fit in int64"),
     "timestamp-underscore": (lambda p: ["unify", _one_record_trace(p.tmp, timestamp_ns="1_000"),
                                         "--out", p.out], "timestamp_ns"),
     "trace-flags-negative": (lambda p: ["unify", _one_record_trace(p.tmp, flags=-1),

@@ -1,9 +1,12 @@
 import copy
 import heapq
 import random
+import re
+from dataclasses import fields
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmwatch.core import (
@@ -14,9 +17,16 @@ from swarmwatch.core import (
     hash_content,
 )
 from swarmwatch.errors import InputError
-from swarmwatch.pipeline import REQUEST_TYPES, mark_flags, unify
+from swarmwatch.pipeline import (
+    REQUEST_TYPES,
+    TraceColumns,
+    UnifiedTrace,
+    mark_flags,
+    trace_columns,
+    unify,
+)
 
-from helpers import NS, brute_force_flags, synthetic_records
+from helpers import NS, brute_force_flags, reference_mark_flags, synthetic_records
 
 PEER = NodeId(0x1234)
 CID = hash_content(b"block", RAW)
@@ -258,3 +268,77 @@ def test_columns_hold_each_records_fields(n, seed):
         values = [getattr(r, field) for r in trace]
         assert distinct == tuple(dict.fromkeys(values))
         assert [distinct[c] for c in getattr(cols, field).tolist()] == values
+
+
+I64_MIN, I64_MAX = -2**63, 2**63 - 1
+
+
+def rec_ns(t_ns: int, monitor: str, rtype=RequestType.WANT_HAVE, peer=PEER, flags=0):
+    return TraceRecord(t_ns, monitor, peer, "/ip4/203.0.113.9/tcp/4001", rtype, CID, flags)
+
+
+@st.composite
+def _hand_built(draw):
+    """Records in any order, not a ``unify`` output: 1 to 6 monitors, few
+    wants, timestamps on a 3 s grid with ties or at the two ends of int64,
+    and flag bits other than the two ``mark_flags`` sets."""
+    monitors = [f"m{i}" for i in range(draw(st.integers(1, 6)))]
+    return draw(st.lists(st.builds(
+        rec_ns,
+        st.one_of(st.integers(0, 12).map(lambda k: 3 * k * NS), st.sampled_from([I64_MIN, I64_MAX])),
+        st.sampled_from(monitors),
+        rtype=st.sampled_from(list(RequestType)),
+        peer=st.sampled_from([PEER, NodeId(0x99)]),
+        flags=st.sampled_from([0, 1, 2, 3, 4, 7, 2**64 | 1]),
+    ), max_size=40))
+
+
+WINDOWS_S = st.sampled_from([0.0, -5.0, 1.0, 5.0, 31.0, 1e299, 1e300])
+
+
+@given(records=_hand_built(), dup_s=WINDOWS_S, reb_s=WINDOWS_S)
+# m0's two records are 2**64 - 1 ns apart: a gap wrapped in int64 would read
+# -1 ns, inside the re-broadcast window
+@example(records=[rec_ns(I64_MAX, "m1"), rec_ns(I64_MIN, "m0"), rec_ns(I64_MAX, "m0")],
+         dup_s=5.0, reb_s=31.0)
+@settings(max_examples=300, deadline=None)
+def test_mark_flags_matches_the_reference_loop(records, dup_s, reb_s):
+    trace = UnifiedTrace(tuple(records), ("m0",))
+    try:
+        want = reference_mark_flags(records, dup_s, reb_s)
+    except InputError as exc:  # a window of 1e300 s is no finite count of nanoseconds
+        with pytest.raises(InputError, match=re.escape(str(exc))):
+            mark_flags(trace, window_dup_s=dup_s, window_rebroadcast_s=reb_s)
+        return
+    got = mark_flags(trace, window_dup_s=dup_s, window_rebroadcast_s=reb_s)
+    assert list(got) == want
+    # a record whose flags do not change comes back as the same object
+    assert [g is r for g, r in zip(got, records)] == [w is r for w, r in zip(want, records)]
+
+
+def _assert_same_columns(got: TraceColumns, want: TraceColumns):
+    for f in fields(TraceColumns):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), f.name
+        else:
+            assert a == b, f.name
+
+
+@given(records=_hand_built(), dup_s=WINDOWS_S.filter(lambda s: s != 1e300))
+@settings(max_examples=100, deadline=None)
+def test_marked_trace_carries_its_columns(records, dup_s):
+    # the columns come with the marked trace and equal a build from its
+    # records; re-marking a marked trace with another window hands them on again
+    marked = mark_flags(UnifiedTrace(tuple(records), ("m0",)))
+    remarked = mark_flags(marked, window_dup_s=dup_s)
+    for trace in (marked, remarked):
+        assert "columns" in vars(trace)
+        _assert_same_columns(trace.columns, trace_columns(trace.records))
+
+
+@pytest.mark.parametrize("t", [I64_MAX + 1, I64_MIN - 1])
+def test_timestamp_outside_int64_raises_input_error(t):
+    records = (rec_ns(0, "m0"), rec_ns(t, "m1"))
+    with pytest.raises(InputError, match="a record's timestamp_ns does not fit in int64"):
+        mark_flags(UnifiedTrace(records, ("m0", "m1")))
