@@ -58,54 +58,60 @@ _OVERRIDES = ("seed", "duration_s")
 class _Manifest:
     """Reproducibility record written next to every subcommand's outputs.
 
-    Its config holds every option in ``args`` but those above, with a world
-    verb's simulation config in place of its --config and overrides.
-    Creates the output directory and digests the given inputs up front."""
+    ``main`` opens it before the verb runs and writes it after the verb
+    returns, so a run that fails writes no manifest; the output directory
+    is made when the verb names its first output, so a run that fails on
+    its input leaves none. Its config holds every option in ``args`` but
+    those above, with a world verb's simulation config (``sim_config``,
+    set by ``_load_world``) in place of its --config and overrides."""
 
-    def __init__(self, args, inputs=(), world: dict | None = None):
+    def __init__(self, args):
         self.started = time.monotonic()
-        self.subcommand = args.subcommand
-        skip = _UNRECORDED if world is None else (*_UNRECORDED, "config", *_OVERRIDES)
-        self.config = {**(world or {}), **{k: v for k, v in vars(args).items() if k not in skip}}
+        self.args = args
         self.out_dir = Path(args.out)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.sim_config: dict | None = None
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
-        for path in inputs:
+        for path in getattr(args, "traces", ()):
             self.add_input(path)
 
     def add_input(self, path) -> None:
         p = Path(path)
         self.inputs[str(p)] = _sha256_file(p)
 
-    def add_output(self, path) -> None:
+    def path(self, name: str) -> Path:
+        """The path of output file ``name``, recorded as an output; makes
+        the output directory if it is not there."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        path = self.out_dir / name
         self.outputs.append(str(path))
+        return path
 
     def write_csv(self, name: str, header: list[str], rows) -> Path:
-        """Write ``header`` and ``rows`` to ``name`` in the output directory
-        as an excel-dialect CSV, and record the file as an output."""
-        path = self.out_dir / name
+        """Write ``header`` and ``rows`` to output file ``name`` as an
+        excel-dialect CSV."""
+        path = self.path(name)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
-        self.add_output(path)
         return path
 
     def write_json(self, name: str, doc) -> Path:
-        """Write ``doc`` to ``name`` in the output directory as indented
-        JSON, and record the file as an output."""
-        path = self.out_dir / name
+        """Write ``doc`` to output file ``name`` as indented JSON."""
+        path = self.path(name)
         path.write_text(json.dumps(doc, indent=2) + "\n")
-        self.add_output(path)
         return path
 
     def write(self) -> Path:
+        world = self.sim_config
+        skip = _UNRECORDED if world is None else (*_UNRECORDED, "config", *_OVERRIDES)
+        config = {**(world or {}), **{k: v for k, v in vars(self.args).items() if k not in skip}}
         doc = {
             "tool_version": __version__,
-            "subcommand": self.subcommand,
-            "config": self.config,
-            "config_digest": _config_digest(self.config),
+            "subcommand": self.args.subcommand,
+            "config": config,
+            "config_digest": _config_digest(config),
             "input_digests": self.inputs,
             "outputs": sorted(self.outputs),
             "duration_s": round(time.monotonic() - self.started, 6),
@@ -136,20 +142,22 @@ def _object_once(pairs: list) -> dict:
     return doc
 
 
-def _load_world(args):
+def _load_world(args, manifest: _Manifest):
     """The config-driven verbs' common start: read the config JSON, apply
-    the ``--seed``/``--duration-s`` overrides, decode, open the manifest,
-    then build the network and run it for the configured duration.
+    the ``--seed``/``--duration-s`` overrides, decode, record the config on
+    ``manifest``, then build the network and run it for the configured
+    duration.
 
-    Returns (network, run result, manifest)."""
+    Returns (network, run result)."""
     raw = _parse(_json_file, args.config, "--config")
     if isinstance(raw, dict):  # anything else is rejected by config_from_dict
         overrides = {name: getattr(args, name, None) for name in _OVERRIDES}
         raw.update((k, v) for k, v in overrides.items() if v is not None)
     cfg = netsim.config_from_dict(raw)
-    manifest = _Manifest(args, [args.config], world=netsim.config_to_dict(cfg))
+    manifest.add_input(args.config)
+    manifest.sim_config = netsim.config_to_dict(cfg)
     net = netsim.build_network(cfg)
-    return net, netsim.run(net), manifest
+    return net, netsim.run(net)
 
 
 def _print_table(headers: list[str], rows: list[list]) -> None:
@@ -183,17 +191,12 @@ def _load_marked_trace(args):
 # simulate
 
 
-def cmd_simulate(args) -> int:
-    net, (traces, conns, gt), manifest = _load_world(args)
-    out = manifest.out_dir
+def cmd_simulate(args, manifest: _Manifest) -> None:
+    net, (traces, conns, gt) = _load_world(args, manifest)
     record_counts = {}
     for name in sorted(traces):
-        trace_path = out / f"trace_{name}.csv"
-        conn_path = out / f"conn_{name}.csv"
-        write_trace(traces[name], trace_path)
-        write_conn_events(conns[name], conn_path)
-        manifest.add_output(trace_path)
-        manifest.add_output(conn_path)
+        write_trace(traces[name], manifest.path(f"trace_{name}.csv"))
+        write_conn_events(conns[name], manifest.path(f"conn_{name}.csv"))
         record_counts[name] = len(traces[name])
     manifest.write_csv("geodb.csv", ["cidr", "country"], net.geo_entries())
     gt_doc = gt.summary()
@@ -204,33 +207,27 @@ def cmd_simulate(args) -> int:
     gt_doc["conn_events"] = {name: len(conns[name]) for name in sorted(conns)}
     gt_doc["catalog_size"] = len(net.catalog)
     manifest.write_json("ground_truth.json", gt_doc)
-    manifest.write()
     print(
         f"simulated {gt.n_total} nodes for {net.cfg.duration_s}s: "
         f"{sum(record_counts.values())} trace records across "
-        f"{len(record_counts)} monitors -> {out}"
+        f"{len(record_counts)} monitors -> {manifest.out_dir}"
     )
-    return 0
 
 
 # ----------------------------------------------------------------------
 # unify
 
 
-def cmd_unify(args) -> int:
-    manifest = _Manifest(args, args.traces)
+def cmd_unify(args, manifest: _Manifest) -> None:
     marked = _load_marked_trace(args)
-    out_path = manifest.out_dir / "unified.csv"
+    out_path = manifest.path("unified.csv")
     write_trace(marked.records, out_path)
-    manifest.add_output(out_path)
-    manifest.write()
     dups = sum(1 for r in marked if r.is_duplicate)
     rebs = sum(1 for r in marked if r.is_rebroadcast)
     print(
         f"unified {len(marked)} records from {len(marked.provenance)} monitors; "
         f"{dups} inter-monitor duplicates, {rebs} re-broadcasts -> {out_path}"
     )
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -269,9 +266,16 @@ def _read_gateway_map(path) -> dict[NodeId, str]:
     return {peer: doc[key] for peer, key in keys.items()}
 
 
-def cmd_analyze(args) -> int:
-    manifest = _Manifest(args, args.traces)
-
+def cmd_analyze(args, manifest: _Manifest) -> None:
+    # a file option the report does not read is refused, not recorded unused
+    report = f"--report {args.report}"
+    if args.report == "rate-timeseries":
+        report += f" --group-by {args.group_by}"
+    for flag, value, reader in (("--geo-db", args.geo_db, "--report geo-share"),
+                                ("--gateway-map", args.gateway_map,
+                                 "--report rate-timeseries --group-by origin_group")):
+        if value is not None and report != reader:
+            raise ConfigError(f"{flag} is read only by {reader}, not by {report}")
     if args.report == "codec-share":
         records = [rec for path in args.traces for rec in read_trace(path)]
         _share_report(manifest, "codec_share.csv", "codec", analytics.codec_share(records))
@@ -327,8 +331,6 @@ def cmd_analyze(args) -> int:
             f"ks={fit.ks_statistic:.4f} p={fit.p_value:.3f} ({verdict}) "
             f"alpha_clamped={fit.alpha_clamped} replicates_skipped={fit.replicates_skipped}"
         )
-    manifest.write()
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -400,8 +402,7 @@ def _stats_from_args(args, manifest: _Manifest) -> dict:
     raise ConfigError("estimate needs --stats or --conn-events (or --samples for dht-min)")
 
 
-def cmd_estimate(args) -> int:
-    manifest = _Manifest(args)
+def cmd_estimate(args, manifest: _Manifest) -> None:
     if args.method == "dht-min":
         if not args.samples:
             raise ConfigError("dht-min needs --samples (a JSON list of distances)")
@@ -437,18 +438,16 @@ def cmd_estimate(args) -> int:
         "iterations": est.iterations,
         "residual": est.residual,
     })
-    manifest.write()
     print(f"{est.method.value}: N = {est.n_hat:.2f}")
-    return 0
 
 
 # ----------------------------------------------------------------------
 # probe-gateways and attack subcommands
 
 
-def cmd_probe_gateways(args) -> int:
+def cmd_probe_gateways(args, manifest: _Manifest) -> None:
     # the configured duration is the warm-up before probing
-    net, _, manifest = _load_world(args)
+    net, _ = _load_world(args, manifest)
     cfg = net.cfg
     if cfg.gateway_cache_hit_ratio > 0:
         print(
@@ -477,7 +476,6 @@ def cmd_probe_gateways(args) -> int:
             for e in probes.cross_reference(results, chain.from_iterable(net.traces.values()))
         ),
     )
-    manifest.write()
     _print_table(
         ["gateway", "nodes", "probes", "http ok"],
         [
@@ -485,47 +483,38 @@ def cmd_probe_gateways(args) -> int:
             for r in results
         ],
     )
-    return 0
 
 
-def cmd_idw(args) -> int:
+def cmd_idw(args, manifest: _Manifest) -> None:
     cid = _parse(Cid.from_string, args.cid, "--cid")
-    manifest = _Manifest(args, args.traces)
     wanters = probes.idw(_load_marked_trace(args), cid)
     path = manifest.write_csv(
         "idw.csv", ["peer_id", "first_seen_ns"],
         ([peer.hex, wanters[peer]] for peer in sorted(wanters)),
     )
-    manifest.write()
     print(f"{len(wanters)} wanters of {args.cid} -> {path}")
-    return 0
 
 
-def cmd_tnw(args) -> int:
+def cmd_tnw(args, manifest: _Manifest) -> None:
     target = _parse(NodeId.from_hex, args.peer, "--peer")
-    manifest = _Manifest(args, args.traces)
     wants = probes.tnw(_load_marked_trace(args), target)
     path = manifest.write_csv(
         "tnw.csv", ["timestamp_ns", "request_type", "cid"],
         ([t, rtype.value, str(cid)] for t, rtype, cid in wants),
     )
-    manifest.write()
     print(f"{len(wants)} wants by {args.peer[:12]}.. -> {path}")
-    return 0
 
 
-def cmd_tpi(args) -> int:
+def cmd_tpi(args, manifest: _Manifest) -> None:
     target = _parse(NodeId.from_hex, args.target, "--target")
     cid = _parse(Cid.from_string, args.cid, "--cid")
-    net, _, manifest = _load_world(args)
+    net, _ = _load_world(args, manifest)
     if target not in net.nodes:
         raise ConfigError("target node id not present in the simulated network")
     prober = net.add_node(netsim.NodeKind.DHT_CLIENT)
     positive = probes.tpi(net, prober, target, cid)
     manifest.write_json("tpi.json", {"target": args.target, "cid": args.cid, "cached": positive})
-    manifest.write()
     print(f"tpi {args.target[:12]}.. {args.cid[:24]}..: {'HIT' if positive else 'MISS'}")
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -609,7 +598,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        manifest = _Manifest(args)
+        args.func(args, manifest)
+        manifest.write()
+        return 0
     except (SwarmwatchError, OSError) as exc:  # the input's fault, by the error's type
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -421,11 +421,13 @@ def read_trace(source: PathOrStream) -> list[TraceRecord]:
     with open_text(source, "r") as stream:
         for lineno, (ts, monitor, peer_hex, address, rtype, codec, digest, flags) in \
                 _read_rows(stream, TRACE_HEADER):
+            # fields parse in a fixed order, the request type (the fifth
+            # column) first, then the timestamp, peer, codec, digest and
+            # flags, so a malformed row reports its first bad field in that
+            # order whether or not its ids were seen before
             request_type = _REQUEST_TYPE_BY_VALUE.get(rtype)
             if request_type is None:
                 raise TraceParseError(f"unknown request_type token {rtype!r}", lineno)
-            # fields parse in column order, so a malformed row reports its
-            # first bad field whether or not its ids were seen before
             if not (ts.isdigit() or ts[:1] == "-" and ts[1:].isdigit()) or not ts.isascii():
                 raise TraceParseError(_TIMESTAMP_RULE.format(ts), lineno)
             try:

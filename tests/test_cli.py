@@ -533,12 +533,24 @@ INPUT_EDGES = {
                               "--out", p.out], "--target"),
     "config-json": (lambda p: ["simulate", "--config", p.bad_json, "--out", p.out], "--config"),
     "gateway-map-json": (lambda p: ["analyze", p.trace, "--report", "rate-timeseries",
-                                    "--gateway-map", p.bad_json, "--out", p.out],
-                         "--gateway-map"),
+                                    "--group-by", "origin_group", "--gateway-map", p.bad_json,
+                                    "--out", p.out], "--gateway-map"),
     "gateway-map-repeated-key": (lambda p: [
         "analyze", p.trace, "--report", "rate-timeseries", "--group-by", "origin_group",
         "--gateway-map", _text_file(p.tmp, '{"1f": "a", "2f": "b", "1f": "c"}'), "--out", p.out],
         "key '1f' is repeated"),
+    # a file option the report does not read exits 2 before any trace is read
+    "geo-db-with-popularity": (lambda p: [
+        "analyze", p.broken, "--report", "popularity", "--geo-db", p.geo, "--out", p.out],
+        "--geo-db is read only by --report geo-share, not by --report popularity"),
+    "gateway-map-with-codec-share": (lambda p: [
+        "analyze", p.broken, "--report", "codec-share", "--gateway-map", p.map, "--out", p.out],
+        "--gateway-map is read only by --report rate-timeseries --group-by origin_group, "
+        "not by --report codec-share"),
+    "gateway-map-with-request-type-rates": (lambda p: [
+        "analyze", p.broken, "--report", "rate-timeseries", "--group-by", "request_type",
+        "--gateway-map", p.map, "--out", p.out],
+        "not by --report rate-timeseries --group-by request_type"),
     "stats-json": (lambda p: ["estimate", "--method", "coupon", "--stats", p.bad_json,
                               "--out", p.out], "--stats"),
     "stats-and-conn-events": (lambda p: [*_stats(p.tmp, "coupon", {"m": 5, "r": 2, "w": 3}),
@@ -612,18 +624,24 @@ INPUT_EDGES = {
 def test_input_edge_exits_2_naming_its_flag_or_field(tmp_path, capsys, case):
     conn = tmp_path / "conn.csv"
     write_conn_events([ConnEvent(NS, "m0", GOLDEN_PEER, ConnEventKind.CONNECT)], conn)
-    bad_json = tmp_path / "bad.json"
-    bad_json.write_text("{not json")
+    files = {"bad.json": "{not json", "broken.csv": "not,a,trace\n",
+             "geo.csv": "cidr,country\n10.0.0.0/8,US\n", "map.json": '{"ab": "g1"}'}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
     paths = SimpleNamespace(
         tmp=tmp_path, trace=str(golden_trace(tmp_path)), conn=str(conn), dir=str(tmp_path),
-        bad_json=str(bad_json), cfg=str(write_cfg(tmp_path, SIM_CFG)),
-        out=str(tmp_path / "out"),
+        bad_json=str(tmp_path / "bad.json"), broken=str(tmp_path / "broken.csv"),
+        geo=str(tmp_path / "geo.csv"), map=str(tmp_path / "map.json"),
+        cfg=str(write_cfg(tmp_path, SIM_CFG)), out=str(tmp_path / "out"),
     )
     argv, named = INPUT_EDGES[case]
     assert main(argv(paths)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert named in err
+    # the output directory is made for the first output file, so a run
+    # that fails on its input leaves none
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("error", [ValueError, OverflowError])
@@ -736,13 +754,27 @@ def _declared_options() -> list[tuple[str, str]]:
             if not {"--help", "--out"} & set(action.option_strings)]
 
 
+# the options that name input files
+FILE_OPTIONS = ("traces", "--config", "--geo-db", "--gateway-map", "--stats", "--conn-events",
+                "--samples")
+
+
 def _config_digest(verb, options: dict, out) -> str:
-    argv = [verb]
+    """Run ``verb`` with ``options`` into ``out``; check that its manifest
+    lists the files in ``out`` as its outputs and digests exactly the files
+    its options name, and return its config digest."""
+    argv, given = [verb], set()
     for option, value in options.items():
         values = value if isinstance(value, list) else [value]
         argv += values if option == "traces" else [option, *values]
+        if option in FILE_OPTIONS:
+            given.update(values)
     assert main([*argv, "--out", str(out)]) == 0
-    return json.loads((out / "manifest.json").read_text())["config_digest"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == sorted(str(p) for p in out.iterdir()
+                                         if p.name != "manifest.json")
+    assert set(manifest["input_digests"]) == given
+    return manifest["config_digest"]
 
 
 @pytest.mark.parametrize("verb, option", _declared_options(),
